@@ -5,7 +5,8 @@ from .scalars import (IntervalContext, certainly_le, certainly_lt, contains,
                       default_context, error_radius, lower, midpoint,
                       parse_rational, upper)
 from .hyperbolic import (BoundaryPoint, Circle, DegenerateInversionError,
-                         DiskPoint, HPoint, boundary_gromov_product,
+                         DiskPoint, ExteriorImageError, HPoint,
+                         boundary_gromov_product,
                          chain_metric, circle_invert_circle,
                          circle_invert_point, cosh_distance,
                          disk_from_half_plane, gromov_product, hyp_distance)
@@ -14,12 +15,12 @@ from .schedule import (GeneratorSchedule, ScheduleEntry, ValidationReport,
                        validate_schedule)
 from .words import (BeardonReport, DiskNode, DiskTree, NestingError,
                     ReducedWord, beardon_check, disk_tree, enumerate_words,
-                    mu_constant, word_count, word_disk)
+                    mu_constant, word_count, word_disk, word_disk_levels)
 from .certify import (AlphaSumTable, Certificate, CheckRecord,
                       TailBoundError, alpha_sum, alpha_sum_table,
                       center_control, certificate_from_json,
                       certify_dimension_upper, hausdorff_content,
-                      paper_center_bound, paper_radii_bound,
+                      level_sums, paper_center_bound, paper_radii_bound,
                       radii_tail_bound, reverify)
 from .estimators import (BisectResult, BoxCountResult, BracketError,
                          PoincareSummary, box_count, level_dimension_bisect,

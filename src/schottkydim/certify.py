@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .hyperbolic import Circle
 from .schedule import GeneratorSchedule
 from .scalars import (IntervalContext, certainly_le, default_context,
                       format_rational, lower, parse_rational, upper)
-from .words import ReducedWord, enumerate_words, word_count, word_disk
+from .words import word_disk_levels
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not certified"
@@ -35,55 +35,100 @@ class TailBoundError(ValueError):
 # level sums
 # ---------------------------------------------------------------------------
 
-def _first_letter_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,
-                      alpha: Fraction, first: int, ctx: IntervalContext):
-    alphabet = schedule.window(k, m)
-    total = ctx.zero
-
-    def rec(prefix):
-        nonlocal total
-        if len(prefix) == n:
-            radius = word_disk(schedule, ReducedWord(prefix)).radius
-            total = total + ctx.pow_rational(radius, alpha)
-            return
-        for letter in alphabet:
-            if prefix[-1] == letter:
-                continue
-            rec(prefix + (letter,))
-
-    rec((first,))
-    return total
+def _letter_partials(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
+                     alpha: Fraction, ctx: IntervalContext,
+                     letters: Sequence[int]):
+    """{letter: [partial sum of r_w^alpha over the level-n words w starting
+    with letter, for n = 1..n_max]}, each partial summed in word order."""
+    partials = {letter: [] for letter in letters}
+    for level in word_disk_levels(schedule, schedule.window(k, m), n_max):
+        for letter, disks in level:
+            if letter in partials:
+                total = ctx.zero
+                for disk in disks:
+                    total = total + ctx.pow_rational(disk.radius, alpha)
+                partials[letter].append(total)
+    return partials
 
 
-def alpha_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,
-              alpha: Fraction, ctx: Optional[IntervalContext] = None,
-              jobs: int = 1):
-    """Sum of r_w^alpha over all reduced words of length n in the window
-    alphabet {k+1, ..., k+m}, in lexicographic enumeration order.
+def _worker_partials(schedule, k, m, n_max, alpha, bits, letters):
+    """Process-pool entry point: the letters' partials as raw endpoints."""
+    partials = _letter_partials(schedule, k, m, n_max, alpha,
+                                IntervalContext(bits), letters)
+    return {letter: [p._mpi_ for p in sums]
+            for letter, sums in partials.items()}
 
-    Radii are exact rationals; each power is a certified enclosure, so the
-    result encloses the true window sum.  Partial sums are computed per first
-    letter (optionally in parallel) and always combined in letter order, so
-    the result is independent of the worker count.
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(jobs: int, letters: int) -> int:
+    """Worker processes started for ``jobs``: never more than the window's
+    letters or the CPUs this process may run on."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return max(1, min(jobs, letters, _usable_cpus()))
+
+
+def _pool_partials(schedule, k, m, n_max, alpha, ctx, letters, workers):
+    import multiprocessing  # only here, so importing the package stays cheap
+    # fork starts a worker without re-importing the package; the arguments
+    # are plain picklable values, so spawn works as well where fork is absent
+    methods = multiprocessing.get_all_start_methods()
+    mp = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    groups = [letters[i::workers] for i in range(workers)]
+    with mp.Pool(workers) as pool:
+        results = pool.starmap(_worker_partials, [
+            (schedule, k, m, n_max, alpha, ctx.bits, group)
+            for group in groups])
+    return {letter: [ctx.from_endpoints(p) for p in sums]
+            for result in results for letter, sums in result.items()}
+
+
+def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
+               alpha: Fraction, ctx: Optional[IntervalContext] = None,
+               jobs: int = 1) -> list:
+    """Enclosures of S_1, ..., S_{n_max}, where S_n is the sum of r_w^alpha
+    over all reduced words w of length n in the window alphabet
+    {k+1, ..., k+m}.
+
+    Radii are exact rationals, one inversion per word (see
+    :func:`~schottkydim.words.word_disk_levels`); each power is a certified
+    enclosure, so each result encloses the true window sum.  Each first
+    letter's partial is summed in lexicographic word order and the partials
+    are added in letter order, so the endpoints do not depend on ``jobs``.
+    With ``jobs`` >= 2 the letters are split among :func:`worker_count`
+    worker processes, each of which builds levels 1..n_max-1 itself.
     """
     ctx = ctx or default_context()
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     letters = schedule.window(k, m)
-    if jobs > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_first_letter_sum, schedule, k, m, n,
-                                   alpha, first, ctx)
-                       for first in letters]
-            partials = [f.result() for f in futures]
+    workers = worker_count(jobs, len(letters))
+    if workers > 1 and n_max > 1:
+        partials = _pool_partials(schedule, k, m, n_max, alpha, ctx,
+                                  letters, workers)
     else:
-        partials = [_first_letter_sum(schedule, k, m, n, alpha, first, ctx)
-                    for first in letters]
-    total = ctx.zero
-    for p in partials:
-        total = total + p
-    return total
+        partials = _letter_partials(schedule, k, m, n_max, alpha, ctx, letters)
+    sums = []
+    for n in range(n_max):
+        total = ctx.zero
+        for letter in letters:
+            total = total + partials[letter][n]
+        sums.append(total)
+    return sums
+
+
+def alpha_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,
+              alpha: Fraction, ctx: Optional[IntervalContext] = None,
+              jobs: int = 1):
+    """The level-n window sum S_n of :func:`level_sums`."""
+    return level_sums(schedule, k, m, n, alpha, ctx, jobs)[-1]
 
 
 @dataclass
@@ -110,9 +155,7 @@ class AlphaSumTable:
 def alpha_sum_table(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
                     alpha: Fraction, ctx: Optional[IntervalContext] = None,
                     jobs: int = 1) -> AlphaSumTable:
-    ctx = ctx or default_context()
-    sums = [alpha_sum(schedule, k, m, n, alpha, ctx, jobs=jobs)
-            for n in range(1, n_max + 1)]
+    sums = level_sums(schedule, k, m, n_max, alpha, ctx, jobs)
     return AlphaSumTable(k=k, m=m, n_max=n_max, alpha=Fraction(alpha),
                          sums=sums, pruned_counts=[0] * n_max)
 
@@ -344,6 +387,8 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2: level monotonicity needs two levels")
     checks: List[CheckRecord] = []
     complete = True
 
@@ -391,8 +436,7 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
     if not cc.complete:
         complete = False
 
-    sums = [alpha_sum(schedule, k, m, n, alpha, ctx, jobs=jobs)
-            for n in range(1, n_max + 1)]
+    sums = level_sums(schedule, k, m, n_max, alpha, ctx, jobs)
     for n in range(2, n_max + 1):
         prev, cur = sums[n - 2], sums[n - 1]
         checks.append(CheckRecord(

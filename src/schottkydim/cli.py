@@ -1,8 +1,15 @@
 """Command-line orchestration.
 
 Subcommands: schedule | certify | estimate | render | explore.
-Exit codes: 0 success (and certificate verdict "certified" for certify),
-1 failed certification check, 2 invalid configuration.
+Exit codes:
+
+* 0 -- success (for certify: the verdict is "certified");
+* 1 -- a certification check failed;
+* 2 -- invalid input: a bad flag or config value, a malformed config or
+  schedule file, an inadmissible schedule, window indices missing from the
+  schedule, or a file that cannot be read or written.  One ``error:`` line
+  goes to stderr.
+
 Flag precedence: command-line flags > config file > defaults.
 """
 
@@ -34,7 +41,9 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="exact | hiprec:<bits> (default: exact, 256-bit enclosures)")
     parser.add_argument("--out", default=None, help="output path")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel word-subtree workers (deterministic output)")
+                        help="worker processes for certify's level sums, capped "
+                             "by the window size and the usable CPUs "
+                             "(output is identical for any value)")
     parser.add_argument("--config", default=None,
                         help="JSON config file; flags override its values")
 
@@ -176,7 +185,11 @@ def cmd_certify(args, config) -> int:
     if m < 2:
         raise ConfigError("--m must be >= 2")
     n_max = int(_resolve(args, config, "n", 4))
+    if n_max < 2:
+        raise ConfigError("--n must be >= 2: level monotonicity needs two levels")
     jobs = int(_resolve(args, config, "jobs", 1))
+    if jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     ctx = _context(str(_resolve(args, config, "backend", "exact")))
     sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
     cert = certify_mod.certify_dimension_upper(sched, k, m, n_max, alpha,
@@ -316,12 +329,13 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return COMMANDS[args.command](args, config)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, KeyError, OSError) as exc:
+        # json.JSONDecodeError is a ValueError; str() of a KeyError is the
+        # repr of its message, so print the message itself
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
 
 
 def entrypoint():

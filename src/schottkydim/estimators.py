@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .hyperbolic import HPoint, hyp_distance_float
 from .schedule import GeneratorSchedule
-from .words import ReducedWord, enumerate_words, word_disk
+from .words import enumerate_words, word_disk_levels
 
 
 class BracketError(RuntimeError):
@@ -29,10 +29,10 @@ def _log_fraction(q: Fraction) -> float:
 
 def _level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
                      n: int) -> List[float]:
-    out = []
-    for word in enumerate_words(k, m, n):
-        out.append(_log_fraction(Fraction(word_disk(schedule, word).radius)))
-    return out
+    for level in word_disk_levels(schedule, schedule.window(k, m), n):
+        pass
+    return [_log_fraction(Fraction(disk.radius))
+            for _, disks in level for disk in disks]
 
 
 @dataclass

@@ -222,6 +222,14 @@ def orbit_distance(z, ball: OrbitBall) -> float:
 # ray profiles and classifications
 # ---------------------------------------------------------------------------
 
+def _check_sampling(horizon: float, step: float):
+    """A finite horizon and a positive finite step, so sampling ends."""
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+
+
 @dataclass
 class RayProfile:
     basepoint: Tuple[object, object]
@@ -275,6 +283,7 @@ def conicality_profile(schedule: GeneratorSchedule, p, target,
     (x, y) pair of exact rationals; the target a real, a Fraction, or None
     for the point at infinity.
     """
+    _check_sampling(horizon, step)
     if not isinstance(p, tuple):
         p = (p.real, p.imag)
     profile = RayProfile(basepoint=_point(p[0], p[1]), target=target,
@@ -358,6 +367,7 @@ def jorgensen_check(schedule: GeneratorSchedule, p, target, horizon: float,
     every sampled ray point must pass Dirichlet membership for the ball.
     True may be falsified by larger balls or horizons; False is conclusive.
     """
+    _check_sampling(horizon, step)
     if horizon <= 0:
         return JorgensenResult(consistent=True, vacuous=True)
     if not isinstance(p, tuple):

@@ -22,6 +22,11 @@ class DegenerateInversionError(ValueError):
     """Raised when a circle passes through the inversion center (image is a line)."""
 
 
+class ExteriorImageError(ValueError):
+    """Raised when the inversion center lies inside the disk: its image is the
+    exterior of a circle, not a disk."""
+
+
 @dataclass(frozen=True)
 class HPoint:
     """Point of the upper half-plane; y must be positive."""
@@ -61,16 +66,10 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class Circle:
-    """Boundary-centered circle: its upper semicircle is a hyperbolic geodesic.
-
-    ``bounded_image`` records inversive orientation bookkeeping: for every
-    configuration produced here the image of a disk not containing the
-    inversion center is again a bounded disk, and the flag stays True.
-    """
+    """Boundary-centered circle: its upper semicircle is a hyperbolic geodesic."""
 
     center: object
     radius: object
-    bounded_image: bool = True
 
     def __post_init__(self):
         if lower(self.radius) <= 0 and not isinstance(self.radius, float):
@@ -170,9 +169,11 @@ def circle_invert_circle(circle: Circle, other: Circle) -> Circle:
     """Image of the disk bounded by ``other`` under inversion in ``circle``.
 
     With u = center(other) - center(circle):
-        center' = center + r^2 u / (u^2 - rho^2),   radius' = r^2 rho / |u^2 - rho^2|
-    where r, rho are the two radii.  Degenerate only when ``other`` passes
-    through the inversion center, which admissible schedules never produce.
+        center' = center + r^2 u / (u^2 - rho^2),   radius' = r^2 rho / (u^2 - rho^2)
+    where r, rho are the two radii.  The image is a disk only when the
+    inversion center lies outside ``other`` (u^2 > rho^2), which admissible
+    schedules always give; otherwise the image is a line or a disk exterior
+    and this raises.
     """
     u = other.center - circle.center
     r2 = circle.radius * circle.radius
@@ -181,11 +182,10 @@ def circle_invert_circle(circle: Circle, other: Circle) -> Circle:
     if denom == 0:
         raise DegenerateInversionError(
             "circle passes through the inversion center; image is a line")
-    new_center = circle.center + r2 * u / denom
-    new_radius = r2 * rho / denom
-    if lower(new_radius) < 0 or (isinstance(new_radius, float) and new_radius < 0):
-        new_radius = -new_radius
-    return Circle(new_center, new_radius, bounded_image=True)
+    if denom < 0:
+        raise ExteriorImageError(
+            "inversion center lies inside the disk; image is a disk exterior")
+    return Circle(circle.center + r2 * u / denom, r2 * rho / denom)
 
 
 # ---------------------------------------------------------------------------

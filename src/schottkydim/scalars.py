@@ -66,6 +66,12 @@ class IntervalContext:
             return num
         return num / self._ctx.mpf(q.denominator)
 
+    def from_endpoints(self, endpoints):
+        """The interval whose raw mpf endpoints are ``endpoints``, as read
+        from an interval's ``_mpi_``; enclosures pass between processes as
+        these plain tuples, unchanged."""
+        return self._ctx.make_mpf(endpoints)
+
     def convert(self, x):
         if isinstance(x, (int, Fraction)):
             return self.from_rational(x)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .hyperbolic import Circle, circle_invert_circle
 from .schedule import GeneratorSchedule
@@ -87,6 +87,38 @@ def word_disk(schedule: GeneratorSchedule, word: ReducedWord) -> Circle:
     for letter in reversed(letters[:-1]):
         disk = circle_invert_circle(schedule.circle(letter), disk)
     return disk
+
+
+def _images(mirror: Circle, letter: int, level) -> Iterator[Circle]:
+    for first, disks in level:
+        if first != letter:
+            for disk in disks:
+                yield circle_invert_circle(mirror, disk)
+
+
+def word_disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
+                     n_max: int) -> Iterator[List[Tuple[int, Iterable[Circle]]]]:
+    """The disks of all reduced words of lengths 1..n_max over ``letters``.
+
+    Yields one level per word length, as a list of (letter, disks) pairs in
+    the order of ``letters``: the disks of the words that start with that
+    letter, in the order :func:`enumerate_words` gives the words.  Level n is
+    built from level n-1 with one inversion per word,
+    disk(a w) = h_a(disk(w)), so each disk equals :func:`word_disk` of its
+    word.  The disks of level n_max are generated lazily and never stored: a
+    caller pays only for the last-level letters it reads.
+    """
+    if n_max < 1:
+        raise ValueError("word length must be >= 1")
+    mirrors = [(letter, schedule.circle(letter)) for letter in letters]
+    level = [(letter, [mirror]) for letter, mirror in mirrors]
+    yield level
+    for n in range(2, n_max + 1):
+        images = [(letter, _images(mirror, letter, level))
+                  for letter, mirror in mirrors]
+        level = images if n == n_max else \
+            [(letter, list(disks)) for letter, disks in images]
+        yield level
 
 
 @dataclass

@@ -167,3 +167,66 @@ def test_explore_rejects_unreduced_word(tmp_path):
 
 def test_explore_rejects_conflicting_modes(tmp_path):
     assert main(["explore", "--word", "1,2", "--periodic", "--escalate"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# invalid input: one error line, exit 2, no traceback
+# ---------------------------------------------------------------------------
+
+def assert_clean_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_certify_rejects_fewer_than_two_levels(n, capsys):
+    assert_clean_exit_2(["certify", "--k", "2", "--alpha", "1/4", "--m", "4",
+                         "--n", n], capsys)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_certify_rejects_jobs_below_one(jobs, capsys):
+    assert_clean_exit_2(["certify", "--k", "2", "--alpha", "1/4", "--m", "4",
+                         "--n", "2", "--jobs", jobs], capsys)
+
+
+def test_malformed_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{\"k\": 2,")
+    assert_clean_exit_2(["certify", "--config", str(cfg)], capsys)
+
+
+def test_inadmissible_schedule_is_config_error(tmp_path, capsys):
+    sched = tmp_path / "bad.json"
+    sched.write_text(json.dumps({
+        "model": "upper-half-plane", "provenance": "user",
+        "entries": [{"i": 1, "c": "0", "r": "1/2"},
+                    {"i": 2, "c": "1/2", "r": "1/2"},
+                    {"i": 3, "c": "5", "r": "1/2"}]}))
+    assert_clean_exit_2(["certify", "--k", "0", "--alpha", "1/2", "--m", "3",
+                         "--n", "2", "--schedule", str(sched)], capsys)
+
+
+def test_missing_window_indices_is_config_error(tmp_path, capsys):
+    sched = tmp_path / "short.json"
+    assert main(["schedule", "--paper", "--count", "4", "--out", str(sched)]) == 0
+    assert_clean_exit_2(["certify", "--k", "2", "--alpha", "1/4", "--m", "4",
+                         "--n", "2", "--schedule", str(sched),
+                         "--out", str(tmp_path / "c.json")], capsys)
+
+
+def test_unwritable_out_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "cert.json"
+    assert_clean_exit_2(["certify", "--k", "2", "--alpha", "1/4", "--m", "4",
+                         "--n", "2", "--out", str(out)], capsys)
+
+
+@pytest.mark.parametrize("flags", [["--step", "0"], ["--step", "-0.5"],
+                                   ["--step", "nan"], ["--horizon", "nan"],
+                                   ["--horizon", "inf"]])
+def test_explore_rejects_bad_sampling(flags, tmp_path, capsys):
+    assert_clean_exit_2(["explore", "--word", "1,2", "--periodic",
+                         "--out", str(tmp_path / "ray"), *flags], capsys)

@@ -248,3 +248,14 @@ def test_jorgensen_axis_ray_fails():
                           alphabet=(1, 2, 3))
     assert not res.consistent
     assert res.first_failure_t is not None
+
+
+@pytest.mark.parametrize("horizon,step", [(5.0, 0.0), (5.0, -0.25),
+                                          (5.0, math.nan), (5.0, math.inf),
+                                          (math.nan, 0.25), (math.inf, 0.25)])
+def test_sampling_parameters_rejected(horizon, step):
+    p = default_basepoint(SCHED, 1)
+    with pytest.raises(ValueError):
+        conicality_profile(SCHED, p, None, horizon, 2, step)
+    with pytest.raises(ValueError):
+        jorgensen_check(SCHED, p, None, horizon, 2, step)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from schottkydim.hyperbolic import (BoundaryPoint, Circle,
-                                    DegenerateInversionError, HPoint,
+                                    DegenerateInversionError,
+                                    ExteriorImageError, HPoint,
                                     boundary_chord_sq,
                                     boundary_gromov_product, chain_metric,
                                     circle_invert_circle, circle_invert_point,
@@ -255,3 +256,10 @@ def test_visual_sandwich_on_sample():
                 boundary_gromov_product(sample[i], sample[j], I)))
             assert t[i][j] <= direct + 1e-12
             assert t[i][j] >= 0.5 * direct - 1e-12
+
+
+def test_circle_image_exterior_rejected():
+    # the inversion center 0 lies inside the disk: the image is an exterior
+    with pytest.raises(ExteriorImageError):
+        circle_invert_circle(Circle(Fraction(0), Fraction(1)),
+                             Circle(Fraction(1, 4), Fraction(1, 2)))
