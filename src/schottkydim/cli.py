@@ -7,8 +7,8 @@ Exit codes:
 * 1 -- a certification check failed;
 * 2 -- invalid input: a bad flag or config value, a malformed config or
   schedule file, an inadmissible schedule, window indices missing from the
-  schedule, or a file that cannot be read or written.  One ``error:`` line
-  goes to stderr.
+  schedule, an explore ``--ball`` that is negative or too large, or a file
+  that cannot be read or written.  One ``error:`` line goes to stderr.
 
 Flag precedence: command-line flags > config file > defaults.
 """
@@ -90,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--escalate", action="store_true", default=None,
                    help="continue the word with strictly increasing indices")
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--ball", type=int, default=None)
+    p.add_argument("--ball", type=int, default=None,
+                   help="word length of the orbit ball (default 4; at most "
+                        f"{explore.MAX_ORBIT_POINTS} orbit points)")
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--depth", type=int, default=None,
                    help="nested-disk depth for the limit point estimate")
@@ -299,6 +301,11 @@ def cmd_explore(args, config) -> int:
             raise ConfigError("basepoint must lie in the upper half-plane")
         p = (bx, by)
     alphabet = sched.indices[:min(4, len(sched.indices))]
+    if ball < 0:
+        raise ConfigError(f"--ball must be >= 0, got {ball}")
+    if explore.orbit_size(len(alphabet), ball) > explore.MAX_ORBIT_POINTS:
+        raise ConfigError(f"--ball {ball} over {len(alphabet)} letters gives "
+                          f"more than {explore.MAX_ORBIT_POINTS} orbit points")
     profile = explore.conicality_profile(sched, p, target, horizon, ball,
                                          step, alphabet=alphabet)
     out_prefix = _resolve(args, config, "out", "explore")

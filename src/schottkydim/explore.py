@@ -11,12 +11,15 @@ records the (horizon, ball, step) provenance it was computed with.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import ctx_mp
+from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int,
+                          mpf_sub, to_float)
 
 from .hyperbolic import BoundaryPoint
 from .schedule import GeneratorSchedule
@@ -46,13 +49,59 @@ def _point(x, y) -> Tuple[object, object]:
     return (_num(x), _num(y))
 
 
-def _hyp_dist(p, q) -> float:
-    px, py = p
-    qx, qy = q
-    dx = px - qx
-    dy = py - qy
-    u = 1 + (dx * dx + dy * dy) / (2 * py * qy)
-    return float(_MP.acosh(u))
+# Orbit queries work on raw mpf tuples (sign, man, exp, bc) through
+# mpmath.libmp, with _MP's precision and rounding.  Each libmp call below is
+# the one the mpf operator would make, in the same order, so every value is
+# bit-identical to the expression 1 + (dx*dx + dy*dy) / (2*py*qy) on _MP.
+_LN2 = math.log(2.0)
+
+# Slack of the float comparisons that prune and pre-classify orbit points;
+# see _nearest_heights.
+_FLOAT_SLACK = 1e-12
+
+
+def _cosh_arg(px, py, twice_py, qx, qy):
+    """(u, u - 1) for u = cosh d(p, q); twice_py is 2*py, hoisted."""
+    prec, rnd = _MP._prec_rounding
+    dx = mpf_sub(px, qx, prec, rnd)
+    dy = mpf_sub(py, qy, prec, rnd)
+    w = mpf_div(mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(dy, dy, prec, rnd),
+                        prec, rnd),
+                mpf_mul(twice_py, qy, prec, rnd), prec, rnd)
+    return mpf_add(w, fone, prec, rnd), w
+
+
+def _acosh_float(u) -> float:
+    """The distance, arccosh u, as a float: the one 300-bit acosh call."""
+    return float(_MP.acosh(_MP.make_mpf(u)))
+
+
+def _log_mpf(t) -> float:
+    """ln of a positive finite raw mpf, at any exponent (no float overflow)."""
+    _, man, exp, _ = t
+    return math.log(man) + exp * _LN2
+
+
+def _approx_acosh1p(w) -> float:
+    """arccosh(1 + w) for a raw mpf w >= 0, in floats, to about 1e-15
+    relative; for w beyond 1e150 it is ln(2w), which is off by under 1/w."""
+    wf = to_float(w)
+    if wf < 1e150:
+        return math.log1p(wf + math.sqrt(wf * (wf + 2.0)))
+    return _LN2 + _log_mpf(w)
+
+
+def _query_point(z):
+    """Raw (x, y, twice y) and the float ln y of a point in the upper
+    half-plane, given as a complex number or an (x, y) pair."""
+    if not isinstance(z, tuple):
+        z = (z.real, z.imag)
+    x, y = _point(z[0], z[1])
+    if not (_MP.isfinite(x) and _MP.isfinite(y) and y > 0):
+        raise ValueError(f"point must lie in the upper half-plane, got {z!r}")
+    prec, rnd = _MP._prec_rounding
+    return (x._mpf_, y._mpf_, mpf_mul_int(y._mpf_, 2, prec, rnd),
+            _log_mpf(y._mpf_))
 
 
 @dataclass
@@ -159,13 +208,34 @@ def geodesic_ray_point(p, target, t: float):
 # orbit balls
 # ---------------------------------------------------------------------------
 
+# Largest orbit the explore command builds: about 1 KB and 35 us per point,
+# so about 100 MB and a few seconds.
+MAX_ORBIT_POINTS = 100_000
+
+
+def orbit_size(letters: int, radius: int) -> int:
+    """Number of reduced words of length 1..radius over an alphabet of the
+    given size, sum_j letters*(letters-1)^(j-1): the ball's points besides the
+    basepoint.  Counting stops once the total passes MAX_ORBIT_POINTS, so a
+    huge radius is cheap to check."""
+    total, layer = 0, letters
+    for _ in range(radius):
+        if layer == 0 or total > MAX_ORBIT_POINTS:
+            break
+        total += layer
+        layer *= letters - 1
+    return total
+
+
 @dataclass
 class OrbitBall:
     """Orbit of a basepoint under all reduced words of length <= n.
 
     Closed under inversion (the reversal of a reduced word is reduced), so
     min-distance queries against the ball double as quotient-distance
-    proxies in either argument.
+    proxies in either argument.  The points are also kept sorted by ln y,
+    with their raw coordinates, for the pruned scans of orbit_distance and
+    dirichlet_membership.
     """
 
     basepoint: Tuple[object, object]
@@ -173,13 +243,27 @@ class OrbitBall:
     alphabet: Tuple[int, ...]
     points: List[Tuple[Tuple[int, ...], Tuple[object, object]]] = \
         field(default_factory=list)
+    _log_heights: List[float] = field(init=False, repr=False, compare=False)
+    _by_height: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        order = sorted((_log_mpf(q[1]._mpf_), q[0]._mpf_, q[1]._mpf_, word)
+                       for word, q in self.points)
+        self._log_heights = [entry[0] for entry in order]
+        self._by_height = [entry[1:] for entry in order]
 
     @staticmethod
     def build(schedule: GeneratorSchedule, p, radius: int,
               alphabet: Sequence[int]) -> "OrbitBall":
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
         alphabet = tuple(alphabet)
         base = _point(p[0], p[1]) if isinstance(p, tuple) else \
             _point(p.real, p.imag)
+        if not (_MP.isfinite(base[0]) and _MP.isfinite(base[1])
+                and base[1] > 0):
+            raise ValueError(f"basepoint must lie in the upper half-plane, "
+                             f"got {p!r}")
         pts = [((), base)]
         frontier = [((), base)]
         mirrors = {i: (_num(Fraction(schedule.entry(i).center)),
@@ -206,16 +290,60 @@ class OrbitBall:
     def __len__(self):
         return len(self.points)
 
+    def _nearest_heights(self, log_y: float):
+        """Yield (|log_y - ln y_q|, x_q, y_q, word) over the ball, raw
+        coordinates, in nondecreasing order of that height gap.
+
+        The gap is an exact lower bound on the distance:
+            cosh d(z, q) = 1 + ((x_z-x_q)^2 + (y_z-y_q)^2) / (2 y_z y_q)
+                        >= (y_z^2 + y_q^2) / (2 y_z y_q) = cosh(ln y_z - ln y_q),
+        so d(z, q) >= |ln y_z - ln y_q|.  A scan can stop at the first gap
+        beyond the distance it still needs, as long as float error cannot
+        hide a closer point.  The gaps come from ln y in floats, each off by
+        a few ulps of |ln y|, and the distances they are compared against are
+        float estimates good to about 1e-15 relative (_approx_acosh1p), so
+        the scans stop only when the gap exceeds the needed distance by
+        _FLOAT_SLACK * (1 + |ln y_z| + gap), some 500 times the worst error
+        of about 2e-15 * (1 + |ln y_z| + gap).
+        """
+        logs = self._log_heights
+        hi = bisect.bisect_left(logs, log_y)
+        lo = hi - 1
+        while lo >= 0 or hi < len(logs):
+            if hi == len(logs) or (lo >= 0 and
+                                   log_y - logs[lo] <= logs[hi] - log_y):
+                yield (log_y - logs[lo],) + self._by_height[lo]
+                lo -= 1
+            else:
+                yield (logs[hi] - log_y,) + self._by_height[hi]
+                hi += 1
+
+
+def _beyond(gap: float, log_y: float, reach: float) -> bool:
+    """True when every point at this height gap or more lies beyond reach."""
+    return gap - reach > _FLOAT_SLACK * (1.0 + abs(log_y) + gap)
+
 
 def orbit_distance(z, ball: OrbitBall) -> float:
     """Minimum hyperbolic distance from z to the orbit points; a finite-ball
-    proxy for the quotient distance."""
+    proxy for the quotient distance.
+
+    Scans the ball in order of height gap, keeps the smallest cosh argument
+    u and stops once the gap passes the best distance so far.  acosh is
+    monotone, so the one acosh call, on the smallest u, gives the minimum of
+    the per-point distances bit for bit.
+    """
     if not ball.points:
         raise ValueError("orbit ball is empty")
-    if not isinstance(z, tuple):
-        z = (z.real, z.imag)
-    z = _point(z[0], z[1])
-    return min(_hyp_dist(z, q) for _, q in ball.points)
+    zx, zy, twice_zy, log_y = _query_point(z)
+    best_u, best_d = None, math.inf
+    for gap, qx, qy, _ in ball._nearest_heights(log_y):
+        if _beyond(gap, log_y, best_d):
+            break
+        u, w = _cosh_arg(zx, zy, twice_zy, qx, qy)
+        if best_u is None or mpf_lt(u, best_u):
+            best_u, best_d = u, _approx_acosh1p(w)
+    return _acosh_float(best_u)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +462,40 @@ def dirichlet_membership(x, ball: OrbitBall,
     Returns (inside, boundary_flag).  True means x is at least as close to
     the basepoint as to every orbit point in the ball -- a superset claim for
     the true domain, so only False is conclusive.  Equality within tolerance
-    sets the flag.
+    (math.isclose with rel_tol and an absolute 1e-12) sets the flag.
+
+    Only orbit points that can be closer than, or equidistant with, the
+    basepoint matter, so the scan stops at the first height gap beyond the
+    farthest distance that still passes the equidistance test.  A float
+    estimate of each distance settles the points that are clearly nearer or
+    farther; the rest are decided on their exact distances, as before.  The
+    verdict depends only on which points are nearer or equidistant, not on
+    the order they are visited in.
     """
-    if not isinstance(x, tuple):
-        x = (x.real, x.imag)
-    x = _point(x[0], x[1])
-    d_p = _hyp_dist(x, ball.basepoint)
+    if not rel_tol >= 0:
+        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
+    zx, zy, twice_zy, log_y = _query_point(x)
+    bx, by = ball.basepoint
+    d_p = _acosh_float(_cosh_arg(zx, zy, twice_zy, bx._mpf_, by._mpf_)[0])
+    abs_tol = 1e-12
+    # d_q > d_p passes isclose iff d_q - d_p <= max(rel_tol*d_q, abs_tol)
+    reach = max(d_p + abs_tol, d_p / (1.0 - rel_tol)) if rel_tol < 1 \
+        else math.inf
     boundary = False
-    for word, q in ball.points:
+    for gap, qx, qy, word in ball._nearest_heights(log_y):
+        if _beyond(gap, log_y, reach):
+            break
         if not word:
             continue
-        d_q = _hyp_dist(x, q)
-        if math.isclose(d_p, d_q, rel_tol=rel_tol, abs_tol=1e-12):
+        u, w = _cosh_arg(zx, zy, twice_zy, qx, qy)
+        est = _approx_acosh1p(w)
+        slack = _FLOAT_SLACK * (1.0 + est + d_p)
+        if est - d_p > max(rel_tol * est, abs_tol) + slack:
+            continue  # farther, and not equidistant
+        if d_p - est > max(rel_tol * d_p, abs_tol) + slack:
+            return False, False  # nearer, and not equidistant
+        d_q = _acosh_float(u)
+        if math.isclose(d_p, d_q, rel_tol=rel_tol, abs_tol=abs_tol):
             boundary = True
             continue
         if d_q < d_p:

@@ -230,3 +230,13 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
 def test_explore_rejects_bad_sampling(flags, tmp_path, capsys):
     assert_clean_exit_2(["explore", "--word", "1,2", "--periodic",
                          "--out", str(tmp_path / "ray"), *flags], capsys)
+
+
+@pytest.mark.parametrize("ball", ["-1", "10", "1000000000"])
+def test_explore_rejects_bad_ball(ball, tmp_path, capsys):
+    # 4 letters: --ball 10 gives 4 * (3^10 - 1) / 2 = 118,096 orbit points,
+    # above explore.MAX_ORBIT_POINTS; no ball is built
+    assert_clean_exit_2(["explore", "--word", "1,2,3,4", "--periodic",
+                         "--ball", ball, "--out", str(tmp_path / "ray")],
+                        capsys)
+    assert not (tmp_path / "ray_profile.csv").exists()
