@@ -19,9 +19,10 @@ from typing import List, Optional, Sequence
 
 from .hyperbolic import Circle
 from .schedule import GeneratorSchedule
-from .scalars import (IntervalContext, certainly_le, default_context,
-                      format_rational, lower, parse_rational, upper)
-from .words import word_disk_levels
+from .scalars import (IntervalContext, PowerEnclosure, certainly_le,
+                      default_context, format_rational, lower,
+                      parse_rational, upper)
+from .words import word_radius_levels
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not certified"
@@ -36,27 +37,17 @@ class TailBoundError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _letter_partials(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
-                     alpha: Fraction, ctx: IntervalContext,
-                     letters: Sequence[int]):
+                     alpha: Fraction, bits: int, letters: Sequence[int]):
     """{letter: [partial sum of r_w^alpha over the level-n words w starting
-    with letter, for n = 1..n_max]}, each partial summed in word order."""
+    with letter, for n = 1..n_max]}, each partial summed in word order and
+    given as raw interval endpoints."""
+    power = PowerEnclosure(alpha, bits)
     partials = {letter: [] for letter in letters}
-    for level in word_disk_levels(schedule, schedule.window(k, m), n_max):
-        for letter, disks in level:
+    for level in word_radius_levels(schedule, schedule.window(k, m), n_max):
+        for letter, radii in level:
             if letter in partials:
-                total = ctx.zero
-                for disk in disks:
-                    total = total + ctx.pow_rational(disk.radius, alpha)
-                partials[letter].append(total)
+                partials[letter].append(power.sum(radii))
     return partials
-
-
-def _worker_partials(schedule, k, m, n_max, alpha, bits, letters):
-    """Process-pool entry point: the letters' partials as raw endpoints."""
-    partials = _letter_partials(schedule, k, m, n_max, alpha,
-                                IntervalContext(bits), letters)
-    return {letter: [p._mpi_ for p in sums]
-            for letter, sums in partials.items()}
 
 
 def _usable_cpus() -> int:
@@ -74,7 +65,7 @@ def worker_count(jobs: int, letters: int) -> int:
     return max(1, min(jobs, letters, _usable_cpus()))
 
 
-def _pool_partials(schedule, k, m, n_max, alpha, ctx, letters, workers):
+def _pool_partials(schedule, k, m, n_max, alpha, bits, letters, workers):
     import multiprocessing  # only here, so importing the package stays cheap
     # fork starts a worker without re-importing the package; the arguments
     # are plain picklable values, so spawn works as well where fork is absent
@@ -82,11 +73,10 @@ def _pool_partials(schedule, k, m, n_max, alpha, ctx, letters, workers):
     mp = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     groups = [letters[i::workers] for i in range(workers)]
     with mp.Pool(workers) as pool:
-        results = pool.starmap(_worker_partials, [
-            (schedule, k, m, n_max, alpha, ctx.bits, group)
-            for group in groups])
-    return {letter: [ctx.from_endpoints(p) for p in sums]
-            for result in results for letter, sums in result.items()}
+        results = pool.starmap(_letter_partials, [
+            (schedule, k, m, n_max, alpha, bits, group) for group in groups])
+    return {letter: sums for result in results
+            for letter, sums in result.items()}
 
 
 def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
@@ -96,11 +86,13 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     over all reduced words w of length n in the window alphabet
     {k+1, ..., k+m}.
 
-    Radii are exact rationals, one inversion per word (see
-    :func:`~schottkydim.words.word_disk_levels`); each power is a certified
-    enclosure, so each result encloses the true window sum.  Each first
-    letter's partial is summed in lexicographic word order and the partials
-    are added in letter order, so the endpoints do not depend on ``jobs``.
+    Radii are exact rationals, one integer inversion per word (see
+    :func:`~schottkydim.words.word_radius_levels`); each power is a certified
+    enclosure (:class:`~schottkydim.scalars.PowerEnclosure`, the exponent's
+    enclosure built once), so each result encloses the true window sum.
+    Each first letter's partial is summed in lexicographic word order and the
+    partials are added in letter order, so the endpoints do not depend on
+    ``jobs``.
     With ``jobs`` >= 2 the letters are split among :func:`worker_count`
     worker processes, each of which builds levels 1..n_max-1 itself.
     """
@@ -111,15 +103,16 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     letters = schedule.window(k, m)
     workers = worker_count(jobs, len(letters))
     if workers > 1 and n_max > 1:
-        partials = _pool_partials(schedule, k, m, n_max, alpha, ctx,
+        partials = _pool_partials(schedule, k, m, n_max, alpha, ctx.bits,
                                   letters, workers)
     else:
-        partials = _letter_partials(schedule, k, m, n_max, alpha, ctx, letters)
+        partials = _letter_partials(schedule, k, m, n_max, alpha, ctx.bits,
+                                    letters)
     sums = []
     for n in range(n_max):
         total = ctx.zero
         for letter in letters:
-            total = total + partials[letter][n]
+            total = total + ctx.from_endpoints(partials[letter][n])
         sums.append(total)
     return sums
 

@@ -7,8 +7,13 @@ Exit codes:
 * 1 -- a certification check failed;
 * 2 -- invalid input: a bad flag or config value, a malformed config or
   schedule file, an inadmissible schedule, window indices missing from the
-  schedule, an explore ``--ball`` that is negative or too large, or a file
-  that cannot be read or written.  One ``error:`` line goes to stderr.
+  schedule, an explore ``--ball`` that is negative or too large, an
+  ``estimate --n-max`` above ``estimators.MAX_WORD_LENGTH`` (100), an
+  ``estimate`` whose reduced words of length up to
+  max(--n-max, min(--n-max + 1, 4)) number more than
+  ``estimators.MAX_WORDS`` (10^6) or whose exact rationals exceed
+  ``estimators.MAX_EXACT_SIZE``, or a file that cannot be read or written.
+  One ``error:`` line goes to stderr.
 
 Flag precedence: command-line flags > config file > defaults.
 """
@@ -16,6 +21,7 @@ Flag precedence: command-line flags > config file > defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -25,7 +31,7 @@ from . import certify as certify_mod
 from . import estimators, explore, render
 from .scalars import IntervalContext, parse_rational
 from .schedule import GeneratorSchedule, load_schedule, paper_schedule, validate_schedule
-from .words import ReducedWord
+from .words import ReducedWord, count_words, disk_tree
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -210,6 +216,20 @@ def cmd_estimate(args, config) -> int:
     n_max = int(_resolve(args, config, "n_max", 3))
     if m < 2 or n_max < 1:
         raise ConfigError("need --m >= 2 and --n-max >= 1")
+    if n_max > estimators.MAX_WORD_LENGTH:
+        raise ConfigError(f"--n-max must be <= {estimators.MAX_WORD_LENGTH}")
+    depth = min(n_max + 1, 4)  # of the disk tree for box counting
+    longest = max(n_max, depth)
+    words = count_words(m, longest, estimators.MAX_WORDS)
+    if words > estimators.MAX_WORDS:
+        raise ConfigError(f"--m {m} --n-max {n_max} builds more than "
+                          f"{estimators.MAX_WORDS} word disks (all reduced "
+                          f"words of length <= {longest})")
+    if estimators.exact_size(k, m, words, longest) > estimators.MAX_EXACT_SIZE:
+        raise ConfigError(f"--k {k} --m {m} --n-max {n_max} needs exact "
+                          f"rationals beyond the estimate budget of "
+                          f"{estimators.MAX_EXACT_SIZE} (see "
+                          f"estimators.exact_size)")
     sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
     lines = ["n,alpha_n,residual"]
     for n in range(1, n_max + 1):
@@ -218,8 +238,6 @@ def cmd_estimate(args, config) -> int:
             lines.append(f"{n},{res.alpha!r},{res.residual!r}")
         except estimators.BracketError as exc:
             lines.append(f"{n},ERROR,{exc}")
-    from .words import disk_tree
-    depth = min(n_max + 1, 4)
     tree = disk_tree(sched, k, m, depth, prune_radius=Fraction(0),
                      verify=False)
     points = [float(node.disk.center) for node in tree.leaves()]
@@ -330,9 +348,14 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _load_config(args)
         return COMMANDS[args.command](args, config)

@@ -15,24 +15,48 @@ from typing import List, Optional, Sequence, Tuple
 
 from .hyperbolic import HPoint, hyp_distance_float
 from .schedule import GeneratorSchedule
-from .words import enumerate_words, word_disk_levels
+from .words import enumerate_words, word_radius_levels
+
+
+# Limits of an ``estimate`` request, checked before anything is built: the
+# most reduced words its bisection levels and box-counting tree may hold,
+# the longest level (exact radii grow with the word length: over 2 letters,
+# 100 levels take about 0.6 s and 200 levels about 4 s), and the budget of
+# :func:`exact_size`.
+MAX_WORDS = 1_000_000
+MAX_WORD_LENGTH = 100
+MAX_EXACT_SIZE = 10 ** 8
+
+
+def exact_size(k: int, m: int, words: int, longest: int) -> int:
+    """A bound, up to a constant, on the bits of exact rationals an estimate
+    over the window (k, k+m] builds from ``words`` words of at most
+    ``longest`` letters.  In the built-in schedule index i takes about i^2
+    bits, so a word disk takes about (k+m)^2 bits per letter, and the
+    schedule up to index k+m takes about (k+m)^3.  Near the budget: 3
+    letters to length 16 (k = 2) build about 200,000 word disks in about 7 s
+    and 80 MB."""
+    return (words * longest + k + m) * (k + m) ** 2
 
 
 class BracketError(RuntimeError):
     """No sign change available for the level-sum bisection."""
 
 
+def _log_ratio(p: int, q: int) -> float:
+    # log of p/q > 0 whose numerator/denominator can be huge
+    return (math.log2(p) - math.log2(q)) * math.log(2.0)
+
+
 def _log_fraction(q: Fraction) -> float:
-    # log of a positive rational whose numerator/denominator can be huge
-    return (math.log2(q.numerator) - math.log2(q.denominator)) * math.log(2.0)
+    return _log_ratio(q.numerator, q.denominator)
 
 
 def _level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
                      n: int) -> List[float]:
-    for level in word_disk_levels(schedule, schedule.window(k, m), n):
+    for level in word_radius_levels(schedule, schedule.window(k, m), n):
         pass
-    return [_log_fraction(Fraction(disk.radius))
-            for _, disks in level for disk in disks]
+    return [_log_ratio(s, t) for _, radii in level for s, t in radii]
 
 
 @dataclass

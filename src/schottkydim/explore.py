@@ -23,7 +23,7 @@ from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int,
 
 from .hyperbolic import BoundaryPoint
 from .schedule import GeneratorSchedule
-from .words import ReducedWord, word_disk
+from .words import ReducedWord, count_words, word_disk
 
 # slimness constant for hyperbolic-plane triangles: 2 arccosh(sqrt(2))
 DELTA_0 = 2.0 * math.acosh(math.sqrt(2.0))
@@ -218,13 +218,7 @@ def orbit_size(letters: int, radius: int) -> int:
     given size, sum_j letters*(letters-1)^(j-1): the ball's points besides the
     basepoint.  Counting stops once the total passes MAX_ORBIT_POINTS, so a
     huge radius is cheap to check."""
-    total, layer = 0, letters
-    for _ in range(radius):
-        if layer == 0 or total > MAX_ORBIT_POINTS:
-            break
-        total += layer
-        layer *= letters - 1
-    return total
+    return count_words(letters, radius, MAX_ORBIT_POINTS)
 
 
 @dataclass

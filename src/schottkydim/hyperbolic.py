@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .scalars import IntervalContext, default_context, lower, midpoint
 
@@ -186,6 +186,111 @@ def circle_invert_circle(circle: Circle, other: Circle) -> Circle:
         raise ExteriorImageError(
             "inversion center lies inside the disk; image is a disk exterior")
     return Circle(circle.center + r2 * u / denom, r2 * rho / denom)
+
+
+# ---------------------------------------------------------------------------
+# exact inversions in plain integers
+# ---------------------------------------------------------------------------
+#
+# A disk of rational center and radius is carried as the endpoints of its
+# real diameter, ends = (n0, d0, n1, d1) for [n0/d0, n1/d1], each pair in
+# lowest terms with a positive denominator.  An inversion maps each endpoint
+# on its own, and reduces it with one gcd against a constant of the mirror;
+# :func:`circle_invert_circle` stays the exact-Fraction oracle.
+
+def disk_ends(circle: Circle) -> Tuple[int, int, int, int]:
+    """The integer endpoints of a disk with rational center and radius."""
+    center, radius = Fraction(circle.center), Fraction(circle.radius)
+    x0, x1 = center - radius, center + radius
+    return x0.numerator, x0.denominator, x1.numerator, x1.denominator
+
+
+def ends_cross(ends) -> int:
+    """n1 d0 - n0 d1: the diameter times d0 d1, positive for a disk."""
+    n0, d0, n1, d1 = ends
+    return n1 * d0 - n0 * d1
+
+
+def ends_radius(ends) -> Tuple[int, int]:
+    """The radius (x1 - x0)/2 of integer endpoints, as (s, t) in lowest
+    terms."""
+    _, d0, _, d1 = ends
+    s, t = ends_cross(ends), 2 * d0 * d1
+    g = math.gcd(s, t)
+    return s // g, t // g
+
+
+def ends_circle(ends) -> Circle:
+    """The Circle of integer endpoints, equal to the Fraction computation."""
+    n0, d0, n1, d1 = ends
+    t = 2 * d0 * d1
+    return Circle(Fraction(n0 * d1 + n1 * d0, t),
+                  Fraction(ends_cross(ends), t))
+
+
+class IntegerMirror:
+    """Exact inversion in one rational boundary circle, on integer endpoints.
+
+    With center c = a/b and radius r = e/f in lowest terms, an endpoint
+    x = n/d maps to
+
+        h(x) = c + r^2/(x - c) = (a f^2 D + e^2 b^2 d) / (b f^2 D),
+        D = n b - a d.
+
+    The numerator is e^2 b^2 d modulo D, and gcd(d, D) = gcd(d, b), so any
+    common factor of numerator and denominator divides T = (b^2 e f)^2, which
+    depends on the mirror only: one gcd against T reduces the image.  h
+    reverses the order on each side of c, so [x0, x1] maps to [h(x1), h(x0)].
+    The image of a disk is a disk exactly when both endpoints lie on one side
+    of c, which is the condition u^2 > rho^2 of :func:`circle_invert_circle`;
+    the same errors are raised otherwise.
+    """
+
+    __slots__ = ("a", "b", "af2", "bf2", "e2b2", "f2", "reducer", "ends")
+
+    def __init__(self, circle: Circle):
+        center, radius = Fraction(circle.center), Fraction(circle.radius)
+        a, b = center.numerator, center.denominator
+        e, f = radius.numerator, radius.denominator
+        self.a, self.b = a, b
+        self.f2 = f * f
+        self.af2, self.bf2 = a * self.f2, b * self.f2
+        self.e2b2 = e * e * b * b
+        self.reducer = (b * b * e * f) ** 2  # T
+        self.ends = disk_ends(circle)
+
+    def _offsets(self, ends):
+        n0, d0, n1, d1 = ends
+        a, b = self.a, self.b
+        D0, D1 = n0 * b - a * d0, n1 * b - a * d1
+        if D0 == 0 or D1 == 0:
+            raise DegenerateInversionError(
+                "circle passes through the inversion center; image is a line")
+        if (D0 < 0) != (D1 < 0):
+            raise ExteriorImageError(
+                "inversion center lies inside the disk; image is a disk exterior")
+        return D0, D1
+
+    def invert(self, ends):
+        """The integer endpoints of the image disk."""
+        D0, D1 = self._offsets(ends)
+        n0, d0, n1, d1 = ends
+        af2, bf2, e2b2, t = self.af2, self.bf2, self.e2b2, self.reducer
+        if D0 < 0:
+            D0, D1, d0, d1 = -D0, -D1, -d0, -d1
+        num0, den0 = af2 * D1 + e2b2 * d1, bf2 * D1  # h(x1), the new left end
+        num1, den1 = af2 * D0 + e2b2 * d0, bf2 * D0  # h(x0), the new right end
+        g0, g1 = math.gcd(t, num0, den0), math.gcd(t, num1, den1)
+        return num0 // g0, den0 // g0, num1 // g1, den1 // g1
+
+    def invert_radius(self, ends, cross: int) -> Tuple[int, int]:
+        """The image's radius alone, as (s, t) in lowest terms, given
+        ``cross`` = :func:`ends_cross` of ``ends``:
+        r^2 rho / ((x0 - c)(x1 - c)) = e^2 b^2 cross / (2 f^2 D0 D1)."""
+        D0, D1 = self._offsets(ends)
+        s, t = self.e2b2 * cross, 2 * self.f2 * D0 * D1
+        g = math.gcd(s, t)
+        return s // g, t // g
 
 
 # ---------------------------------------------------------------------------

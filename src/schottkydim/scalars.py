@@ -22,11 +22,69 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath import ctx_iv
-from mpmath.libmp import to_rational
+from mpmath.libmp import (fone, from_int, fzero, mpi_add, mpi_div, mpi_exp,
+                          mpi_log, mpi_mul, round_ceiling, round_floor,
+                          to_rational)
 
 DEFAULT_PRECISION_BITS = 256
 
 Rational = Union[int, Fraction]
+
+_ZERO = (fzero, fzero)
+_ONE = (fone, fone)
+
+
+def _ratio_endpoints(p: int, q: int, prec: int):
+    """Raw endpoints of the enclosure of p/q (q > 0) that interval arithmetic
+    gives at ``prec`` bits: p rounded outward, divided by q rounded outward
+    unless q is 1."""
+    x = (from_int(p, prec, round_floor), from_int(p, prec, round_ceiling))
+    if q == 1:
+        return x
+    return mpi_div(x, (from_int(q, prec, round_floor),
+                       from_int(q, prec, round_ceiling)), prec)
+
+
+class PowerEnclosure:
+    """Certified enclosures of x**exponent at ``bits`` of precision for
+    positive rationals x = p/q in lowest terms, as raw mpf endpoints.
+
+    The one power routine of the package: x**0 and 1**e are 1, an integer
+    exponent is an exact power rounded once, and any other exponent is
+    exp(e log x), where e is the exponent's enclosure, built once here.  The
+    operations are mpmath's interval operations, called directly in the
+    order :meth:`IntervalContext.pow_rational` has always made them, so the
+    endpoints are the same.
+    """
+
+    def __init__(self, exponent: Rational, bits: int):
+        self.exponent = Fraction(exponent)
+        self.bits = bits
+        self._exponent_interval = None
+        if self.exponent.denominator != 1:
+            self._exponent_interval = _ratio_endpoints(
+                self.exponent.numerator, self.exponent.denominator, bits)
+
+    def __call__(self, p: int, q: int):
+        n = self.exponent.numerator
+        if n == 0 or p == q:
+            return _ONE
+        prec = self.bits
+        if self._exponent_interval is None:
+            if n > 0:
+                return _ratio_endpoints(p ** n, q ** n, prec)
+            return _ratio_endpoints(q ** -n, p ** -n, prec)
+        return mpi_exp(mpi_mul(self._exponent_interval,
+                               mpi_log(_ratio_endpoints(p, q, prec), prec),
+                               prec), prec)
+
+    def sum(self, bases):
+        """Enclosure of the sum of p/q**exponent over (p, q) pairs, added
+        left to right from zero."""
+        total = _ZERO
+        for p, q in bases:
+            total = mpi_add(total, self(p, q), self.bits)
+        return total
 
 
 class IntervalContext:
@@ -61,10 +119,8 @@ class IntervalContext:
     def from_rational(self, q: Rational):
         """Tightest representable enclosure of an integer or Fraction."""
         q = Fraction(q)
-        num = self._ctx.mpf(q.numerator)
-        if q.denominator == 1:
-            return num
-        return num / self._ctx.mpf(q.denominator)
+        return self._ctx.make_mpf(
+            _ratio_endpoints(q.numerator, q.denominator, self.bits))
 
     def from_endpoints(self, endpoints):
         """The interval whose raw mpf endpoints are ``endpoints``, as read
@@ -99,21 +155,13 @@ class IntervalContext:
 
         Rational exponents generally leave the rationals, so even "exact"
         certification paths route powers through this enclosure and then
-        demand separated intervals.
+        demand separated intervals.  Computed by :class:`PowerEnclosure`.
         """
         base = Fraction(base)
-        exponent = Fraction(exponent)
         if base <= 0:
             raise ValueError("pow_rational requires a positive base")
-        if exponent == 0:
-            return self.one
-        if base == 1:
-            return self.one
-        if exponent.denominator == 1:
-            return self.from_rational(base ** exponent.numerator)
-        b = self.from_rational(base)
-        e = self.from_rational(exponent)
-        return self._ctx.exp(e * self._ctx.log(b))
+        power = PowerEnclosure(exponent, self.bits)
+        return self._ctx.make_mpf(power(base.numerator, base.denominator))
 
 
 _DEFAULT_CONTEXT = IntervalContext(DEFAULT_PRECISION_BITS)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .hyperbolic import Circle, circle_invert_circle
+from .hyperbolic import (Circle, IntegerMirror, circle_invert_circle,
+                         ends_circle, ends_cross, ends_radius)
 from .schedule import GeneratorSchedule
 
 
@@ -89,11 +90,52 @@ def word_disk(schedule: GeneratorSchedule, word: ReducedWord) -> Circle:
     return disk
 
 
-def _images(mirror: Circle, letter: int, level) -> Iterator[Circle]:
+def count_words(m: int, n: int, cap: int) -> int:
+    """Number of reduced words of lengths 1..n over m letters,
+    sum_j m(m-1)^(j-1).  Counting stops once the total passes ``cap``, so a
+    huge n is cheap to check; a result above ``cap`` is then a lower bound."""
+    total, layer = 0, m
+    for _ in range(n):
+        if layer == 0 or total > cap:
+            break
+        total += layer
+        layer *= m - 1
+    return total
+
+
+def _images(mirror: IntegerMirror, letter: int, level) -> Iterator[tuple]:
+    invert = mirror.invert
     for first, disks in level:
         if first != letter:
             for disk in disks:
-                yield circle_invert_circle(mirror, disk)
+                yield invert(disk)
+
+
+def _radius_images(mirror: IntegerMirror, letter: int,
+                   level) -> Iterator[Tuple[int, int]]:
+    invert_radius = mirror.invert_radius
+    for first, disks in level:
+        if first != letter:
+            for disk, cross in disks:
+                yield invert_radius(disk, cross)
+
+
+def _stored_levels(mirrors, n: int):
+    """Levels 1..n of integer endpoint disks (see
+    :class:`~schottkydim.hyperbolic.IntegerMirror`), each a list of
+    (letter, disks) pairs, level n built from level n-1 with one inversion per
+    word: disk(a w) = h_a(disk(w))."""
+    level = [(letter, [mirror.ends]) for letter, mirror in mirrors]
+    for depth in range(1, n + 1):
+        if depth > 1:
+            level = [(letter, list(_images(mirror, letter, level)))
+                     for letter, mirror in mirrors]
+        yield level
+
+
+def _mirrors(schedule: GeneratorSchedule, letters: Sequence[int]):
+    return [(letter, IntegerMirror(schedule.circle(letter)))
+            for letter in letters]
 
 
 def word_disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
@@ -103,22 +145,48 @@ def word_disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
     Yields one level per word length, as a list of (letter, disks) pairs in
     the order of ``letters``: the disks of the words that start with that
     letter, in the order :func:`enumerate_words` gives the words.  Level n is
-    built from level n-1 with one inversion per word,
+    built from level n-1 with one exact integer inversion per word,
     disk(a w) = h_a(disk(w)), so each disk equals :func:`word_disk` of its
     word.  The disks of level n_max are generated lazily and never stored: a
     caller pays only for the last-level letters it reads.
     """
     if n_max < 1:
         raise ValueError("word length must be >= 1")
-    mirrors = [(letter, schedule.circle(letter)) for letter in letters]
-    level = [(letter, [mirror]) for letter, mirror in mirrors]
-    yield level
-    for n in range(2, n_max + 1):
-        images = [(letter, _images(mirror, letter, level))
-                  for letter, mirror in mirrors]
-        level = images if n == n_max else \
-            [(letter, list(disks)) for letter, disks in images]
-        yield level
+    mirrors = _mirrors(schedule, letters)
+    level = None
+    for level in _stored_levels(mirrors, n_max - 1):
+        yield [(letter, [ends_circle(disk) for disk in disks])
+               for letter, disks in level]
+    if level is None:
+        yield [(letter, [schedule.circle(letter)]) for letter, _ in mirrors]
+        return
+    yield [(letter, map(ends_circle, _images(mirror, letter, level)))
+           for letter, mirror in mirrors]
+
+
+def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
+                       n_max: int) -> Iterator[list]:
+    """The radii of the disks of :func:`word_disk_levels`, in the same
+    layout, as pairs (s, t) of integers in lowest terms for the radius s/t.
+
+    Level n_max is computed radius-only and lazily, since nothing reads its
+    centers.
+    """
+    if n_max < 1:
+        raise ValueError("word length must be >= 1")
+    mirrors = _mirrors(schedule, letters)
+    level = None
+    for level in _stored_levels(mirrors, n_max - 1):
+        yield [(letter, [ends_radius(disk) for disk in disks])
+               for letter, disks in level]
+    if level is None:
+        yield [(letter, [ends_radius(mirror.ends)])
+               for letter, mirror in mirrors]
+        return
+    crossed = [(first, [(disk, ends_cross(disk)) for disk in disks])
+               for first, disks in level]
+    yield [(letter, _radius_images(mirror, letter, crossed))
+           for letter, mirror in mirrors]
 
 
 @dataclass
@@ -224,12 +292,16 @@ def disk_tree(schedule: GeneratorSchedule, k: int, m: int, n: int,
 
     Nodes whose radius falls below ``prune_radius`` are dropped (counted per
     level) to bound memory; nesting and same-parent sibling disjointness are
-    verified exactly on construction when ``verify`` is set.
+    verified exactly on construction when ``verify`` is set.  The disk of
+    w_1 w_2 ... w_n a is h_{w_1} of the kept node w_2 ... w_n a of the level
+    before, one exact inversion; only a word whose suffix was dropped is
+    computed from scratch with :func:`word_disk`.
     """
     alphabet = schedule.window(k, m)
+    circles = {i: schedule.circle(i) for i in alphabet}
     levels: List[List[DiskNode]] = []
     pruned: List[int] = []
-    roots = [DiskNode(ReducedWord((i,)), schedule.circle(i)) for i in alphabet]
+    roots = [DiskNode(ReducedWord((i,)), circles[i]) for i in alphabet]
     if verify:
         for a_pos, a in enumerate(roots):
             for b in roots[a_pos + 1:]:
@@ -241,13 +313,19 @@ def disk_tree(schedule: GeneratorSchedule, k: int, m: int, n: int,
     for depth in range(2, n + 1):
         level: List[DiskNode] = []
         dropped = 0
+        kept = {node.word.indices: node.disk for node in levels[-1]}
         for parent in levels[-1]:
             children = []
+            mirror = circles[parent.word.indices[0]]
             for letter in alphabet:
                 if letter == parent.word.indices[-1]:
                     continue
                 word = ReducedWord(parent.word.indices + (letter,))
-                disk = word_disk(schedule, word)
+                suffix = kept.get(word.indices[1:])
+                if suffix is None:
+                    disk = word_disk(schedule, word)
+                else:
+                    disk = circle_invert_circle(mirror, suffix)
                 if disk.radius < prune_radius:
                     dropped += 1
                     continue

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -240,3 +241,104 @@ def test_explore_rejects_bad_ball(ball, tmp_path, capsys):
                          "--ball", ball, "--out", str(tmp_path / "ray")],
                         capsys)
     assert not (tmp_path / "ray_profile.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# output bytes pinned: render and estimate through the disk tree
+# ---------------------------------------------------------------------------
+
+OUTPUT_SHA256 = {
+    "render --k 2 --m 4 --depth 4":
+        "d66f994cefd34d466efdab68c0da7c518df30df55d676260a2d72ed62576b389",
+    "estimate --k 2 --m 5 --n-max 3":
+        "a059870aa132dc0d5b83c67166a1730666ea392c0d65ebbed2db97973ec126de",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+def test_output_bytes_pinned(command, tmp_path):
+    out = tmp_path / "out"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        OUTPUT_SHA256[command]
+
+
+# ---------------------------------------------------------------------------
+# estimate size guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k,m,n_max", [
+    ("2", "9", "12"),         # about 8.8e10 words
+    ("2", "1000000", "1"),    # 10^12 words of length 2 in the box-count tree
+    ("2", "2", "101"),        # few words, but too long
+    ("2", "2", "1000000000"),
+    ("2", "3", "17"),         # 393,213 words: beyond the exact-size budget
+    ("2", "999", "1"),        # 997,998 words with 10^6-bit rationals
+    ("2000", "2", "1"),       # the schedule alone: 2,002 entries of i^2 bits
+])
+def test_estimate_rejects_huge_requests(k, m, n_max, tmp_path, capsys):
+    out = tmp_path / "est.csv"
+    assert_clean_exit_2(["estimate", "--k", k, "--m", m, "--n-max", n_max,
+                         "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_estimate_limits_are_counted_not_built():
+    from schottkydim.estimators import MAX_EXACT_SIZE, MAX_WORDS, exact_size
+    from schottkydim.words import count_words
+    # 3 letters to length 18 is within the word cap, to length 19 beyond it
+    assert count_words(3, 18, MAX_WORDS) <= MAX_WORDS < \
+        count_words(3, 19, MAX_WORDS)
+    # k = 2: 3 letters to length 16 is the deepest request within the budget
+    assert exact_size(2, 3, count_words(3, 16, MAX_WORDS), 16) <= \
+        MAX_EXACT_SIZE
+    assert exact_size(2, 3, count_words(3, 17, MAX_WORDS), 17) > \
+        MAX_EXACT_SIZE
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: nothing carries over between calls
+# ---------------------------------------------------------------------------
+
+SEQUENCE = [
+    ["certify", "--k", "3", "--alpha", "1/6", "--m", "3", "--n", "3",
+     "--jobs", "1", "--backend", "hiprec:128"],
+    ["render", "--k", "2", "--m", "3", "--depth", "1", "--width", "300",
+     "--no-color-by-level"],
+    ["estimate", "--k", "2", "--m", "3", "--n-max", "1"],
+    ["schedule", "--paper", "--count", "3"],
+    ["render"],
+    ["certify", "--alpha", "1/4"],
+    ["estimate"],
+    ["explore", "--word", "1,2", "--periodic", "--horizon", "2",
+     "--ball", "1"],
+    ["certify", "--k", "2", "--alpha", "1/4", "--m", "4", "--n", "2"],
+]
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, monkeypatch,
+                                                    capsys):
+    from schottkydim import cli
+    monkeypatch.chdir(tmp_path)
+    results = []
+    for argv in SEQUENCE:
+        # every call parses to what a newly built parser gives
+        assert vars(cli._parser().parse_args(argv)) == \
+            vars(cli.build_parser().parse_args(argv))
+        out = tmp_path / f"out{len(results)}"
+        code = main(argv + ["--out", str(out)])
+        text = out.read_bytes() if out.exists() else b""
+        results.append((code, text, capsys.readouterr().err))
+    assert cli._parser() is cli._parser()
+    # certify without --k after one with --k 3: still "requires --k"
+    code, _, err = results[5]
+    assert code == 2 and err == "error: certify requires --k and --alpha\n"
+    # each call gives what it gives alone, after a fresh parser
+    for argv, result in zip(SEQUENCE, results):
+        cli._parser.cache_clear()
+        out = tmp_path / "alone"
+        if out.exists():
+            out.unlink()
+        code = main(argv + ["--out", str(out)])
+        text = out.read_bytes() if out.exists() else b""
+        assert (code, text, capsys.readouterr().err) == result, argv

@@ -153,3 +153,16 @@ def test_exterior_image_raises_in_workers_too(jobs, many_cpus):
         ScheduleEntry(2, Fraction(1, 4), Fraction(1, 2))))
     with pytest.raises(ExteriorImageError):
         level_sums(overlapping, 0, 2, 2, Fraction(1, 2), CTX, jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(0)], ids=["1", "0"])
+@pytest.mark.parametrize("case", CASES, ids=["2,4,3", "3,5,4", "user"])
+def test_level_sums_at_integer_alpha_match_oracle(case, alpha, jobs,
+                                                  many_cpus):
+    # alpha = 1 takes the exact-power path of the power routine, alpha = 0
+    # the constant one: neither goes through exp and log
+    schedule, k, m, n, _ = case
+    expected = endpoints(oracle_level_sums(schedule, k, m, n, alpha, CTX))
+    got = level_sums(schedule, k, m, n, alpha, CTX, jobs)
+    assert endpoints(got) == expected
