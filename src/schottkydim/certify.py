@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence
 from .hyperbolic import Circle
 from .schedule import GeneratorSchedule
 from .scalars import (IntervalContext, PowerEnclosure, certainly_le,
-                      default_context, format_rational, lower,
-                      parse_rational, upper)
+                      default_context, format_rational, interval_context,
+                      lower, parse_rational, upper)
 from .words import word_radius_levels
 
 CERTIFIED = "certified"
@@ -449,7 +449,7 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
 def reverify(certificate: Certificate, schedule: GeneratorSchedule,
              jobs: int = 1) -> bool:
     """Recompute the certificate from its parameters and compare exactly."""
-    ctx = IntervalContext(certificate.backend_bits)
+    ctx = interval_context(certificate.backend_bits)
     fresh = certify_dimension_upper(schedule, certificate.k, certificate.m,
                                     certificate.n_max, certificate.alpha,
                                     ctx, jobs=jobs)

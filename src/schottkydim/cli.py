@@ -12,8 +12,11 @@ Exit codes:
   ``estimate`` whose reduced words of length up to
   max(--n-max, min(--n-max + 1, 4)) number more than
   ``estimators.MAX_WORDS`` (10^6) or whose exact rationals exceed
-  ``estimators.MAX_EXACT_SIZE``, or a file that cannot be read or written.
-  One ``error:`` line goes to stderr.
+  ``estimators.MAX_EXACT_SIZE``, a ``render`` of more than
+  ``render.MAX_NODES`` disks, a built-in schedule beyond index
+  ``schedule.MAX_PAPER_INDEX`` (100), an ``estimate`` or ``render`` whose
+  disks lie beyond the float range, or a file that cannot be read or
+  written.  One ``error:`` line goes to stderr.
 
 Flag precedence: command-line flags > config file > defaults.
 """
@@ -29,8 +32,11 @@ from typing import Optional
 
 from . import certify as certify_mod
 from . import estimators, explore, render
-from .scalars import IntervalContext, parse_rational
-from .schedule import GeneratorSchedule, load_schedule, paper_schedule, validate_schedule
+from .hyperbolic import ends_floats
+from .scalars import (DEFAULT_PRECISION_BITS, IntervalContext,
+                      interval_context, parse_rational)
+from .schedule import (MAX_PAPER_INDEX, GeneratorSchedule, load_schedule,
+                       paper_schedule, validate_schedule)
 from .words import ReducedWord, count_words, disk_tree
 
 EXIT_OK = 0
@@ -129,7 +135,7 @@ def _resolve(args, config: dict, key: str, default):
 
 def _context(backend: str) -> IntervalContext:
     if backend == "exact":
-        return IntervalContext(256)
+        return interval_context(DEFAULT_PRECISION_BITS)
     if backend.startswith("hiprec:"):
         try:
             bits = int(backend.split(":", 1)[1])
@@ -137,13 +143,17 @@ def _context(backend: str) -> IntervalContext:
             raise ConfigError(f"bad backend spec: {backend}") from exc
         if bits < 64:
             raise ConfigError("backend bits must be >= 64")
-        return IntervalContext(bits)
+        return interval_context(bits)
     raise ConfigError(f"unknown backend: {backend}")
 
 
 def _schedule_for(path: Optional[str], needed_max_index: int) -> GeneratorSchedule:
     if path:
         return load_schedule(path)
+    if needed_max_index > MAX_PAPER_INDEX:
+        raise ConfigError(f"the built-in schedule goes up to index "
+                          f"{MAX_PAPER_INDEX}; this request needs index "
+                          f"{needed_max_index}")
     return paper_schedule(needed_max_index)
 
 
@@ -161,8 +171,8 @@ def _write(path: Optional[str], text: str):
 
 def cmd_schedule(args, config) -> int:
     count = int(_resolve(args, config, "count", 8))
-    if count < 1:
-        raise ConfigError("--count must be >= 1")
+    if not 1 <= count <= MAX_PAPER_INDEX:
+        raise ConfigError(f"--count must be between 1 and {MAX_PAPER_INDEX}")
     use_paper = _resolve(args, config, "paper", True)
     if not use_paper:
         raise ConfigError("only the built-in schedule can be emitted; "
@@ -232,15 +242,20 @@ def cmd_estimate(args, config) -> int:
                           f"estimators.exact_size)")
     sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
     lines = ["n,alpha_n,residual"]
-    for n in range(1, n_max + 1):
+    levels = estimators.level_log_radii(sched, k, m, n_max)
+    for n, log_radii in enumerate(levels, 1):
         try:
-            res = estimators.level_dimension_bisect(sched, k, m, n)
+            res = estimators.level_dimension_bisect(sched, k, m, n,
+                                                    log_radii=log_radii)
             lines.append(f"{n},{res.alpha!r},{res.residual!r}")
         except estimators.BracketError as exc:
             lines.append(f"{n},ERROR,{exc}")
     tree = disk_tree(sched, k, m, depth, prune_radius=Fraction(0),
                      verify=False)
-    points = [float(node.disk.center) for node in tree.leaves()]
+    try:
+        points = [ends_floats(node.ends)[0] for node in tree.leaves()]
+    except OverflowError as exc:
+        raise ConfigError("a disk center is beyond the float range") from exc
     scales = [2.0 ** (-j) for j in range(4, 9)]
     try:
         box = estimators.box_count(points, scales)

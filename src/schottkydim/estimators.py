@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from .hyperbolic import HPoint, hyp_distance_float
 from .schedule import GeneratorSchedule
@@ -52,11 +52,19 @@ def _log_fraction(q: Fraction) -> float:
     return _log_ratio(q.numerator, q.denominator)
 
 
+def level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
+                    n_max: int) -> Iterator[List[float]]:
+    """The log radii of the window's words of each length 1..n_max, one
+    list per level, from one pass of the level engine."""
+    for level in word_radius_levels(schedule, schedule.window(k, m), n_max):
+        yield [_log_ratio(s, t) for _, radii in level for s, t in radii]
+
+
 def _level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
                      n: int) -> List[float]:
-    for level in word_radius_levels(schedule, schedule.window(k, m), n):
+    for log_radii in level_log_radii(schedule, k, m, n):
         pass
-    return [_log_ratio(s, t) for _, radii in level for s, t in radii]
+    return log_radii
 
 
 @dataclass
@@ -68,15 +76,19 @@ class BisectResult:
 
 
 def level_dimension_bisect(schedule: GeneratorSchedule, k: int, m: int, n: int,
-                           tol: float = 1e-9,
-                           max_iter: int = 200) -> BisectResult:
+                           tol: float = 1e-9, max_iter: int = 200,
+                           log_radii: Optional[List[float]] = None
+                           ) -> BisectResult:
     """Solve S_n(alpha) = 1 for the level-n window sum by bisection.
 
     S_n is continuous and strictly decreasing in alpha because every word
     radius is below 1.  With a single word the sum stays below 1 for every
     positive alpha and no root exists; this is reported as a bracket error.
+    A caller that has the level's log radii from :func:`level_log_radii`
+    passes them as ``log_radii``; otherwise levels 1..n are built here.
     """
-    log_radii = _level_log_radii(schedule, k, m, n)
+    if log_radii is None:
+        log_radii = _level_log_radii(schedule, k, m, n)
     if any(lr >= 0 for lr in log_radii):
         raise BracketError("a word radius is >= 1; level sum does not decay")
 

@@ -199,10 +199,15 @@ def circle_invert_circle(circle: Circle, other: Circle) -> Circle:
 # :func:`circle_invert_circle` stays the exact-Fraction oracle.
 
 def disk_ends(circle: Circle) -> Tuple[int, int, int, int]:
-    """The integer endpoints of a disk with rational center and radius."""
+    """The integer endpoints of a disk with rational center and radius:
+    a/b -+ e/f = (a f -+ e b) / (b f), each reduced with one gcd."""
     center, radius = Fraction(circle.center), Fraction(circle.radius)
-    x0, x1 = center - radius, center + radius
-    return x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    a, b = center.numerator, center.denominator
+    e, f = radius.numerator, radius.denominator
+    bf = b * f
+    n0, n1 = a * f - e * b, a * f + e * b
+    g0, g1 = math.gcd(n0, bf), math.gcd(n1, bf)
+    return n0 // g0, bf // g0, n1 // g1, bf // g1
 
 
 def ends_cross(ends) -> int:
@@ -226,6 +231,37 @@ def ends_circle(ends) -> Circle:
     t = 2 * d0 * d1
     return Circle(Fraction(n0 * d1 + n1 * d0, t),
                   Fraction(ends_cross(ends), t))
+
+
+def ends_floats(ends) -> Tuple[float, float]:
+    """The center and radius of integer endpoints as floats.  int / int is
+    correctly rounded, so each equals float() of the exact Fraction; like
+    it, this raises OverflowError beyond the float range."""
+    n0, d0, n1, d1 = ends
+    t = 2 * d0 * d1
+    return (n0 * d1 + n1 * d0) / t, (n1 * d0 - n0 * d1) / t
+
+
+def ends_radius_below(ends, s: int, t: int) -> bool:
+    """Whether the radius of integer endpoints is below s/t (t > 0)."""
+    _, d0, _, d1 = ends
+    return ends_cross(ends) * t < 2 * d0 * d1 * s
+
+
+def ends_inside(inner, outer) -> bool:
+    """Whether the disk ``inner`` lies strictly inside the open disk
+    ``outer``, |c - C| + r < R: both endpoints strictly inside."""
+    n0, d0, n1, d1 = inner
+    N0, D0, N1, D1 = outer
+    return N0 * d0 < n0 * D0 and n1 * D1 < N1 * d1
+
+
+def ends_disjoint(a, b) -> bool:
+    """Whether two closed disks are disjoint, |c_a - c_b| > r_a + r_b: one
+    lies strictly to the left of the other."""
+    a0, a0d, a1, a1d = a
+    b0, b0d, b1, b1d = b
+    return a1 * b0d < b0 * a1d or b1 * a0d < a0 * b1d
 
 
 class IntegerMirror:

@@ -17,6 +17,7 @@ An undecidable comparison is reported as such instead of being guessed.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from fractions import Fraction
 from typing import Union
@@ -169,6 +170,16 @@ _DEFAULT_CONTEXT = IntervalContext(DEFAULT_PRECISION_BITS)
 
 def default_context() -> IntervalContext:
     return _DEFAULT_CONTEXT
+
+
+@functools.lru_cache(maxsize=8)
+def interval_context(bits: int) -> IntervalContext:
+    """The shared context of one precision: building a context costs about
+    as much as a small certify request, and contexts hold no per-call
+    state."""
+    if bits == DEFAULT_PRECISION_BITS:
+        return _DEFAULT_CONTEXT
+    return IntervalContext(bits)
 
 
 def is_interval(x) -> bool:

@@ -102,6 +102,13 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# The largest index a command builds the built-in schedule to.  Index i
+# takes about i^2 bits, so the schedule to index n takes about n^3/3 bits,
+# and validating it compares every pair of entries, each pair at about n^2
+# bits: doubling n from 100 multiplies the validation time by about 50.
+MAX_PAPER_INDEX = 100
+
+
 def paper_radius(i: int) -> Fraction:
     return Fraction(1, 2 ** (2 * i * i))
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .hyperbolic import (Circle, IntegerMirror, circle_invert_circle,
-                         ends_circle, ends_cross, ends_radius)
+                         ends_circle, ends_cross, ends_disjoint, ends_inside,
+                         ends_radius, ends_radius_below)
 from .schedule import GeneratorSchedule
 
 
@@ -247,16 +248,26 @@ def mu_constant(schedule: GeneratorSchedule,
     return best
 
 
-@dataclass
+@dataclass(slots=True)
 class DiskNode:
+    """One disk of a :class:`DiskTree`, carried as the integer endpoints
+    (n0, d0, n1, d1) of its real diameter (see
+    :class:`~schottkydim.hyperbolic.IntegerMirror`)."""
+
     word: ReducedWord
-    disk: Circle
+    ends: Tuple[int, int, int, int]
     parent: Optional["DiskNode"] = None
     children: List["DiskNode"] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
         return len(self.word)
+
+    @property
+    def disk(self) -> Circle:
+        """The exact disk, equal to :func:`word_disk` of the word; built from
+        the endpoints on each read."""
+        return ends_circle(self.ends)
 
 
 @dataclass
@@ -277,12 +288,19 @@ class DiskTree:
         return self.levels[-1]
 
 
-def _strictly_inside(inner: Circle, outer: Circle) -> bool:
-    return abs(inner.center - outer.center) + inner.radius < outer.radius
+def _check_disjoint(nodes: List[DiskNode], message: str):
+    for a_pos, a in enumerate(nodes):
+        for b in nodes[a_pos + 1:]:
+            if not ends_disjoint(a.ends, b.ends):
+                raise NestingError(message.format(a.word, b.word))
 
 
-def _disjoint(a: Circle, b: Circle) -> bool:
-    return abs(a.center - b.center) > a.radius + b.radius
+def _word_ends(mirrors, indices: Tuple[int, ...]):
+    """The endpoints of a word's disk, composed letter by letter."""
+    ends = mirrors[indices[-1]].ends
+    for letter in reversed(indices[:-1]):
+        ends = mirrors[letter].invert(ends)
+    return ends
 
 
 def disk_tree(schedule: GeneratorSchedule, k: int, m: int, n: int,
@@ -292,55 +310,50 @@ def disk_tree(schedule: GeneratorSchedule, k: int, m: int, n: int,
 
     Nodes whose radius falls below ``prune_radius`` are dropped (counted per
     level) to bound memory; nesting and same-parent sibling disjointness are
-    verified exactly on construction when ``verify`` is set.  The disk of
-    w_1 w_2 ... w_n a is h_{w_1} of the kept node w_2 ... w_n a of the level
-    before, one exact inversion; only a word whose suffix was dropped is
-    computed from scratch with :func:`word_disk`.
+    verified exactly on construction when ``verify`` is set.  Disks are
+    integer endpoints: the disk of w_1 w_2 ... w_n a is h_{w_1} of the kept
+    node w_2 ... w_n a of the level before, one integer inversion; only a
+    word whose suffix was dropped is composed from its letters' mirrors.
+    Every test is a cross-multiplied integer comparison, equivalent to the
+    strict Fraction test on centers and radii.
     """
     alphabet = schedule.window(k, m)
-    circles = {i: schedule.circle(i) for i in alphabet}
-    levels: List[List[DiskNode]] = []
-    pruned: List[int] = []
-    roots = [DiskNode(ReducedWord((i,)), circles[i]) for i in alphabet]
+    mirrors = dict(_mirrors(schedule, alphabet))
+    prune_radius = Fraction(prune_radius)
+    s, t = prune_radius.numerator, prune_radius.denominator
+    roots = [DiskNode(ReducedWord((i,)), mirrors[i].ends) for i in alphabet]
     if verify:
-        for a_pos, a in enumerate(roots):
-            for b in roots[a_pos + 1:]:
-                if not _disjoint(a.disk, b.disk):
-                    raise NestingError(
-                        f"depth-1 disks {a.word} and {b.word} are not disjoint")
-    levels.append(roots)
-    pruned.append(0)
+        _check_disjoint(roots, "depth-1 disks {} and {} are not disjoint")
+    levels: List[List[DiskNode]] = [roots]
+    pruned: List[int] = [0]
     for depth in range(2, n + 1):
         level: List[DiskNode] = []
         dropped = 0
-        kept = {node.word.indices: node.disk for node in levels[-1]}
+        kept = {node.word.indices: node.ends for node in levels[-1]}
         for parent in levels[-1]:
             children = []
-            mirror = circles[parent.word.indices[0]]
+            prefix = parent.word.indices
+            invert = mirrors[prefix[0]].invert
             for letter in alphabet:
-                if letter == parent.word.indices[-1]:
+                if letter == prefix[-1]:
                     continue
-                word = ReducedWord(parent.word.indices + (letter,))
-                suffix = kept.get(word.indices[1:])
+                indices = prefix + (letter,)
+                suffix = kept.get(indices[1:])
                 if suffix is None:
-                    disk = word_disk(schedule, word)
+                    ends = _word_ends(mirrors, indices)
                 else:
-                    disk = circle_invert_circle(mirror, suffix)
-                if disk.radius < prune_radius:
+                    ends = invert(suffix)
+                if ends_radius_below(ends, s, t):
                     dropped += 1
                     continue
-                node = DiskNode(word, disk, parent=parent)
-                if verify and not _strictly_inside(disk, parent.disk):
+                word = ReducedWord(indices)
+                if verify and not ends_inside(ends, parent.ends):
                     raise NestingError(
                         f"disk of {word} is not strictly inside its parent "
                         f"{parent.word}; schedule inadmissible")
-                children.append(node)
+                children.append(DiskNode(word, ends, parent=parent))
             if verify:
-                for a_pos, a in enumerate(children):
-                    for b in children[a_pos + 1:]:
-                        if not _disjoint(a.disk, b.disk):
-                            raise NestingError(
-                                f"sibling disks {a.word} and {b.word} overlap")
+                _check_disjoint(children, "sibling disks {} and {} overlap")
             parent.children = children
             level.extend(children)
         levels.append(level)

@@ -252,6 +252,12 @@ OUTPUT_SHA256 = {
         "d66f994cefd34d466efdab68c0da7c518df30df55d676260a2d72ed62576b389",
     "estimate --k 2 --m 5 --n-max 3":
         "a059870aa132dc0d5b83c67166a1730666ea392c0d65ebbed2db97973ec126de",
+    "render --k 3 --m 5 --depth 3":
+        "317ce0863ee23dc3a3580673891548105bae21aad0ac6109b443daccf5cc7996",
+    "render --k 2 --m 4 --depth 3 --no-color-by-level":
+        "fa741402997dd66f4ee412f177db42a94f1fca66fa3e5e4b2fb4aefc8a7d7b34",
+    "estimate --k 3 --m 6 --n-max 4":
+        "9620cf19ac29e5b8f0f863f1eb88967d28b8772fa1493d97509c8c81360f3dc1",
 }
 
 
@@ -342,3 +348,44 @@ def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, monkeypatch,
         code = main(argv + ["--out", str(out)])
         text = out.read_bytes() if out.exists() else b""
         assert (code, text, capsys.readouterr().err) == result, argv
+
+
+# ---------------------------------------------------------------------------
+# float range and size guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    # the center of index 32 is about 2^1026, beyond the float range
+    ["estimate", "--k", "2", "--m", "30", "--n-max", "1"],
+    ["render", "--k", "2", "--m", "30", "--depth", "1"],
+    # 20 letters to depth 5: about 2.6 million disks, counted not built
+    ["render", "--k", "2", "--m", "20", "--depth", "5"],
+    ["render", "--k", "2", "--m", "10", "--depth", "5"],
+    # built-in schedules beyond schedule.MAX_PAPER_INDEX
+    ["certify", "--k", "100000", "--alpha", "1/4"],
+    ["certify", "--k", "99", "--alpha", "1/4", "--m", "2"],
+    ["render", "--k", "100", "--m", "2", "--depth", "1"],
+    ["schedule", "--paper", "--count", "101"],
+    ["schedule", "--paper", "--count", "1000000000"],
+    ["explore", "--word", "3,4", "--escalate", "--depth", "200"],
+    ["explore", "--word", "101,2"],
+])
+def test_out_of_range_requests_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert_clean_exit_2(argv + ["--out", str(out)], capsys)
+    assert not list(tmp_path.iterdir())
+
+
+def test_render_node_limit_lies_between_9_and_10_letters_at_depth_5():
+    from schottkydim.render import MAX_NODES
+    from schottkydim.words import count_words
+    assert count_words(9, 5, MAX_NODES) <= MAX_NODES < \
+        count_words(10, 5, MAX_NODES)
+
+
+def test_render_and_estimate_just_inside_the_float_range(tmp_path):
+    # index 31: the center is about 2^963, the largest within the float range
+    assert main(["render", "--k", "2", "--m", "29", "--depth", "1",
+                 "--out", str(tmp_path / "tree.svg")]) == 0
+    assert main(["estimate", "--k", "2", "--m", "29", "--n-max", "1",
+                 "--out", str(tmp_path / "est.csv")]) == 0

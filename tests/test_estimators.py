@@ -117,3 +117,13 @@ def test_poincare_rejects_negative_exponent():
     p = HPoint(Fraction(0), Fraction(1024))
     with pytest.raises(ValueError):
         poincare_partial(SCHED, 2, 3, p, 1, exponent=-1.0)
+
+
+def test_one_pass_log_radii_are_the_per_level_ones():
+    from schottkydim.estimators import _level_log_radii, level_log_radii
+    levels = list(level_log_radii(SCHED, 2, 4, 4))
+    assert len(levels) == 4
+    for n, log_radii in enumerate(levels, start=1):
+        assert log_radii == _level_log_radii(SCHED, 2, 4, n)
+        assert level_dimension_bisect(SCHED, 2, 4, n, log_radii=log_radii) \
+            == level_dimension_bisect(SCHED, 2, 4, n)

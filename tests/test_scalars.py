@@ -123,3 +123,12 @@ def test_pow_rational_encloses_float_reference(base, exponent):
     ref = float(base) ** float(exponent)
     assert float(lower(x)) <= ref * (1 + 1e-12) + 1e-300
     assert float(upper(x)) >= ref * (1 - 1e-12)
+
+
+def test_interval_context_is_shared_per_precision():
+    from schottkydim.scalars import interval_context
+    assert interval_context(256) is default_context()
+    assert interval_context(128) is interval_context(128)
+    assert interval_context(128).bits == 128
+    with pytest.raises(ValueError):
+        interval_context(32)
