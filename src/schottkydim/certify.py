@@ -17,12 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from .estimators import MAX_EXACT_SIZE, exact_size
 from .hyperbolic import Circle
 from .schedule import GeneratorSchedule
-from .scalars import (IntervalContext, PowerEnclosure, certainly_le,
-                      default_context, format_rational, interval_context,
-                      lower, parse_rational, upper)
-from .words import word_radius_levels
+from .scalars import (DyadicPower, IntervalContext, certainly_le,
+                      decidable_le, default_context, dyadic_sum,
+                      format_rational, interval_context, lower,
+                      parse_rational, upper)
+from .words import count_words, word_radius_levels
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not certified"
@@ -38,10 +40,11 @@ class TailBoundError(ValueError):
 
 def _letter_partials(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
                      alpha: Fraction, bits: int, letters: Sequence[int]):
-    """{letter: [partial sum of r_w^alpha over the level-n words w starting
-    with letter, for n = 1..n_max]}, each partial summed in word order and
-    given as raw interval endpoints."""
-    power = PowerEnclosure(alpha, bits)
+    """{letter: [exact sum of the enclosures of r_w^alpha over the level-n
+    words w starting with letter, for n = 1..n_max]}, each a dyadic
+    enclosure (lo, hi, E) of plain integers (see
+    :class:`~schottkydim.scalars.DyadicPower`)."""
+    power = DyadicPower(alpha, bits)
     partials = {letter: [] for letter in letters}
     for level in word_radius_levels(schedule, schedule.window(k, m), n_max):
         for letter, radii in level:
@@ -87,14 +90,15 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     {k+1, ..., k+m}.
 
     Radii are exact rationals, one integer inversion per word (see
-    :func:`~schottkydim.words.word_radius_levels`); each power is a certified
-    enclosure (:class:`~schottkydim.scalars.PowerEnclosure`, the exponent's
-    enclosure built once), so each result encloses the true window sum.
-    Each first letter's partial is summed in lexicographic word order and the
-    partials are added in letter order, so the endpoints do not depend on
-    ``jobs``.
+    :func:`~schottkydim.words.word_radius_levels`).  Each power is a dyadic
+    enclosure in plain integers at ``ctx.bits`` bits
+    (:class:`~schottkydim.scalars.DyadicPower`), and the enclosures are added
+    exactly, so a level's sum does not depend on the order of its words or
+    letters, nor on ``jobs``.  Each exact sum is rounded outward once, into
+    ``ctx``, so each result encloses the true window sum.
     With ``jobs`` >= 2 the letters are split among :func:`worker_count`
-    worker processes, each of which builds levels 1..n_max-1 itself.
+    worker processes, each of which builds levels 1..n_max-1 itself and hands
+    back its letters' exact partials as plain integers.
     """
     ctx = ctx or default_context()
     alpha = Fraction(alpha)
@@ -108,13 +112,9 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     else:
         partials = _letter_partials(schedule, k, m, n_max, alpha, ctx.bits,
                                     letters)
-    sums = []
-    for n in range(n_max):
-        total = ctx.zero
-        for letter in letters:
-            total = total + ctx.from_endpoints(partials[letter][n])
-        sums.append(total)
-    return sums
+    return [ctx.from_dyadic(dyadic_sum(partials[letter][n]
+                                       for letter in letters))
+            for n in range(n_max)]
 
 
 def alpha_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,
@@ -167,7 +167,9 @@ def radii_tail_bound(schedule: GeneratorSchedule, k: int, alpha: Fraction,
     2^(-2(2i+1) alpha), so under the condition (2 i0 + 1) alpha >= 1 the
     tail is geometric with ratio <= 1/2 and bounded by twice its first term.
 
-    Returns (truncated_sum, tail_bound) as enclosures.
+    Returns (truncated_sum, tail_bound) as enclosures: each an exact sum of
+    :class:`~schottkydim.scalars.DyadicPower` enclosures at ``ctx.bits``
+    bits, rounded outward once into ``ctx``.
     """
     ctx = ctx or default_context()
     alpha = Fraction(alpha)
@@ -181,13 +183,10 @@ def radii_tail_bound(schedule: GeneratorSchedule, k: int, alpha: Fraction,
         raise TailBoundError(
             f"term ratio 2^(-2(2 i0+1) alpha) > 1/2 at i0 = {i0}; "
             "increase the truncation point")
-    trunc = ctx.zero
-    for i in range(k + 1, i0 + 1):
-        trunc = trunc + ctx.pow_rational(Fraction(1, 2 ** (2 * i * i)), alpha)
-    first_tail_term = ctx.pow_rational(
-        Fraction(1, 2 ** (2 * (i0 + 1) * (i0 + 1))), alpha)
-    tail = 2 * first_tail_term
-    return trunc, tail
+    power = DyadicPower(alpha, ctx.bits)
+    trunc = power.sum((1, 2 ** (2 * i * i)) for i in range(k + 1, i0 + 1))
+    lo, hi, e = power(1, 2 ** (2 * (i0 + 1) * (i0 + 1)))
+    return ctx.from_dyadic(trunc), ctx.from_dyadic((2 * lo, 2 * hi, e))
 
 
 def paper_radii_bound(k: int) -> Fraction:
@@ -209,6 +208,7 @@ class CenterControlResult:
     bound: Fraction
     holds: bool
     complete: bool
+    decided: bool
 
     @property
     def total(self):
@@ -225,23 +225,27 @@ def center_control(schedule: GeneratorSchedule, k: int, m: int,
     built-in schedule the remainder is dominated using the gap bound
     |c_i - c_j| - 1 >= 2^(max(i,j)^2 + 2) and geometric comparison.  For
     user schedules only the window part is computed and the result is marked
-    incomplete.
+    incomplete.  The window part and the tail are each an exact sum of
+    :class:`~schottkydim.scalars.DyadicPower` enclosures, rounded outward
+    once into ``ctx``.  ``decided`` says whether the enclosures settle the
+    comparison with the bound either way.
     """
     ctx = ctx or default_context()
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     window = schedule.window(k, m)
-    two_alpha = 2 * alpha
-    window_sum = ctx.zero
+    power = DyadicPower(2 * alpha, ctx.bits)
+    inverse_gaps = []
     for pos, i in enumerate(window):
         ci = schedule.entry(i).center
         for j in window[pos + 1:]:
             gap = abs(ci - schedule.entry(j).center) - 1
             if gap <= 0:
                 raise ValueError(f"|c_{i} - c_{j}| <= 1; criterion undefined")
-            term = ctx.pow_rational(Fraction(1) / gap, two_alpha)
-            window_sum = window_sum + 2 * term  # both orderings
+            inverse_gaps.append((gap.denominator, gap.numerator))
+    lo, hi, e = power.sum(inverse_gaps)
+    window_sum = ctx.from_dyadic((2 * lo, 2 * hi, e))  # both orderings
     tail = None
     if schedule.is_paper:
         w = k + m
@@ -250,22 +254,44 @@ def center_control(schedule: GeneratorSchedule, k: int, m: int,
         # <= 2 * 2^(-2 alpha (2w+3)), geometric with ratio <= 1/2 once
         # alpha (2w+3) >= 1, giving tail <= 4 m 2^(-2 alpha ((w+1)^2+2)).
         if alpha * (2 * w + 3) >= 1:
-            tail = 4 * m * ctx.pow_rational(
-                Fraction(1, 2 ** ((w + 1) ** 2 + 2)), two_alpha)
+            lo, hi, e = power(1, 2 ** ((w + 1) ** 2 + 2))
+            tail = ctx.from_dyadic((4 * m * lo, 4 * m * hi, e))
     bound = paper_center_bound(k) if schedule.is_paper else Fraction(1)
     complete = tail is not None
     total = window_sum if tail is None else window_sum + tail
     holds = complete and certainly_le(total, bound)
+    # without a tail the built-in schedule's check fails at any precision
+    decided = not complete or decidable_le(total, bound)
     if not schedule.is_paper:
         holds = certainly_le(window_sum, bound)
+        decided = decidable_le(window_sum, bound)
     return CenterControlResult(k=k, m=m, alpha=alpha, window_sum=window_sum,
                                tail=tail, bound=bound, holds=holds,
-                               complete=complete)
+                               complete=complete, decided=decided)
 
 
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
+
+# Version 2: level sums are exact dyadic sums at an adaptive precision, and
+# a certificate records its schedule's SHA-256 and each check's relative
+# slack and enclosure width.
+FORMAT_VERSION = 2
+
+# Most reduced words over levels 1..n one certify builds, counted before
+# anything is built: about ten times the 23,436 of (k, m, n) = (3, 6, 6).
+MAX_CERTIFY_WORDS = 250_000
+
+# Without a context, certify starts at MIN_ADAPTIVE_BITS and doubles the
+# bits while some check is undecided, up to MAX_ADAPTIVE_BITS.
+MIN_ADAPTIVE_BITS = 64
+MAX_ADAPTIVE_BITS = 1024
+
+
+def _relative(num: Fraction, den: Fraction) -> Optional[float]:
+    return None if den == 0 else float(num / den)
+
 
 @dataclass
 class CheckRecord:
@@ -277,6 +303,18 @@ class CheckRecord:
     tail_bound_used: bool = False
     note: str = ""
 
+    @property
+    def slack(self) -> Optional[float]:
+        """(rhs - lhs_hi) / rhs: the share of the bound left over, negative
+        when the upper end of the enclosure exceeds it."""
+        return _relative(self.rhs - self.lhs_hi, self.rhs)
+
+    @property
+    def width(self) -> Optional[float]:
+        """(lhs_hi - lhs_lo) / lhs_hi, the relative width of the
+        enclosure."""
+        return _relative(self.lhs_hi - self.lhs_lo, self.lhs_hi)
+
     def to_json_dict(self):
         return {
             "name": self.name,
@@ -287,6 +325,8 @@ class CheckRecord:
             "holds": self.holds,
             "tail_bound_used": self.tail_bound_used,
             "note": self.note,
+            "slack": self.slack,
+            "width": self.width,
         }
 
 
@@ -300,6 +340,7 @@ class Certificate:
     verdict: str
     backend_bits: int
     schedule_provenance: str
+    schedule_sha256: str
 
     @property
     def certified(self) -> bool:
@@ -310,6 +351,7 @@ class Certificate:
 
     def to_json_dict(self):
         return {
+            "format_version": FORMAT_VERSION,
             "k": self.k,
             "alpha": format_rational(self.alpha),
             "window": {"m": self.m, "n_max": self.n_max},
@@ -317,6 +359,7 @@ class Certificate:
             "verdict": self.verdict,
             "backend_bits": self.backend_bits,
             "schedule_provenance": self.schedule_provenance,
+            "schedule_sha256": self.schedule_sha256,
         }
 
     def to_json(self) -> str:
@@ -338,7 +381,14 @@ class Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """Read a certificate written by :meth:`Certificate.to_json`; a format
+    other than :data:`FORMAT_VERSION` raises ValueError."""
     data = json.loads(text)
+    version = data.get("format_version", 1)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"certificate format_version {version} is not "
+                         f"supported; this version reads format "
+                         f"{FORMAT_VERSION} only")
     checks = [
         CheckRecord(
             name=c["name"],
@@ -360,6 +410,7 @@ def certificate_from_json(text: str) -> Certificate:
         verdict=data["verdict"],
         backend_bits=int(data["backend_bits"]),
         schedule_provenance=data["schedule_provenance"],
+        schedule_sha256=data["schedule_sha256"],
     )
 
 
@@ -375,15 +426,49 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
     corroboration.  The verdict is "certified" only when every check holds
     with separated enclosures and the infinite parts are covered by
     closed-form tails.
+
+    ``ctx`` fixes the precision of every enclosure.  Without it the
+    precision is adaptive: the bundle runs at :data:`MIN_ADAPTIVE_BITS` and
+    again at twice the bits while some check is undecided
+    (:func:`~schottkydim.scalars.decidable_le`), up to
+    :data:`MAX_ADAPTIVE_BITS`.  The certificate records the bits used.
+    A window of more than :data:`MAX_CERTIFY_WORDS` reduced words over
+    levels 1..n_max, or beyond the exact-size budget of
+    :func:`~schottkydim.estimators.exact_size`, is refused with ValueError
+    before anything is built.
     """
-    ctx = ctx or default_context()
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     if n_max < 2:
         raise ValueError("n_max must be >= 2: level monotonicity needs two levels")
+    words = count_words(m, n_max, MAX_CERTIFY_WORDS)
+    if words > MAX_CERTIFY_WORDS:
+        raise ValueError(f"m = {m}, n = {n_max} gives more than "
+                         f"{MAX_CERTIFY_WORDS} reduced words over levels "
+                         f"1..{n_max}")
+    if exact_size(k, m, words, n_max) > MAX_EXACT_SIZE:
+        raise ValueError(f"k = {k}, m = {m}, n = {n_max} needs exact "
+                         f"rationals beyond the budget of {MAX_EXACT_SIZE} "
+                         f"(see estimators.exact_size)")
+    if ctx is not None:
+        return _certify_at(schedule, k, m, n_max, alpha, ctx, jobs)[0]
+    bits = MIN_ADAPTIVE_BITS
+    while True:
+        cert, decided = _certify_at(schedule, k, m, n_max, alpha,
+                                    interval_context(bits), jobs)
+        if decided or bits >= MAX_ADAPTIVE_BITS:
+            return cert
+        bits *= 2
+
+
+def _certify_at(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
+                alpha: Fraction, ctx: IntervalContext, jobs: int):
+    """The certificate at ``ctx``'s precision, and whether every check is
+    decided there: a check that fails at any precision counts as decided."""
     checks: List[CheckRecord] = []
     complete = True
+    decided = True
 
     # radius-sum hypothesis with analytic tail
     if schedule.is_paper:
@@ -392,6 +477,7 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
         try:
             trunc, tail = radii_tail_bound(schedule, k, alpha, i0, ctx)
             total = trunc + tail
+            decided = decidable_le(total, rhs)
             checks.append(CheckRecord(
                 name="radii_tail",
                 lhs_lo=lower(total), lhs_hi=upper(total),
@@ -404,10 +490,10 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
                 rhs=rhs, holds=False, tail_bound_used=False,
                 note=f"tail bound unavailable: {exc}"))
     else:
-        window_total = ctx.zero
-        for i in schedule.window(k, m):
-            window_total = window_total + ctx.pow_rational(
-                Fraction(schedule.entry(i).radius), alpha)
+        radii = (schedule.entry(i).radius for i in schedule.window(k, m))
+        window_total = ctx.from_dyadic(DyadicPower(alpha, ctx.bits).sum(
+            (r.numerator, r.denominator) for r in radii))
+        decided = decidable_le(window_total, 1)
         checks.append(CheckRecord(
             name="radii_sum_window",
             lhs_lo=lower(window_total), lhs_hi=upper(window_total),
@@ -418,6 +504,7 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
 
     cc = center_control(schedule, k, m, alpha, ctx)
     total = cc.total
+    decided = decided and cc.decided
     checks.append(CheckRecord(
         name="center_control",
         lhs_lo=lower(total), lhs_hi=upper(total),
@@ -432,6 +519,7 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
     sums = level_sums(schedule, k, m, n_max, alpha, ctx, jobs)
     for n in range(2, n_max + 1):
         prev, cur = sums[n - 2], sums[n - 1]
+        decided = decided and decidable_le(cur, prev)
         checks.append(CheckRecord(
             name=f"level_monotonicity_n{n}",
             lhs_lo=lower(cur), lhs_hi=upper(cur),
@@ -441,14 +529,20 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
 
     all_hold = all(c.holds for c in checks)
     verdict = CERTIFIED if (all_hold and complete) else NOT_CERTIFIED
-    return Certificate(k=k, alpha=alpha, m=m, n_max=n_max, checks=checks,
+    cert = Certificate(k=k, alpha=alpha, m=m, n_max=n_max, checks=checks,
                        verdict=verdict, backend_bits=ctx.bits,
-                       schedule_provenance=schedule.provenance)
+                       schedule_provenance=schedule.provenance,
+                       schedule_sha256=schedule.sha256())
+    return cert, decided
 
 
 def reverify(certificate: Certificate, schedule: GeneratorSchedule,
              jobs: int = 1) -> bool:
-    """Recompute the certificate from its parameters and compare exactly."""
+    """Recompute the certificate at its recorded precision and compare
+    exactly; False as well when ``schedule`` is not the schedule it was
+    computed on."""
+    if certificate.schedule_sha256 != schedule.sha256():
+        return False
     ctx = interval_context(certificate.backend_bits)
     fresh = certify_dimension_upper(schedule, certificate.k, certificate.m,
                                     certificate.n_max, certificate.alpha,

@@ -14,9 +14,11 @@ Exit codes:
   ``estimators.MAX_WORDS`` (10^6) or whose exact rationals exceed
   ``estimators.MAX_EXACT_SIZE``, a ``render`` of more than
   ``render.MAX_NODES`` disks, a built-in schedule beyond index
-  ``schedule.MAX_PAPER_INDEX`` (100), an ``estimate`` or ``render`` whose
-  disks lie beyond the float range, or a file that cannot be read or
-  written.  One ``error:`` line goes to stderr.
+  ``schedule.MAX_PAPER_INDEX`` (100), a ``certify`` of more than
+  ``certify.MAX_CERTIFY_WORDS`` reduced words or beyond the exact-size
+  budget, an ``estimate`` or ``render`` whose disks lie beyond the float
+  range, an ``explore`` whose limit point lies beyond it, or a file that
+  cannot be read or written.  One ``error:`` line goes to stderr.
 
 Flag precedence: command-line flags > config file > defaults.
 """
@@ -33,8 +35,7 @@ from typing import Optional
 from . import certify as certify_mod
 from . import estimators, explore, render
 from .hyperbolic import ends_floats
-from .scalars import (DEFAULT_PRECISION_BITS, IntervalContext,
-                      interval_context, parse_rational)
+from .scalars import IntervalContext, interval_context, parse_rational
 from .schedule import (MAX_PAPER_INDEX, GeneratorSchedule, load_schedule,
                        paper_schedule, validate_schedule)
 from .words import ReducedWord, count_words, disk_tree
@@ -50,7 +51,9 @@ class ConfigError(Exception):
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--backend", default=None,
-                        help="exact | hiprec:<bits> (default: exact, 256-bit enclosures)")
+                        help="exact | hiprec:<bits> (default: exact; certify "
+                             "starts its enclosures at 64 bits and doubles "
+                             "the bits while a check is undecided)")
     parser.add_argument("--out", default=None, help="output path")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for certify's level sums, capped "
@@ -133,9 +136,11 @@ def _resolve(args, config: dict, key: str, default):
     return default
 
 
-def _context(backend: str) -> IntervalContext:
+def _context(backend: str) -> Optional[IntervalContext]:
+    """The fixed-precision context of ``hiprec:<bits>``; None for ``exact``,
+    which leaves the precision to the computation."""
     if backend == "exact":
-        return interval_context(DEFAULT_PRECISION_BITS)
+        return None
     if backend.startswith("hiprec:"):
         try:
             bits = int(backend.split(":", 1)[1])
@@ -323,6 +328,11 @@ def cmd_explore(args, config) -> int:
 
     target_point, err = explore.limit_point(sched, path, depth)
     target = target_point.value  # exact rational: keeps sub-ulp offsets
+    try:
+        target_float, err_float = float(target), float(err)
+    except OverflowError as exc:
+        raise ConfigError("the limit point estimate is beyond the float "
+                          "range") from exc
     if basepoint_text is None:
         p = explore.default_basepoint(sched, word.indices[0])
     else:
@@ -346,8 +356,8 @@ def cmd_explore(args, config) -> int:
     summary = profile.summary_dict()
     summary["word"] = str(word)
     summary["path"] = path.description
-    summary["limit_point_estimate"] = float(target)
-    summary["limit_point_error_radius"] = float(err)
+    summary["limit_point_estimate"] = target_float
+    summary["limit_point_error_radius"] = err_float
     _write(f"{out_prefix}_summary.json",
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"classification: {profile.classification}")

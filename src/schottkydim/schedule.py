@@ -82,6 +82,11 @@ class GeneratorSchedule:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
+    def sha256(self) -> str:
+        """SHA-256 of :meth:`to_json`, which certificates record."""
+        import hashlib  # only here: it adds to the package's import time
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+
 
 @dataclass
 class ValidationReport:
@@ -104,8 +109,7 @@ class ValidationReport:
 
 # The largest index a command builds the built-in schedule to.  Index i
 # takes about i^2 bits, so the schedule to index n takes about n^3/3 bits,
-# and validating it compares every pair of entries, each pair at about n^2
-# bits: doubling n from 100 multiplies the validation time by about 50.
+# and a word disk over indices near n about n^2 bits a letter.
 MAX_PAPER_INDEX = 100
 
 
@@ -135,25 +139,35 @@ def paper_schedule(count: int) -> GeneratorSchedule:
 
 def validate_schedule(s: GeneratorSchedule) -> ValidationReport:
     """Check admissibility: positive radii <= 1, strictly increasing centers,
-    pairwise disjoint closed disks."""
+    pairwise disjoint closed disks.
+
+    Disjointness is checked between neighbours in center order only: the
+    disks meet the real line in closed intervals, and when each interval
+    ends before the next one starts, any two are disjoint.  An overlap is
+    reported for each overlapping pair of neighbours."""
     report = ValidationReport()
     for e in s.entries:
         if e.radius <= 0:
-            report.add("nonpositive-radius", (e.index,), f"r = {e.radius}")
+            report.add("nonpositive-radius", (e.index,),
+                       f"r = {format_rational(e.radius)}")
         if e.radius > 1:
             report.add("radius-above-one", (e.index,),
-                       f"r = {e.radius} violates the contraction hypothesis r <= 1")
+                       f"r = {format_rational(e.radius)} violates the "
+                       f"contraction hypothesis r <= 1")
     ordered = sorted(s.entries, key=lambda e: e.index)
     for a, b in zip(ordered, ordered[1:]):
         if not a.center < b.center:
             report.add("centers-not-increasing", (a.index, b.index),
-                       f"c_{a.index} = {a.center} !< c_{b.index} = {b.center}")
-    for idx, a in enumerate(ordered):
-        for b in ordered[idx + 1:]:
-            gap = abs(a.center - b.center)
-            if gap <= a.radius + b.radius:
-                report.add("disks-overlap", (a.index, b.index),
-                           f"|c_i - c_j| = {gap} <= r_i + r_j = {a.radius + b.radius}")
+                       f"c_{a.index} = {format_rational(a.center)} !< "
+                       f"c_{b.index} = {format_rational(b.center)}")
+    by_center = sorted(s.entries, key=lambda e: (e.center, e.index))
+    for a, b in zip(by_center, by_center[1:]):
+        gap = b.center - a.center
+        if gap <= a.radius + b.radius:
+            pair = sorted((a, b), key=lambda e: e.index)
+            report.add("disks-overlap", tuple(e.index for e in pair),
+                       f"|c_i - c_j| = {format_rational(gap)} <= r_i + r_j "
+                       f"= {format_rational(a.radius + b.radius)}")
     return report
 
 

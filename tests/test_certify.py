@@ -1,19 +1,24 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from schottkydim.certify import (TailBoundError, alpha_sum, alpha_sum_table,
-                                 center_control, certificate_from_json,
+from schottkydim.certify import (FORMAT_VERSION, MAX_CERTIFY_WORDS,
+                                 MIN_ADAPTIVE_BITS, TailBoundError, alpha_sum,
+                                 alpha_sum_table, center_control,
+                                 certificate_from_json,
                                  certify_dimension_upper, hausdorff_content,
                                  paper_center_bound, paper_radii_bound,
                                  radii_tail_bound, reverify)
+from schottkydim.estimators import MAX_EXACT_SIZE, exact_size
 from schottkydim.hyperbolic import Circle
 from schottkydim.scalars import (IntervalContext, certainly_le, contains,
                                  lower, midpoint, upper)
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule)
-from schottkydim.words import disk_tree, word_count
+from schottkydim.words import count_words, disk_tree, word_count
 
 SCHED = paper_schedule(10)
 CTX = IntervalContext(256)
@@ -196,3 +201,119 @@ def test_content_nonincreasing_in_depth():
         values.append(upper(hausdorff_content([x.disk for x in leaves],
                                               alpha, CTX)))
     assert values[0] >= values[1] >= values[2]
+
+
+# ---------------------------------------------------------------------------
+# certificate format 2
+# ---------------------------------------------------------------------------
+
+def test_certificate_format_2_fields():
+    cert = certify_dimension_upper(SCHED, 2, 4, 3, Fraction(1, 4), CTX)
+    data = json.loads(cert.to_json())
+    assert data["format_version"] == FORMAT_VERSION == 2
+    assert data["schedule_sha256"] == \
+        hashlib.sha256(SCHED.to_json().encode("utf-8")).hexdigest()
+    assert data["backend_bits"] == 256
+    for check, record in zip(data["checks"], cert.checks):
+        lo, hi = (Fraction(x) for x in check["lhs_enclosure"])
+        rhs = Fraction(check["rhs"])
+        assert check["slack"] == float((rhs - hi) / rhs) == record.slack
+        assert check["width"] == float((hi - lo) / hi) == record.width
+        assert check["slack"] > 0 and 0 <= check["width"] < 1e-60
+
+
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_certificate_from_json_reads_format_2_only(version):
+    data = json.loads(certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4),
+                                              CTX).to_json())
+    if version is None:
+        del data["format_version"]  # as written before format 2
+    else:
+        data["format_version"] = version
+    with pytest.raises(ValueError, match=f"format_version {version or 1} "):
+        certificate_from_json(json.dumps(data))
+
+
+def test_reverify_rejects_a_different_schedule():
+    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), CTX)
+    assert reverify(cert, SCHED)
+    # the same window, but not the schedule the certificate was computed on
+    assert not reverify(cert, paper_schedule(11))
+    relabeled = GeneratorSchedule(SCHED.entries, provenance="user")
+    assert not reverify(cert, relabeled)
+
+
+# ---------------------------------------------------------------------------
+# adaptive precision
+# ---------------------------------------------------------------------------
+
+def near_one_schedule(eps):
+    """Two disks whose radii to the 1/2 sum to 1 + eps: the window radius
+    check is decided only once the enclosures are narrower than eps."""
+    r2 = (Fraction(1, 2) + eps) ** 2
+    return GeneratorSchedule((ScheduleEntry(1, Fraction(0), Fraction(1, 4)),
+                              ScheduleEntry(2, Fraction(5), r2)))
+
+
+def test_adaptive_precision_starts_at_64_bits():
+    cert = certify_dimension_upper(SCHED, 2, 4, 3, Fraction(1, 4))
+    assert cert.backend_bits == MIN_ADAPTIVE_BITS == 64
+    assert cert.certified
+    assert reverify(certificate_from_json(cert.to_json()), SCHED)
+
+
+def test_undecided_check_doubles_the_bits():
+    schedule = near_one_schedule(Fraction(1, 2 ** 80))
+    at_64 = certify_dimension_upper(schedule, 0, 2, 2, Fraction(1, 2),
+                                    IntervalContext(64))
+    radii = at_64.checks[0]
+    assert radii.name == "radii_sum_window"
+    assert radii.lhs_lo <= 1 < radii.lhs_hi  # undecided at 64 bits
+    cert = certify_dimension_upper(schedule, 0, 2, 2, Fraction(1, 2))
+    assert cert.backend_bits == 128
+    assert cert.checks[0].lhs_lo > 1 and not cert.checks[0].holds
+    assert reverify(cert, schedule)
+
+
+def test_adaptive_precision_stops_at_its_cap(monkeypatch):
+    from schottkydim import certify
+    monkeypatch.setattr(certify, "MAX_ADAPTIVE_BITS", 128)
+    schedule = near_one_schedule(Fraction(1, 2 ** 200))
+    cert = certify_dimension_upper(schedule, 0, 2, 2, Fraction(1, 2))
+    assert cert.backend_bits == 128
+    radii = cert.checks[0]
+    assert radii.lhs_lo <= 1 < radii.lhs_hi and not radii.holds
+
+
+# ---------------------------------------------------------------------------
+# size guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k,m,n", [
+    (2, 6, 30),      # about 2.2e20 words
+    (2, 6, 8),       # 585,936 words
+    (2, 2, 50000),   # 100,000 words of up to 50,000 letters
+])
+def test_certify_refuses_huge_windows_before_building(k, m, n, monkeypatch):
+    from schottkydim import certify
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a window beyond the limits")
+    monkeypatch.setattr(certify, "level_sums", never)
+    monkeypatch.setattr(certify, "center_control", never)
+    with pytest.raises(ValueError):
+        certify_dimension_upper(paper_schedule(k + m), k, m, n,
+                                Fraction(1, 4))
+
+
+def test_reverify_hits_the_word_limit():
+    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), CTX)
+    cert.n_max = 30
+    with pytest.raises(ValueError, match="reduced words"):
+        reverify(cert, SCHED)
+
+
+def test_word_limit_lies_far_above_the_deepest_benchmark_window():
+    assert count_words(6, 6, MAX_CERTIFY_WORDS) == 23436
+    assert 10 * 23436 <= MAX_CERTIFY_WORDS < count_words(6, 8, 10 ** 9)
+    assert exact_size(3, 6, 23436, 6) <= MAX_EXACT_SIZE

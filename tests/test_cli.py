@@ -389,3 +389,71 @@ def test_render_and_estimate_just_inside_the_float_range(tmp_path):
                  "--out", str(tmp_path / "tree.svg")]) == 0
     assert main(["estimate", "--k", "2", "--m", "29", "--n-max", "1",
                  "--out", str(tmp_path / "est.csv")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# certify precision and size, explore's float range, long schedule numbers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend,bits", [(None, 64), ("exact", 64),
+                                          ("hiprec:128", 128)])
+def test_certify_backend_bits(backend, bits, tmp_path):
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--k", "2", "--alpha", "1/4", "--m", "4", "--n", "2",
+            "--out", str(out)]
+    if backend:
+        argv += ["--backend", backend]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["backend_bits"] == bits
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--k", "2", "--alpha", "1/4", "--m", "6", "--n", "30"],
+    ["certify", "--k", "2", "--alpha", "1/4", "--m", "2", "--n", "50000"],
+])
+def test_certify_refuses_huge_windows(argv, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert_clean_exit_2(argv + ["--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_explore_limit_point_beyond_float_range(tmp_path, capsys):
+    # the limit point of (40, 41)^oo lies near c_40, about 2^1600
+    assert_clean_exit_2(["explore", "--word", "40,41", "--periodic",
+                         "--ball", "1", "--horizon", "5",
+                         "--out", str(tmp_path / "ray")], capsys)
+    assert not list(tmp_path.iterdir())
+
+
+# schedule --paper --count N as written before long numbers were supported
+SCHEDULE_SHA256 = {
+    8: "24ca2a17b5c6398a6b2c93d8e69e72545ddc5bb6631bb6844d4c4cce5b15b435",
+    40: "26cc3b009a789c5f6d79fd102b18a6dea749d51b0bff4f1d439853d40d2ccd1e",
+    84: "b1c2706c1269024dc3f4ea2a82de7fe37b287b26c2ef7a82e7f2948f2604a222",
+}
+
+
+@pytest.mark.parametrize("count", sorted(SCHEDULE_SHA256))
+def test_schedule_bytes_unchanged(count, tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["schedule", "--paper", "--count", str(count),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        SCHEDULE_SHA256[count]
+
+
+@pytest.mark.parametrize("count", [85, 90, 100])
+def test_schedule_numbers_beyond_the_digit_limit(count, tmp_path):
+    # 2^(2 * 85^2) has 4,350 decimal digits, above Python's default
+    # int-to-string limit of 4,300
+    from schottkydim.schedule import load_schedule
+    out = tmp_path / "s.json"
+    assert main(["schedule", "--paper", "--count", str(count),
+                 "--out", str(out)]) == 0
+    assert load_schedule(out) == paper_schedule(count)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--k", str(count - 2), "--alpha", "1/4",
+                 "--m", "2", "--n", "2", "--schedule", str(out),
+                 "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert data["schedule_sha256"] == paper_schedule(count).sha256()

@@ -180,18 +180,6 @@ def test_power_equals_inline_interval_computation(bits, base, exponent):
     assert IntervalContext(bits).pow_rational(base, exponent)._mpi_ == expected
 
 
-@pytest.mark.parametrize("bits", [64, 256, 512])
-def test_power_sum_adds_left_to_right(bits):
-    ctx = IntervalContext(bits)
-    power = PowerEnclosure(Fraction(1, 3), bits)
-    pairs = [(1, 3), (2, 7), (1, 2 ** 300 + 1), (1, 1)]
-    total = ctx.zero
-    for p, q in pairs:
-        total = total + ctx.pow_rational(Fraction(p, q), Fraction(1, 3))
-    assert power.sum(pairs) == total._mpi_
-    assert power.sum([]) == ctx.zero._mpi_
-
-
 # ---------------------------------------------------------------------------
 # disk trees with one inversion per node
 # ---------------------------------------------------------------------------

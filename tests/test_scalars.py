@@ -132,3 +132,24 @@ def test_interval_context_is_shared_per_precision():
     assert interval_context(128).bits == 128
     with pytest.raises(ValueError):
         interval_context(32)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(3 ** 20000, 2 ** 50000 + 1),     # both terms past 4,300 digits
+    Fraction(-(10 ** 9000) - 7),
+    Fraction(1, 2 ** (2 * 85 * 85)),         # the built-in radius r_85
+    Fraction(-22, 7),
+])
+def test_rationals_of_any_length_round_trip(value):
+    text = format_rational(value)
+    assert parse_rational(text) == value
+    if abs(value.numerator) < 10 ** 4000 and value.denominator < 10 ** 4000:
+        assert text == (str(value.numerator) if value.denominator == 1
+                        else f"{value.numerator}/{value.denominator}")
+
+
+def test_long_malformed_rational_rejected():
+    with pytest.raises(ValueError):
+        parse_rational("1" * 5000 + "x")
+    with pytest.raises(ValueError):
+        parse_rational("1" * 5000 + "/" + "2" * 4000 + ".5")

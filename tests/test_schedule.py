@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule, schedule_from_json,
@@ -80,3 +82,36 @@ def test_json_rejects_inadmissible():
 def test_json_rejects_unknown_model():
     with pytest.raises(ValueError):
         schedule_from_json(json.dumps({"model": "disk", "entries": []}))
+
+
+def pairwise_disjoint(s):
+    return all(abs(a.center - b.center) > a.radius + b.radius
+               for pos, a in enumerate(s.entries) for b in s.entries[pos + 1:])
+
+
+def test_overlap_of_non_neighbouring_indices_flagged():
+    # 1 and 3 overlap; 2 lies far away, and the centers are not increasing
+    s = GeneratorSchedule((ScheduleEntry(1, Fraction(0), Fraction(1, 2)),
+                           ScheduleEntry(2, Fraction(100), Fraction(1, 4)),
+                           ScheduleEntry(3, Fraction(3, 4), Fraction(1, 2))))
+    report = validate_schedule(s)
+    assert ("disks-overlap", (1, 3)) in [(kind, idx) for kind, idx, _
+                                         in report.violations]
+    assert not pairwise_disjoint(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.fractions(-20, 20, max_denominator=8),
+                          st.fractions(Fraction(1, 16), 1,
+                                       max_denominator=16)),
+                min_size=1, max_size=8))
+def test_neighbour_check_equals_pairwise_check(disks):
+    s = GeneratorSchedule(tuple(ScheduleEntry(i, c, r)
+                                for i, (c, r) in enumerate(disks, start=1)))
+    overlaps = [v for v in validate_schedule(s).violations
+                if v[0] == "disks-overlap"]
+    assert (not overlaps) == pairwise_disjoint(s)
+
+
+def test_builtin_schedule_to_the_largest_index_validates():
+    assert validate_schedule(paper_schedule(100)).ok
