@@ -15,12 +15,11 @@ from .schedule import (GeneratorSchedule, ScheduleEntry, ValidationReport,
                        validate_schedule)
 from .words import (BeardonReport, DiskNode, DiskTree, NestingError,
                     ReducedWord, beardon_check, disk_tree, enumerate_words,
-                    mu_constant, word_count, word_disk, word_disk_levels)
-from .certify import (AlphaSumTable, Certificate, CheckRecord,
-                      TailBoundError, alpha_sum, alpha_sum_table,
+                    mu_constant, word_disk)
+from .certify import (Certificate, CheckRecord, TailBoundError, alpha_sum,
                       center_control, certificate_from_json,
-                      certify_dimension_upper, hausdorff_content,
-                      level_sums, paper_center_bound, paper_radii_bound,
+                      certify_dimension_upper, level_sums,
+                      paper_center_bound, paper_radii_bound,
                       radii_tail_bound, reverify)
 from .estimators import (BisectResult, BoxCountResult, BracketError,
                          PoincareSummary, box_count, level_dimension_bisect,

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .estimators import MAX_EXACT_SIZE, exact_size
-from .hyperbolic import Circle
 from .schedule import GeneratorSchedule
 from .scalars import (DyadicPower, IntervalContext, certainly_le,
                       decidable_le, default_context, dyadic_sum,
@@ -122,35 +122,6 @@ def alpha_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,
               jobs: int = 1):
     """The level-n window sum S_n of :func:`level_sums`."""
     return level_sums(schedule, k, m, n, alpha, ctx, jobs)[-1]
-
-
-@dataclass
-class AlphaSumTable:
-    k: int
-    m: int
-    n_max: int
-    alpha: Fraction
-    sums: List[object]
-    pruned_counts: List[int]
-
-    def rows(self):
-        for n, (s, pruned) in enumerate(zip(self.sums, self.pruned_counts), start=1):
-            yield n, self.alpha, s, pruned
-
-    def to_csv(self) -> str:
-        lines = ["n,alpha,S_n_lo,S_n_hi,pruned_count"]
-        for n, a, s, pruned in self.rows():
-            lines.append(f"{n},{format_rational(a)},"
-                         f"{float(lower(s))!r},{float(upper(s))!r},{pruned}")
-        return "\n".join(lines) + "\n"
-
-
-def alpha_sum_table(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
-                    alpha: Fraction, ctx: Optional[IntervalContext] = None,
-                    jobs: int = 1) -> AlphaSumTable:
-    sums = level_sums(schedule, k, m, n_max, alpha, ctx, jobs)
-    return AlphaSumTable(k=k, m=m, n_max=n_max, alpha=Fraction(alpha),
-                         sums=sums, pruned_counts=[0] * n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +264,33 @@ def _relative(num: Fraction, den: Fraction) -> Optional[float]:
     return None if den == 0 else float(num / den)
 
 
+def _float_text(x: Fraction, digits: Optional[int] = None) -> str:
+    """x as its float prints, by repr() or with ``digits`` digits after the
+    point in e-notation.  Where float(x) is zero or subnormal for a nonzero
+    x, the e-notation is computed from the exact rational instead, with 16
+    digits after the point in place of repr()."""
+    value = float(x)
+    if x == 0 or abs(value) >= sys.float_info.min:
+        return repr(value) if digits is None else f"{value:.{digits}e}"
+    return _scientific(x, 16 if digits is None else digits)
+
+
+def _scientific(x: Fraction, digits: int) -> str:
+    """'d.ddde-XX' for a nonzero rational x, ``digits`` >= 1 digits after the
+    point, rounded half to even from the exact value at any exponent."""
+    sign, x = ("-" if x < 0 else ""), abs(x)
+    bits = x.numerator.bit_length() - x.denominator.bit_length()
+    exponent = math.floor(bits * math.log10(2))
+    while x >= Fraction(10) ** (exponent + 1):
+        exponent += 1
+    while x < Fraction(10) ** exponent:
+        exponent -= 1
+    mantissa = str(round(x / Fraction(10) ** (exponent - digits)))
+    if len(mantissa) > digits + 1:  # rounded up to the next power of 10
+        mantissa, exponent = mantissa[:-1], exponent + 1
+    return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exponent:+03d}"
+
+
 @dataclass
 class CheckRecord:
     name: str
@@ -318,7 +316,7 @@ class CheckRecord:
     def to_json_dict(self):
         return {
             "name": self.name,
-            "lhs": f"{float(self.lhs_hi)!r}",
+            "lhs": _float_text(self.lhs_hi),
             "lhs_enclosure": [format_rational(self.lhs_lo),
                               format_rational(self.lhs_hi)],
             "rhs": format_rational(self.rhs),
@@ -372,9 +370,9 @@ class Certificate:
         for c in self.checks:
             status = "ok " if c.holds else "FAIL"
             rhs = (format_rational(c.rhs) if c.rhs.denominator < 10 ** 6
-                   else f"{float(c.rhs):.6e}")
+                   else _float_text(c.rhs, 6))
             lines.append(f"  [{status}] {c.name}: "
-                         f"lhs <= {float(c.lhs_hi):.6e}, rhs = {rhs}"
+                         f"lhs <= {_float_text(c.lhs_hi, 6)}, rhs = {rhs}"
                          + (f"  ({c.note})" if c.note else ""))
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines)
@@ -557,23 +555,3 @@ def reverify(certificate: Certificate, schedule: GeneratorSchedule,
             return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# Hausdorff content of explicit covers
-# ---------------------------------------------------------------------------
-
-def hausdorff_content(cover: Sequence[Circle], s: Fraction,
-                      ctx: Optional[IntervalContext] = None):
-    """Sum of radius^s over an explicit disk cover.
-
-    An upper bound for the s-dimensional content of any subset of the cover's
-    union; no infimum search is attempted.
-    """
-    ctx = ctx or default_context()
-    s = Fraction(s)
-    if s <= 0:
-        raise ValueError("dimension parameter must be positive")
-    total = ctx.zero
-    for disk in cover:
-        total = total + ctx.pow_rational(Fraction(upper(disk.radius)), s)
-    return total

@@ -29,7 +29,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import certify as certify_mod
@@ -38,7 +37,7 @@ from .hyperbolic import ends_floats
 from .scalars import IntervalContext, interval_context, parse_rational
 from .schedule import (MAX_PAPER_INDEX, GeneratorSchedule, load_schedule,
                        paper_schedule, validate_schedule)
-from .words import ReducedWord, count_words, disk_tree
+from .words import ReducedWord, count_words
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -247,18 +246,20 @@ def cmd_estimate(args, config) -> int:
                           f"estimators.exact_size)")
     sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
     lines = ["n,alpha_n,residual"]
-    levels = estimators.level_log_radii(sched, k, m, n_max)
-    for n, log_radii in enumerate(levels, 1):
+    levels = estimators.estimate_levels(sched, k, m, n_max, depth)
+    for n, (log_radii, ends) in enumerate(levels, 1):
+        if n == depth:
+            leaves = ends
+        if log_radii is None:
+            continue
         try:
             res = estimators.level_dimension_bisect(sched, k, m, n,
                                                     log_radii=log_radii)
             lines.append(f"{n},{res.alpha!r},{res.residual!r}")
         except estimators.BracketError as exc:
             lines.append(f"{n},ERROR,{exc}")
-    tree = disk_tree(sched, k, m, depth, prune_radius=Fraction(0),
-                     verify=False)
     try:
-        points = [ends_floats(node.ends)[0] for node in tree.leaves()]
+        points = [ends_floats(disk)[0] for disk in leaves]
     except OverflowError as exc:
         raise ConfigError("a disk center is beyond the float range") from exc
     scales = [2.0 ** (-j) for j in range(4, 9)]

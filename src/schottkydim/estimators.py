@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .hyperbolic import HPoint, hyp_distance_float
+from .hyperbolic import HPoint, ends_radius, hyp_distance_float
 from .schedule import GeneratorSchedule
-from .words import enumerate_words, word_radius_levels
+from .words import disk_levels, prepend_levels, word_radius_levels
 
 
 # Limits of an ``estimate`` request, checked before anything is built: the
@@ -57,7 +57,35 @@ def level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
     """The log radii of the window's words of each length 1..n_max, one
     list per level, from one pass of the level engine."""
     for level in word_radius_levels(schedule, schedule.window(k, m), n_max):
-        yield [_log_ratio(s, t) for _, radii in level for s, t in radii]
+        yield _log_radii(level)
+
+
+def _log_radii(level) -> List[float]:
+    return [_log_ratio(s, t) for _, radii in level for s, t in radii]
+
+
+def estimate_levels(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
+                    depth: int) -> Iterator[Tuple[Optional[List[float]],
+                                                  Optional[list]]]:
+    """One pass of the level engine for ``estimate``: per word length
+    n = 1..max(n_max, depth), the pair (log radii, endpoints) of the
+    window's words of length n, in word order.
+
+    The log radii are those of :func:`level_log_radii`, and None past
+    n_max.  The endpoints are the integer endpoint disks, and None for a
+    level n_max beyond ``depth``: that level is computed radius-only and
+    lazily.
+    """
+    radius_last = n_max > depth
+    levels = disk_levels(schedule, schedule.window(k, m), max(n_max, depth),
+                         radius_last)
+    for n, level in enumerate(levels, 1):
+        if radius_last and n == n_max:
+            yield _log_radii(level), None
+            return
+        ends = [disk for _, disks in level for disk in disks]
+        yield ([_log_ratio(*ends_radius(disk)) for disk in ends]
+               if n <= n_max else None), ends
 
 
 def _level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
@@ -155,17 +183,12 @@ def box_count(points: Sequence[float], scales: Sequence[float],
 # orbital series partial sums
 # ---------------------------------------------------------------------------
 
-def _invert_point_float(center: float, radius: float, z: complex) -> complex:
-    d = (z - center).conjugate()
-    return center + (radius * radius) / d
-
-
-def apply_word_float(schedule: GeneratorSchedule, indices: Sequence[int],
-                     z: complex) -> complex:
-    for i in reversed(indices):
-        e = schedule.entry(i)
-        z = _invert_point_float(float(e.center), float(e.radius), z)
-    return z
+def _float_mirror(schedule: GeneratorSchedule, letter: int):
+    """The inversion h_letter on complex points, in floats."""
+    entry = schedule.entry(letter)
+    center, radius = float(entry.center), float(entry.radius)
+    r2 = radius * radius
+    return lambda z: center + r2 / (z - center).conjugate()
 
 
 @dataclass
@@ -183,16 +206,25 @@ def poincare_partial(schedule: GeneratorSchedule, k: int, m: int, p: HPoint,
                      n: int, exponent: float) -> PoincareSummary:
     """Partial orbital sums per word-length shell: sum over words of length j
     of exp(-s d(p, w(p))), j = 0..n; the shell decay ratio indicates
-    convergence or divergence at the probed exponent."""
+    convergence or divergence at the probed exponent.
+
+    The orbit points come from :func:`~schottkydim.words.prepend_levels`,
+    one float inversion per point, w(p) = h_a(v(p)) for w = a v; each shell
+    is summed in the order of :func:`~schottkydim.words.enumerate_words`.
+    """
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
     base = p.as_complex()
     shells = [1.0]  # identity
-    for j in range(1, n + 1):
+    maps = []
+    for letter in schedule.window(k, m):
+        mirror = _float_mirror(schedule, letter)
+        maps.append((letter, mirror(base), mirror))
+    for level in prepend_levels(maps, n):
         total = 0.0
-        for word in enumerate_words(k, m, j):
-            image = apply_word_float(schedule, word.indices, base)
-            total += math.exp(-exponent * hyp_distance_float(base, image))
+        for _, images in level:
+            for image in images:
+                total += math.exp(-exponent * hyp_distance_float(base, image))
         shells.append(total)
     ratios = [shells[j] / shells[j - 1] if shells[j - 1] > 0 else math.inf
               for j in range(1, len(shells))]

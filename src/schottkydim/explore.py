@@ -23,7 +23,7 @@ from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int,
 
 from .hyperbolic import BoundaryPoint
 from .schedule import GeneratorSchedule
-from .words import ReducedWord, count_words, word_disk
+from .words import ReducedWord, count_words, labelled_levels, word_disk
 
 # slimness constant for hyperbolic-plane triangles: 2 arccosh(sqrt(2))
 DELTA_0 = 2.0 * math.acosh(math.sqrt(2.0))
@@ -221,6 +221,20 @@ def orbit_size(letters: int, radius: int) -> int:
     return count_words(letters, radius, MAX_ORBIT_POINTS)
 
 
+def _mpf_mirror(schedule: GeneratorSchedule, letter: int):
+    """The inversion h_letter on (x, y) points of the ray context."""
+    entry = schedule.entry(letter)
+    c, r = _num(Fraction(entry.center)), _num(Fraction(entry.radius))
+    r2 = r * r
+
+    def invert(z):
+        dx = z[0] - c
+        denom = dx * dx + z[1] * z[1]
+        return (c + r2 * dx / denom, r2 * z[1] / denom)
+
+    return invert
+
+
 @dataclass
 class OrbitBall:
     """Orbit of a basepoint under all reduced words of length <= n.
@@ -258,26 +272,13 @@ class OrbitBall:
                 and base[1] > 0):
             raise ValueError(f"basepoint must lie in the upper half-plane, "
                              f"got {p!r}")
+        maps = []
+        for letter in alphabet:
+            mirror = _mpf_mirror(schedule, letter)
+            maps.append((letter, mirror(base), mirror))
         pts = [((), base)]
-        frontier = [((), base)]
-        mirrors = {i: (_num(Fraction(schedule.entry(i).center)),
-                       _num(Fraction(schedule.entry(i).radius)))
-                   for i in alphabet}
-        for _ in range(radius):
-            new_frontier = []
-            for word, (zx, zy) in frontier:
-                for letter in alphabet:
-                    if word and word[0] == letter:
-                        continue
-                    # prepend: images h_letter(w(p)) enumerate length+1 words
-                    c, r = mirrors[letter]
-                    dx = zx - c
-                    denom = dx * dx + zy * zy
-                    r2 = r * r
-                    image = (c + r2 * dx / denom, r2 * zy / denom)
-                    new_frontier.append(((letter,) + word, image))
-            pts.extend(new_frontier)
-            frontier = new_frontier
+        for level in labelled_levels(maps, radius):
+            pts.extend(level)
         return OrbitBall(basepoint=base, radius=radius, alphabet=alphabet,
                          points=pts)
 

@@ -242,20 +242,6 @@ def ends_floats(ends) -> Tuple[float, float]:
     return (n0 * d1 + n1 * d0) / t, (n1 * d0 - n0 * d1) / t
 
 
-def ends_radius_below(ends, s: int, t: int) -> bool:
-    """Whether the radius of integer endpoints is below s/t (t > 0)."""
-    _, d0, _, d1 = ends
-    return ends_cross(ends) * t < 2 * d0 * d1 * s
-
-
-def ends_inside(inner, outer) -> bool:
-    """Whether the disk ``inner`` lies strictly inside the open disk
-    ``outer``, |c - C| + r < R: both endpoints strictly inside."""
-    n0, d0, n1, d1 = inner
-    N0, D0, N1, D1 = outer
-    return N0 * d0 < n0 * D0 and n1 * D1 < N1 * d1
-
-
 def ends_disjoint(a, b) -> bool:
     """Whether two closed disks are disjoint, |c_a - c_b| > r_a + r_b: one
     lies strictly to the left of the other."""

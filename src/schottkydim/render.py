@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List
 
 from .hyperbolic import ends_floats
@@ -35,9 +34,7 @@ def svg_disk_tree(schedule: GeneratorSchedule, k: int, m: int, depth: int,
     if count_words(m, depth, MAX_NODES) > MAX_NODES:
         raise ValueError(f"{m} letters to depth {depth} draw more than "
                          f"{MAX_NODES} disks")
-    # no pruning: sub-pixel radii are drawn as markers, not dropped
-    tree = disk_tree(schedule, k, m, depth, prune_radius=Fraction(0),
-                     verify=False)
+    tree = disk_tree(schedule, k, m, depth)
     try:
         levels = [[(node.word, *ends_floats(node.ends)) for node in level]
                   for level in tree.levels]

@@ -117,13 +117,6 @@ def paper_radius(i: int) -> Fraction:
     return Fraction(1, 2 ** (2 * i * i))
 
 
-def paper_center(i: int) -> Fraction:
-    c = Fraction(0)
-    for j in range(2, i + 1):
-        c += 2 ** (j * j + 2) + 1
-    return c
-
-
 def paper_schedule(count: int) -> GeneratorSchedule:
     """The built-in schedule for indices 1..count."""
     if count < 1:

@@ -8,13 +8,12 @@ level sets whose intersection is the limit set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .hyperbolic import (Circle, IntegerMirror, circle_invert_circle,
-                         ends_circle, ends_cross, ends_disjoint, ends_inside,
-                         ends_radius, ends_radius_below)
+                         ends_circle, ends_cross, ends_disjoint, ends_radius)
 from .schedule import GeneratorSchedule
 
 
@@ -77,10 +76,6 @@ def enumerate_words(k: int, m: int, n: int) -> Iterator[ReducedWord]:
     return rec(())
 
 
-def word_count(m: int, n: int) -> int:
-    return m * (m - 1) ** (n - 1)
-
-
 def word_disk(schedule: GeneratorSchedule, word: ReducedWord) -> Circle:
     """Image circle of a reduced word: apply h_{i_1}, ..., h_{i_{n-1}} to the
     generator circle of the last letter."""
@@ -104,12 +99,51 @@ def count_words(m: int, n: int, cap: int) -> int:
     return total
 
 
-def _images(mirror: IntegerMirror, letter: int, level) -> Iterator[tuple]:
-    invert = mirror.invert
-    for first, disks in level:
-        if first != letter:
-            for disk in disks:
-                yield invert(disk)
+def prepend_levels(maps, n: int):
+    """The one word recursion: levels 1..n of an item per reduced word.
+
+    ``maps`` lists (letter, item, image) triples: ``item`` belongs to the
+    one-letter word (letter,), and ``image`` is the map h_letter on items.
+    Each level is a list of (letter, items) pairs in the order of ``maps``:
+    the items of the words that start with that letter, in the order
+    :func:`enumerate_words` gives the words when ``maps`` runs over the
+    alphabet in increasing order.  Level j is built from level j-1 with one
+    image per word, item(a w) = h_a(item(w)).
+    """
+    level = [(letter, [item]) for letter, item, _ in maps]
+    for depth in range(1, n + 1):
+        if depth > 1:
+            level = [(letter, [image(item) for first, items in level
+                               if first != letter for item in items])
+                     for letter, _, image in maps]
+        yield level
+
+
+def _prepend(letter: int):
+    return lambda word: (letter,) + word
+
+
+def labelled_levels(maps, n: int):
+    """The levels of :func:`prepend_levels`, each flattened to a list of
+    (word, item) pairs in word order, the word as a tuple of indices."""
+    words = [(letter, (letter,), _prepend(letter)) for letter, _, _ in maps]
+    for word_level, level in zip(prepend_levels(words, n),
+                                 prepend_levels(maps, n)):
+        yield [pair for (_, group_words), (_, items) in zip(word_level, level)
+               for pair in zip(group_words, items)]
+
+
+def _mirrors(schedule: GeneratorSchedule, letters: Sequence[int]):
+    return [(letter, IntegerMirror(schedule.circle(letter)))
+            for letter in letters]
+
+
+def _ends_maps(mirrors):
+    """The (letter, item, image) triples of :func:`prepend_levels` for
+    integer endpoint disks (see
+    :class:`~schottkydim.hyperbolic.IntegerMirror`): disk(a w) = h_a(disk(w)),
+    one inversion per word."""
+    return [(letter, mirror.ends, mirror.invert) for letter, mirror in mirrors]
 
 
 def _radius_images(mirror: IntegerMirror, letter: int,
@@ -121,65 +155,25 @@ def _radius_images(mirror: IntegerMirror, letter: int,
                 yield invert_radius(disk, cross)
 
 
-def _stored_levels(mirrors, n: int):
-    """Levels 1..n of integer endpoint disks (see
-    :class:`~schottkydim.hyperbolic.IntegerMirror`), each a list of
-    (letter, disks) pairs, level n built from level n-1 with one inversion per
-    word: disk(a w) = h_a(disk(w))."""
-    level = [(letter, [mirror.ends]) for letter, mirror in mirrors]
-    for depth in range(1, n + 1):
-        if depth > 1:
-            level = [(letter, list(_images(mirror, letter, level)))
-                     for letter, mirror in mirrors]
+def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
+                n_max: int, radius_last: bool = False) -> Iterator[list]:
+    """Levels 1..n_max of the integer endpoint disks of the reduced words over
+    ``letters``, in the layout of :func:`prepend_levels`; each disk equals
+    :func:`word_disk` of its word.
+
+    With ``radius_last``, level n_max holds the radii alone, as pairs (s, t)
+    of integers in lowest terms for the radius s/t, computed lazily: a caller
+    pays only for the last-level letters it reads.
+    """
+    if n_max < 1:
+        raise ValueError("word length must be >= 1")
+    mirrors = _mirrors(schedule, letters)
+    level = None
+    stored = n_max - 1 if radius_last else n_max
+    for level in prepend_levels(_ends_maps(mirrors), stored):
         yield level
-
-
-def _mirrors(schedule: GeneratorSchedule, letters: Sequence[int]):
-    return [(letter, IntegerMirror(schedule.circle(letter)))
-            for letter in letters]
-
-
-def word_disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
-                     n_max: int) -> Iterator[List[Tuple[int, Iterable[Circle]]]]:
-    """The disks of all reduced words of lengths 1..n_max over ``letters``.
-
-    Yields one level per word length, as a list of (letter, disks) pairs in
-    the order of ``letters``: the disks of the words that start with that
-    letter, in the order :func:`enumerate_words` gives the words.  Level n is
-    built from level n-1 with one exact integer inversion per word,
-    disk(a w) = h_a(disk(w)), so each disk equals :func:`word_disk` of its
-    word.  The disks of level n_max are generated lazily and never stored: a
-    caller pays only for the last-level letters it reads.
-    """
-    if n_max < 1:
-        raise ValueError("word length must be >= 1")
-    mirrors = _mirrors(schedule, letters)
-    level = None
-    for level in _stored_levels(mirrors, n_max - 1):
-        yield [(letter, [ends_circle(disk) for disk in disks])
-               for letter, disks in level]
-    if level is None:
-        yield [(letter, [schedule.circle(letter)]) for letter, _ in mirrors]
+    if not radius_last:
         return
-    yield [(letter, map(ends_circle, _images(mirror, letter, level)))
-           for letter, mirror in mirrors]
-
-
-def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
-                       n_max: int) -> Iterator[list]:
-    """The radii of the disks of :func:`word_disk_levels`, in the same
-    layout, as pairs (s, t) of integers in lowest terms for the radius s/t.
-
-    Level n_max is computed radius-only and lazily, since nothing reads its
-    centers.
-    """
-    if n_max < 1:
-        raise ValueError("word length must be >= 1")
-    mirrors = _mirrors(schedule, letters)
-    level = None
-    for level in _stored_levels(mirrors, n_max - 1):
-        yield [(letter, [ends_radius(disk) for disk in disks])
-               for letter, disks in level]
     if level is None:
         yield [(letter, [ends_radius(mirror.ends)])
                for letter, mirror in mirrors]
@@ -188,6 +182,20 @@ def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
                for first, disks in level]
     yield [(letter, _radius_images(mirror, letter, crossed))
            for letter, mirror in mirrors]
+
+
+def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
+                       n_max: int) -> Iterator[list]:
+    """The radii of the disks of :func:`disk_levels`, as pairs (s, t) of
+    integers in lowest terms, level n_max computed radius-only and
+    lazily."""
+    levels = disk_levels(schedule, letters, n_max, radius_last=True)
+    for n, level in enumerate(levels, 1):
+        if n == n_max:
+            yield level
+        else:
+            yield [(letter, [ends_radius(disk) for disk in disks])
+                   for letter, disks in level]
 
 
 @dataclass
@@ -256,8 +264,6 @@ class DiskNode:
 
     word: ReducedWord
     ends: Tuple[int, int, int, int]
-    parent: Optional["DiskNode"] = None
-    children: List["DiskNode"] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -278,7 +284,6 @@ class DiskTree:
     m: int
     depth: int
     levels: List[List[DiskNode]]
-    pruned_counts: List[int]
 
     @property
     def roots(self) -> List[DiskNode]:
@@ -288,74 +293,25 @@ class DiskTree:
         return self.levels[-1]
 
 
-def _check_disjoint(nodes: List[DiskNode], message: str):
-    for a_pos, a in enumerate(nodes):
-        for b in nodes[a_pos + 1:]:
-            if not ends_disjoint(a.ends, b.ends):
-                raise NestingError(message.format(a.word, b.word))
+def disk_tree(schedule: GeneratorSchedule, k: int, m: int,
+              n: int) -> DiskTree:
+    """All word disks of depth 1..n over the window alphabet, each level in
+    the lexicographic order of its words.
 
-
-def _word_ends(mirrors, indices: Tuple[int, ...]):
-    """The endpoints of a word's disk, composed letter by letter."""
-    ends = mirrors[indices[-1]].ends
-    for letter in reversed(indices[:-1]):
-        ends = mirrors[letter].invert(ends)
-    return ends
-
-
-def disk_tree(schedule: GeneratorSchedule, k: int, m: int, n: int,
-              prune_radius: Fraction = Fraction(1, 10 ** 30),
-              verify: bool = True) -> DiskTree:
-    """Build all word disks of depth 1..n over the window alphabet.
-
-    Nodes whose radius falls below ``prune_radius`` are dropped (counted per
-    level) to bound memory; nesting and same-parent sibling disjointness are
-    verified exactly on construction when ``verify`` is set.  Disks are
-    integer endpoints: the disk of w_1 w_2 ... w_n a is h_{w_1} of the kept
-    node w_2 ... w_n a of the level before, one integer inversion; only a
-    word whose suffix was dropped is composed from its letters' mirrors.
-    Every test is a cross-multiplied integer comparison, equivalent to the
-    strict Fraction test on centers and radii.
+    The levels are those of :func:`prepend_levels`, one integer inversion per
+    disk, so each disk equals :func:`word_disk` of its word.  The window's
+    generator disks are checked pairwise disjoint with exact integer
+    comparisons, and :class:`NestingError` is raised otherwise.  Disjoint
+    generator disks make the tree nest at every depth: each inversion maps
+    the closed exterior of its circle into its open interior, so no deeper
+    check is needed.  A depth below 1 gives the generator disks alone.
     """
-    alphabet = schedule.window(k, m)
-    mirrors = dict(_mirrors(schedule, alphabet))
-    prune_radius = Fraction(prune_radius)
-    s, t = prune_radius.numerator, prune_radius.denominator
-    roots = [DiskNode(ReducedWord((i,)), mirrors[i].ends) for i in alphabet]
-    if verify:
-        _check_disjoint(roots, "depth-1 disks {} and {} are not disjoint")
-    levels: List[List[DiskNode]] = [roots]
-    pruned: List[int] = [0]
-    for depth in range(2, n + 1):
-        level: List[DiskNode] = []
-        dropped = 0
-        kept = {node.word.indices: node.ends for node in levels[-1]}
-        for parent in levels[-1]:
-            children = []
-            prefix = parent.word.indices
-            invert = mirrors[prefix[0]].invert
-            for letter in alphabet:
-                if letter == prefix[-1]:
-                    continue
-                indices = prefix + (letter,)
-                suffix = kept.get(indices[1:])
-                if suffix is None:
-                    ends = _word_ends(mirrors, indices)
-                else:
-                    ends = invert(suffix)
-                if ends_radius_below(ends, s, t):
-                    dropped += 1
-                    continue
-                word = ReducedWord(indices)
-                if verify and not ends_inside(ends, parent.ends):
-                    raise NestingError(
-                        f"disk of {word} is not strictly inside its parent "
-                        f"{parent.word}; schedule inadmissible")
-                children.append(DiskNode(word, ends, parent=parent))
-            if verify:
-                _check_disjoint(children, "sibling disks {} and {} overlap")
-            parent.children = children
-            level.extend(children)
-        levels.append(level)
-        pruned.append(dropped)
-    return DiskTree(k=k, m=m, depth=n, levels=levels, pruned_counts=pruned)
+    mirrors = _mirrors(schedule, schedule.window(k, m))
+    for pos, (a, mirror_a) in enumerate(mirrors):
+        for b, mirror_b in mirrors[pos + 1:]:
+            if not ends_disjoint(mirror_a.ends, mirror_b.ends):
+                raise NestingError(f"depth-1 disks {a} and {b} are not "
+                                   f"disjoint")
+    levels = [[DiskNode(ReducedWord(word), ends) for word, ends in level]
+              for level in labelled_levels(_ends_maps(mirrors), max(n, 1))]
+    return DiskTree(k=k, m=m, depth=n, levels=levels)

@@ -123,8 +123,7 @@ def test_criterion_5_cli_certification(tmp_path):
 def test_criterion_6_dimension_trend():
     alphas = [level_dimension_bisect(SCHED, 2, 4, n).alpha for n in (1, 2, 3)]
     monotone = all(a >= b for a, b in zip(alphas, alphas[1:]))
-    leaves = disk_tree(SCHED, 2, 4, 4, prune_radius=Fraction(0),
-                       verify=False).leaves()
+    leaves = disk_tree(SCHED, 2, 4, 4).leaves()
     points = [float(node.disk.center) for node in leaves]
     slope = box_count(points, [2.0 ** (-j) for j in range(4, 9)]).slope
     consistent = slope <= 0.25 + BOX_SLOPE_MARGIN

@@ -7,18 +7,16 @@ import pytest
 
 from schottkydim.certify import (FORMAT_VERSION, MAX_CERTIFY_WORDS,
                                  MIN_ADAPTIVE_BITS, TailBoundError, alpha_sum,
-                                 alpha_sum_table, center_control,
-                                 certificate_from_json,
-                                 certify_dimension_upper, hausdorff_content,
-                                 paper_center_bound, paper_radii_bound,
-                                 radii_tail_bound, reverify)
+                                 center_control, certificate_from_json,
+                                 certify_dimension_upper, paper_center_bound,
+                                 paper_radii_bound, radii_tail_bound,
+                                 reverify)
 from schottkydim.estimators import MAX_EXACT_SIZE, exact_size
-from schottkydim.hyperbolic import Circle
 from schottkydim.scalars import (IntervalContext, certainly_le, contains,
                                  lower, midpoint, upper)
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule)
-from schottkydim.words import count_words, disk_tree, word_count
+from schottkydim.words import count_words
 
 SCHED = paper_schedule(10)
 CTX = IntervalContext(256)
@@ -30,7 +28,7 @@ CTX = IntervalContext(256)
 
 def test_alpha_sum_at_zero_counts_words():
     s = alpha_sum(SCHED, 2, 4, 3, Fraction(0), CTX)
-    assert lower(s) == upper(s) == word_count(4, 3)
+    assert lower(s) == upper(s) == 4 * 3 ** 2
 
 
 def test_level_one_sum_matches_independent_oracle():
@@ -54,13 +52,6 @@ def test_alpha_sum_independent_of_job_count():
     parallel = alpha_sum(SCHED, 2, 4, 3, Fraction(1, 4), CTX, jobs=4)
     assert lower(serial) == lower(parallel)
     assert upper(serial) == upper(parallel)
-
-
-def test_alpha_sum_table_csv_shape():
-    table = alpha_sum_table(SCHED, 2, 3, 2, Fraction(1, 4), CTX)
-    lines = table.to_csv().strip().splitlines()
-    assert lines[0] == "n,alpha,S_n_lo,S_n_hi,pruned_count"
-    assert len(lines) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +172,30 @@ def test_user_schedule_verdict_is_never_certified():
 
 
 # ---------------------------------------------------------------------------
-# content
-# ---------------------------------------------------------------------------
-
-def test_content_trivia():
-    assert lower(hausdorff_content([], Fraction(1), CTX)) == 0
-    c = hausdorff_content([Circle(Fraction(0), Fraction(1, 2))],
-                          Fraction(1), CTX)
-    assert lower(c) == upper(c) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        hausdorff_content([], Fraction(0), CTX)
-
-
-def test_content_nonincreasing_in_depth():
-    alpha = Fraction(1, 4)
-    values = []
-    for n in (1, 2, 3):
-        leaves = disk_tree(SCHED, 2, 4, n, prune_radius=Fraction(0), verify=False).leaves()
-        values.append(upper(hausdorff_content([x.disk for x in leaves],
-                                              alpha, CTX)))
-    assert values[0] >= values[1] >= values[2]
-
-
-# ---------------------------------------------------------------------------
 # certificate format 2
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [Fraction(3, 7), Fraction(1, 3 * 2 ** 98),
+                               Fraction(-5, 2 ** 1022), Fraction(0),
+                               Fraction(12345, 1)])
+def test_float_text_of_normal_floats_is_the_float_text(x):
+    from schottkydim.certify import _float_text
+    assert _float_text(x) == repr(float(x))
+    assert _float_text(x, 6) == f"{float(x):.6e}"
+
+
+@pytest.mark.parametrize("x,text,text6", [
+    (Fraction(1, 2 ** 1075), "2.4703282292062327e-324", "2.470328e-324"),
+    (Fraction(1, 10 ** 400), "1.0000000000000000e-400", "1.000000e-400"),
+    (Fraction(99999995, 10 ** 407), "9.9999995000000000e-400",
+     "1.000000e-399"),
+    (-Fraction(2 ** 52 - 1, 2 ** 1074), "-2.2250738585072009e-308",
+     "-2.225074e-308")])
+def test_float_text_below_the_normal_range_is_exact(x, text, text6):
+    from schottkydim.certify import _float_text
+    assert _float_text(x) == text
+    assert _float_text(x, 6) == text6
+
 
 def test_certificate_format_2_fields():
     cert = certify_dimension_upper(SCHED, 2, 4, 3, Fraction(1, 4), CTX)

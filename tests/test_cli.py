@@ -1,10 +1,13 @@
 import hashlib
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from schottkydim.cli import main
 from schottkydim.render import svg_disk_tree
+from schottkydim.scalars import parse_rational
 from schottkydim.schedule import paper_schedule, schedule_from_json
 
 
@@ -457,3 +460,36 @@ def test_schedule_numbers_beyond_the_digit_limit(count, tmp_path):
                  "--out", str(cert)]) == 0
     data = json.loads(cert.read_text())
     assert data["schedule_sha256"] == paper_schedule(count).sha256()
+
+
+def _close(text, exact, digits):
+    """Whether decimal ``text`` is ``exact`` rounded to ``digits``
+    significant digits."""
+    return abs(Fraction(text) - exact) <= \
+        exact * Fraction(1, 2 * 10 ** (digits - 1))
+
+
+def test_certificate_floats_below_the_float_range(tmp_path, capsys):
+    # every enclosure of this certificate lies below the smallest normal
+    # float, where float() gives 0.0: the printed values come from the
+    # exact rationals instead
+    sched = tmp_path / "s.json"
+    assert main(["schedule", "--paper", "--count", "100",
+                 "--out", str(sched)]) == 0
+    cert = tmp_path / "cert.json"
+    capsys.readouterr()
+    assert main(["certify", "--k", "98", "--alpha", "1/4", "--m", "2",
+                 "--n", "2", "--schedule", str(sched),
+                 "--out", str(cert)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    data = json.loads(cert.read_text())
+    assert data["verdict"] == "certified"
+    for check in data["checks"]:
+        hi = parse_rational(check["lhs_enclosure"][1])
+        assert 0 < hi < sys.float_info.min
+        assert _close(check["lhs"], hi, 17)
+        line = next(line for line in summary if f"] {check['name']}:" in line)
+        lhs, rhs = line.split("lhs <= ")[1].split("  (")[0].split(", rhs = ")
+        assert _close(lhs, hi, 7)
+        assert _close(rhs, parse_rational(check["rhs"]), 7)
+    assert "0.000000e+00" not in "\n".join(summary)

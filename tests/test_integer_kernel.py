@@ -18,15 +18,13 @@ from schottkydim.hyperbolic import (Circle, DegenerateInversionError,
                                     ExteriorImageError, IntegerMirror,
                                     circle_invert_circle, disk_ends,
                                     ends_circle, ends_cross, ends_disjoint,
-                                    ends_floats, ends_inside, ends_radius,
-                                    ends_radius_below)
+                                    ends_floats, ends_radius)
 from schottkydim.scalars import IntervalContext, PowerEnclosure
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule)
 from schottkydim.words import (NestingError, ReducedWord, count_words,
-                               disk_tree,
-                               enumerate_words, word_count, word_disk,
-                               word_disk_levels, word_radius_levels)
+                               disk_tree, enumerate_words, word_disk,
+                               word_radius_levels)
 
 # ---------------------------------------------------------------------------
 # the inversion kernel
@@ -122,11 +120,11 @@ def user_schedule():
 def test_radius_levels_are_the_word_disk_radii(schedule, k, m, n):
     letters = schedule.window(k, m)
     radius_levels = list(word_radius_levels(schedule, letters, n))
-    disk_levels = list(word_disk_levels(schedule, letters, n))
+    disk_levels = disk_tree(schedule, k, m, n).levels
     for depth in range(1, n + 1):
         words = list(enumerate_words(k, m, depth))
         radii = [r for _, group in radius_levels[depth - 1] for r in group]
-        disks = [d for _, group in disk_levels[depth - 1] for d in group]
+        disks = [node.disk for node in disk_levels[depth - 1]]
         assert len(radii) == len(disks) == len(words)
         for word, (s, t), disk in zip(words, radii, disks):
             expected = word_disk(schedule, word)
@@ -184,40 +182,32 @@ def test_power_equals_inline_interval_computation(bits, base, exponent):
 # disk trees with one inversion per node
 # ---------------------------------------------------------------------------
 
-def oracle_tree(schedule, k, m, n, prune_radius):
-    """(word, disk) per level and the pruned counts, every disk from
-    ``word_disk``, children expanded only from kept parents."""
+def oracle_tree(schedule, k, m, n):
+    """(word, disk) per level, every disk from ``word_disk``, each level in
+    the order children are appended to their parents."""
     alphabet = schedule.window(k, m)
     levels = [[((i,), schedule.circle(i)) for i in alphabet]]
-    pruned = [0]
     for _ in range(2, n + 1):
-        level, dropped = [], 0
+        level = []
         for word, _ in levels[-1]:
             for letter in alphabet:
                 if letter != word[-1]:
                     child = word + (letter,)
-                    disk = word_disk(schedule, ReducedWord(child))
-                    if disk.radius < prune_radius:
-                        dropped += 1
-                    else:
-                        level.append((child, disk))
+                    level.append((child, word_disk(schedule,
+                                                   ReducedWord(child))))
         levels.append(level)
-        pruned.append(dropped)
-    return levels, pruned
+    return levels
 
 
-@pytest.mark.parametrize("prune", [Fraction(0), Fraction(1, 10 ** 12),
-                                   Fraction(1, 10 ** 40),
-                                   Fraction(1, 10 ** 70)])
-@pytest.mark.parametrize("schedule,k,m", [(paper_schedule(6), 2, 3),
-                                          (user_schedule(), 0, 4)],
-                         ids=["paper", "user"])
-def test_disk_tree_matches_per_word_oracle(schedule, k, m, prune):
-    tree = disk_tree(schedule, k, m, 4, prune_radius=prune)
-    levels, pruned = oracle_tree(schedule, k, m, 4, prune)
-    assert tree.pruned_counts == pruned
+@pytest.mark.parametrize("schedule,k,m,n", [(paper_schedule(6), 2, 3, 4),
+                                            (paper_schedule(9), 3, 5, 3),
+                                            (user_schedule(), 0, 4, 4)],
+                         ids=["paper", "paper-3-5-3", "user"])
+def test_disk_tree_matches_per_word_oracle(schedule, k, m, n):
+    tree = disk_tree(schedule, k, m, n)
+    assert tree.depth == n
     assert [[(node.word.indices, node.disk) for node in level]
-            for level in tree.levels] == levels
+            for level in tree.levels] == oracle_tree(schedule, k, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +217,7 @@ def test_disk_tree_matches_per_word_oracle(schedule, k, m, prune):
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 7])
 def test_count_words_is_the_sum_of_level_counts(m):
     for n in range(0, 6):
-        exact = sum(word_count(m, j) for j in range(1, n + 1))
+        exact = sum(m * (m - 1) ** (j - 1) for j in range(1, n + 1))
         assert count_words(m, n, 10 ** 9) == exact
     # past the cap the count stops within one level, even for a huge n
     capped = count_words(m, 10 ** 12, 100)
@@ -237,10 +227,6 @@ def test_count_words_is_the_sum_of_level_counts(m):
 # ---------------------------------------------------------------------------
 # the disk tree's integer predicates and float conversions
 # ---------------------------------------------------------------------------
-
-def fraction_inside(inner, outer):
-    return abs(inner.center - outer.center) + inner.radius < outer.radius
-
 
 def fraction_disjoint(a, b):
     return abs(a.center - b.center) > a.radius + b.radius
@@ -271,19 +257,12 @@ def circle_pair(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(circle_pair(), radii)
-def test_integer_predicates_equal_fraction_predicates(pair, bound):
+@given(circle_pair())
+def test_integer_predicates_equal_fraction_predicates(pair):
     a, b = pair
     ends_a, ends_b = disk_ends(a), disk_ends(b)
-    assert ends_inside(ends_a, ends_b) == fraction_inside(a, b)
-    assert ends_inside(ends_b, ends_a) == fraction_inside(b, a)
     assert ends_disjoint(ends_a, ends_b) == fraction_disjoint(a, b)
     assert ends_disjoint(ends_b, ends_a) == fraction_disjoint(b, a)
-    # prune radii: drawn, zero, and exactly equal to either radius
-    for prune in (bound, Fraction(0), a.radius, b.radius):
-        s, t = prune.numerator, prune.denominator
-        assert ends_radius_below(ends_a, s, t) == (a.radius < prune)
-        assert ends_radius_below(ends_b, s, t) == (b.radius < prune)
 
 
 def test_integer_predicates_on_hand_cases():
@@ -291,10 +270,9 @@ def test_integer_predicates_on_hand_cases():
     tangent = disk_ends(Circle(Fraction(2), Fraction(1)))
     touching_inside = disk_ends(Circle(Fraction(1, 2), Fraction(1, 2)))
     assert not ends_disjoint(unit, tangent)
-    assert not ends_inside(touching_inside, unit)
-    assert ends_inside(disk_ends(Circle(Fraction(1, 3), Fraction(1, 2))), unit)
-    assert not ends_radius_below(unit, 1, 1)
-    assert ends_radius_below(unit, 1000001, 1000000)
+    assert not ends_disjoint(touching_inside, unit)
+    assert ends_disjoint(unit, disk_ends(Circle(Fraction(5, 2),
+                                                Fraction(1, 2))))
 
 
 def float_outcome(fn):
@@ -319,7 +297,7 @@ def test_endpoint_floats_equal_fraction_floats(center, radius):
 
 
 def test_endpoint_floats_of_tree_nodes():
-    tree = disk_tree(user_schedule(), 0, 4, 4, prune_radius=Fraction(0))
+    tree = disk_tree(user_schedule(), 0, 4, 4)
     for level in tree.levels:
         for node in level:
             assert ends_floats(node.ends) == \
@@ -339,79 +317,65 @@ def test_disk_tree_makes_no_fraction_inversion(schedule, k, m, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Fraction inversion inside disk_tree")
 
-    composed = []
-
-    def word_ends(mirrors, indices):
-        composed[-1].append(indices)
-        return real_word_ends(mirrors, indices)
-
-    real_word_ends = words._word_ends
     for module in (hyperbolic, words):
         monkeypatch.setattr(module, "circle_invert_circle", forbidden)
     monkeypatch.setattr(words, "word_disk", forbidden)
-    monkeypatch.setattr(words, "_word_ends", word_ends)
-    prunes = (Fraction(0), Fraction(1, 10 ** 12), Fraction(1, 10 ** 40),
-              Fraction(1, 10 ** 70))
-    trees = []
-    for prune in prunes:
-        composed.append([])
-        trees.append(disk_tree(schedule, k, m, 4, prune_radius=prune))
+    tree = disk_tree(schedule, k, m, 4)
     monkeypatch.undo()
-    mirrors = dict(words._mirrors(schedule, schedule.window(k, m)))
-    for prune, tree, composed_words in zip(prunes, trees, composed):
-        levels, pruned = oracle_tree(schedule, k, m, 4, prune)
-        assert tree.pruned_counts == pruned
-        assert [[(node.word.indices, node.disk) for node in level]
-                for level in tree.levels] == levels
-        # only words whose suffix was pruned are composed, and correctly
-        in_tree = {node.word.indices for level in tree.levels
-                   for node in level}
-        for indices in composed_words:
-            assert indices[1:] not in in_tree
-            assert ends_circle(words._word_ends(mirrors, indices)) == \
-                word_disk(schedule, ReducedWord(indices))
-    if schedule.is_paper:
-        # some words lost their suffix to pruning
-        assert any(composed)
+    assert [[(node.word.indices, node.disk) for node in level]
+            for level in tree.levels] == oracle_tree(schedule, k, m, 4)
 
 
 # ---------------------------------------------------------------------------
-# nesting errors below depth 1
+# nesting
 # ---------------------------------------------------------------------------
 #
-# Disks that pass the depth-1 check nest and stay disjoint at every depth,
-# since each inversion maps the closed exterior of its circle one to one
-# into its open interior.  So these inadmissible schedules reach the deeper
-# checks only with the depth-1 check let through for the roots.
+# disk_tree checks only that the window's generator disks are disjoint:
+# disks that pass that check nest and stay disjoint at every depth, since
+# each inversion maps the closed exterior of its circle one to one into its
+# open interior.
 
-def pass_roots(monkeypatch, schedule, letters):
-    from schottkydim import words
-    roots = {disk_ends(schedule.circle(i)) for i in letters}
-    real = words.ends_disjoint
-    monkeypatch.setattr(
-        words, "ends_disjoint",
-        lambda a, b: (a in roots and b in roots) or real(a, b))
-
-
-def test_nesting_error_below_depth_one(monkeypatch):
-    # C_2 crosses C_1 without holding its center: h_1(C_2) leaves C_1
-    sched = GeneratorSchedule((ScheduleEntry(1, Fraction(0), Fraction(1)),
-                               ScheduleEntry(2, Fraction(3, 2), Fraction(1))))
-    with pytest.raises(NestingError, match="depth-1 disks 1 and 2"):
-        disk_tree(sched, 0, 2, 2)
-    pass_roots(monkeypatch, sched, (1, 2))
-    with pytest.raises(NestingError,
-                       match="disk of 1,2 is not strictly inside its parent 1"):
-        disk_tree(sched, 0, 2, 3)
-
-
-def test_sibling_overlap_error_below_depth_one(monkeypatch):
+@pytest.mark.parametrize("entries,message", [
+    # C_2 crosses C_1 without holding its center
+    (((0, 1), (Fraction(3, 2), 1)), "depth-1 disks 1 and 2"),
     # C_2 and C_3 overlap each other, both clear of C_1
-    sched = GeneratorSchedule((ScheduleEntry(1, Fraction(0), Fraction(1)),
-                               ScheduleEntry(2, Fraction(5), Fraction(1)),
-                               ScheduleEntry(3, Fraction(6), Fraction(1))))
-    with pytest.raises(NestingError, match="depth-1 disks 2 and 3"):
-        disk_tree(sched, 0, 3, 2)
-    pass_roots(monkeypatch, sched, (1, 2, 3))
-    with pytest.raises(NestingError, match="sibling disks 1,2 and 1,3 overlap"):
-        disk_tree(sched, 0, 3, 3)
+    (((0, 1), (5, 1), (6, 1)), "depth-1 disks 2 and 3"),
+    # C_1 and C_2 are tangent
+    (((0, 1), (2, 1)), "depth-1 disks 1 and 2")])
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_overlapping_roots_raise_nesting_error(entries, message, depth):
+    sched = GeneratorSchedule(tuple(
+        ScheduleEntry(i, Fraction(c), Fraction(r))
+        for i, (c, r) in enumerate(entries, 1)))
+    with pytest.raises(NestingError, match=message):
+        disk_tree(sched, 0, len(entries), depth)
+
+
+@st.composite
+def disjoint_disks(draw):
+    """A user schedule of 2 to 4 pairwise disjoint disks on the line."""
+    entries, left = [], Fraction(0)
+    for i in range(1, draw(st.integers(2, 4)) + 1):
+        gap = draw(st.fractions(Fraction(1, 100), 5, max_denominator=100))
+        radius = draw(st.fractions(Fraction(1, 100), 3, max_denominator=100))
+        entries.append(ScheduleEntry(i, left + gap + radius, radius))
+        left += gap + 2 * radius
+    return GeneratorSchedule(tuple(entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(disjoint_disks())
+def test_disjoint_roots_nest_at_every_depth(sched):
+    m = len(sched.indices)
+    tree = disk_tree(sched, 0, m, 3)
+    by_word = {node.word.indices: node.disk
+               for level in tree.levels for node in level}
+    for level in tree.levels[1:]:
+        for node in level:
+            parent = by_word[node.word.indices[:-1]]
+            disk = node.disk
+            assert abs(disk.center - parent.center) + disk.radius < \
+                parent.radius
+        for a_pos, a in enumerate(level):
+            for b in level[a_pos + 1:]:
+                assert fraction_disjoint(a.disk, b.disk)

@@ -13,16 +13,15 @@ from fractions import Fraction
 import pytest
 
 from schottkydim import certify
-from schottkydim.certify import (alpha_sum, alpha_sum_table,
-                                 certify_dimension_upper, level_sums,
-                                 worker_count)
+from schottkydim.certify import (alpha_sum, certify_dimension_upper,
+                                 level_sums, worker_count)
 from schottkydim.cli import main
 from schottkydim.estimators import _level_log_radii, _log_fraction
 from schottkydim.hyperbolic import ExteriorImageError
 from schottkydim.scalars import IntervalContext, contains, lower, upper
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule, validate_schedule)
-from schottkydim.words import enumerate_words, word_disk, word_disk_levels
+from schottkydim.words import disk_tree, enumerate_words, word_disk
 
 SCHED = paper_schedule(10)
 CTX = IntervalContext(256)
@@ -90,8 +89,6 @@ def test_level_sums_match_per_word_oracle(case, jobs, many_cpus):
     serial = endpoints(level_sums(schedule, k, m, n, alpha, CTX, 1))
     assert endpoints(got) == serial
     assert alpha_sum(schedule, k, m, n, alpha, CTX, jobs)._mpi_ == serial[-1]
-    table = alpha_sum_table(schedule, k, m, n, alpha, CTX, jobs)
-    assert endpoints(table.sums) == serial
 
 
 def test_pool_runs_under_spawn(monkeypatch, many_cpus):
@@ -104,9 +101,9 @@ def test_pool_runs_under_spawn(monkeypatch, many_cpus):
 
 
 def test_engine_disks_are_the_word_disks():
-    levels = list(word_disk_levels(SCHED, SCHED.window(2, 4), 3))
+    levels = disk_tree(SCHED, 2, 4, 3).levels
     for n, level in enumerate(levels, start=1):
-        disks = [disk for _, group in level for disk in group]
+        disks = [node.disk for node in level]
         words = list(enumerate_words(2, 4, n))
         assert len(disks) == len(words)
         for word, disk in zip(words, disks):

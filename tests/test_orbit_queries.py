@@ -153,6 +153,50 @@ def test_equidistant_apex_matches_oracle(rel_tol):
     assert_matches_oracle(apex, ball, rel_tol)
 
 
+def oracle_ball_points(schedule, p, radius, alphabet):
+    """The breadth-first orbit: each frontier point's images under every
+    letter but the first of its word, prepended."""
+    base = explore._point(p[0], p[1])
+    mirrors = {i: (explore._num(Fraction(schedule.entry(i).center)),
+                   explore._num(Fraction(schedule.entry(i).radius)))
+               for i in alphabet}
+    pts = frontier = [((), base)]
+    for _ in range(radius):
+        new_frontier = []
+        for word, (zx, zy) in frontier:
+            for letter in alphabet:
+                if word and word[0] == letter:
+                    continue
+                c, r = mirrors[letter]
+                dx = zx - c
+                denom = dx * dx + zy * zy
+                r2 = r * r
+                new_frontier.append(((letter,) + word,
+                                     (c + r2 * dx / denom, r2 * zy / denom)))
+        pts = pts + new_frontier
+        frontier = new_frontier
+    return pts
+
+
+def raw(points):
+    return {word: (q[0]._mpf_, q[1]._mpf_) for word, q in points}
+
+
+@pytest.mark.parametrize("radius,alphabet", [(0, (1, 2)), (2, (1, 2, 3, 4)),
+                                             (4, (1, 2, 3, 4)),
+                                             (6, (1, 2, 3)), (3, (4, 1, 3))])
+def test_ball_points_equal_breadth_first_oracle(radius, alphabet):
+    ball = OrbitBall.build(SCHED, BASE, radius, alphabet)
+    oracle = oracle_ball_points(SCHED, BASE, radius, alphabet)
+    assert len(ball.points) == len(oracle) == orbit_size(len(alphabet),
+                                                         radius) + 1
+    assert raw(ball.points) == raw(oracle)
+    expected = OrbitBall(basepoint=ball.basepoint, radius=radius,
+                         alphabet=alphabet, points=oracle)
+    assert ball._log_heights == expected._log_heights
+    assert ball._by_height == expected._by_height
+
+
 def test_orbit_points_match_oracle_exactly():
     ball = BALLS[3]
     for _, q in ball.points:

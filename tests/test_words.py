@@ -6,7 +6,7 @@ from schottkydim.hyperbolic import circle_invert_circle
 from schottkydim.schedule import paper_schedule
 from schottkydim.words import (NestingError, ReducedWord, beardon_check,
                                disk_tree, enumerate_words, mu_constant,
-                               word_count, word_disk)
+                               word_disk)
 
 SCHED = paper_schedule(8)
 
@@ -40,7 +40,7 @@ def test_enumeration_counts():
     assert len(list(enumerate_words(0, 2, 1))) == 2
     assert len(list(enumerate_words(0, 3, 2))) == 6
     words = list(enumerate_words(2, 4, 3))
-    assert len(words) == word_count(4, 3) == 36
+    assert len(words) == 4 * 3 ** 2 == 36
     assert words[0].indices == (3, 4, 3)
     assert len(set(w.indices for w in words)) == 36
 
@@ -148,32 +148,27 @@ def test_tree_depth_one_nodes_are_generator_circles():
 
 
 def test_tree_level_counts():
-    tree = disk_tree(SCHED, 2, 3, 3, prune_radius=Fraction(0))
+    tree = disk_tree(SCHED, 2, 3, 3)
     assert [len(level) for level in tree.levels] == [3, 6, 12]
     assert all(len(n.word) == d + 1
                for d, level in enumerate(tree.levels) for n in level)
 
 
 def test_tree_depth_two_radii_below_depth_one():
-    tree = disk_tree(SCHED, 2, 3, 2, prune_radius=Fraction(0))
+    tree = disk_tree(SCHED, 2, 3, 2)
     min_root = min(n.disk.radius for n in tree.roots)
     assert all(n.disk.radius < min_root for n in tree.levels[1])
 
 
 def test_tree_nesting_verified_exactly():
-    tree = disk_tree(SCHED, 2, 3, 3, prune_radius=Fraction(0))
+    tree = disk_tree(SCHED, 2, 3, 3)
+    by_word = {node.word.indices: node for level in tree.levels
+               for node in level}
     for level in tree.levels[1:]:
         for node in level:
-            assert abs(node.disk.center - node.parent.disk.center) + \
-                node.disk.radius < node.parent.disk.radius
-
-
-def test_tree_pruning_is_counted():
-    tree = disk_tree(SCHED, 2, 3, 3, prune_radius=Fraction(1, 10 ** 12))
-    assert sum(tree.pruned_counts) > 0
-    # children of pruned nodes are never expanded
-    kept = sum(len(level) for level in tree.levels)
-    assert kept + sum(tree.pruned_counts) <= 3 + 6 + 12
+            parent = by_word[node.word.indices[:-1]]
+            assert abs(node.disk.center - parent.disk.center) + \
+                node.disk.radius < parent.disk.radius
 
 
 def test_tree_rejects_overlapping_roots():
