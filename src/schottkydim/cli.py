@@ -8,6 +8,9 @@ Exit codes:
 * 2 -- invalid input: a bad flag or config value, a malformed config or
   schedule file, an inadmissible schedule, window indices missing from the
   schedule, an explore ``--ball`` that is negative or too large, an
+  explore ``--horizon`` and ``--step`` giving more than
+  ``explore.MAX_RAY_SAMPLES`` (100,000) ray samples, a negative explore
+  ``--depth``, a ``render --depth`` below 1, an
   ``estimate --n-max`` above ``estimators.MAX_WORD_LENGTH`` (100), an
   ``estimate`` whose reduced words of length up to
   max(--n-max, min(--n-max + 1, 4)) number more than
@@ -305,6 +308,9 @@ def cmd_explore(args, config) -> int:
     ball = int(_resolve(args, config, "ball", 4))
     step = float(_resolve(args, config, "step", 0.25))
     depth = int(_resolve(args, config, "depth", 0))
+    if depth < 0:
+        raise ConfigError(f"--depth must be >= 0 (0 means the default), "
+                          f"got {depth}")
     basepoint_text = _resolve(args, config, "basepoint", None)
 
     if periodic:

@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import ctx_mp
-from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_mul_int,
-                          mpf_sub, to_float)
+from mpmath.libmp import (fone, from_float, fzero, mpf_add, mpf_div, mpf_exp,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub,
+                          to_float)
 
 from .hyperbolic import BoundaryPoint
 from .schedule import GeneratorSchedule
@@ -49,31 +50,34 @@ def _point(x, y) -> Tuple[object, object]:
     return (_num(x), _num(y))
 
 
-# Orbit queries work on raw mpf tuples (sign, man, exp, bc) through
+# Rays and orbit queries work on raw mpf tuples (sign, man, exp, bc) through
 # mpmath.libmp, with _MP's precision and rounding.  Each libmp call below is
 # the one the mpf operator would make, in the same order, so every value is
-# bit-identical to the expression 1 + (dx*dx + dy*dy) / (2*py*qy) on _MP.
+# bit-identical to the operator expression it replaces.
 _LN2 = math.log(2.0)
 
-# Slack of the float comparisons that prune and pre-classify orbit points;
-# see _nearest_heights.
+# Slack of the float comparisons that prune, pre-classify and screen orbit
+# points; see _nearest_heights and _screened_out.
 _FLOAT_SLACK = 1e-12
 
 
-def _cosh_arg(px, py, twice_py, qx, qy):
-    """(u, u - 1) for u = cosh d(p, q); twice_py is 2*py, hoisted."""
+def _cosh_arg(dx, dy, twice_py, qy):
+    """w = cosh d(p, q) - 1 = (dx*dx + dy*dy) / (2*py*qy), the one distance
+    helper of the ray context, for raw dx = px - qx and dy = py - qy;
+    twice_py is 2*py, hoisted."""
     prec, rnd = _MP._prec_rounding
-    dx = mpf_sub(px, qx, prec, rnd)
-    dy = mpf_sub(py, qy, prec, rnd)
-    w = mpf_div(mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(dy, dy, prec, rnd),
-                        prec, rnd),
-                mpf_mul(twice_py, qy, prec, rnd), prec, rnd)
-    return mpf_add(w, fone, prec, rnd), w
+    return mpf_div(mpf_add(mpf_mul(dx, dx, prec, rnd),
+                           mpf_mul(dy, dy, prec, rnd), prec, rnd),
+                   mpf_mul(twice_py, qy, prec, rnd), prec, rnd)
 
 
-def _acosh_float(u) -> float:
-    """The distance, arccosh u, as a float: the one 300-bit acosh call."""
-    return float(_MP.acosh(_MP.make_mpf(u)))
+def _acosh1p_float(w) -> float:
+    """The distance, arccosh(1 + w), as a float: the one 300-bit acosh call.
+
+    1 + w is rounded to nearest, which is monotone in w, so the smallest w
+    of a scan gives the smallest 1 + w and the smallest distance."""
+    prec, rnd = _MP._prec_rounding
+    return float(_MP.acosh(_MP.make_mpf(mpf_add(w, fone, prec, rnd))))
 
 
 def _log_mpf(t) -> float:
@@ -91,17 +95,62 @@ def _approx_acosh1p(w) -> float:
     return _LN2 + _log_mpf(w)
 
 
+def _screen_float(t) -> Optional[float]:
+    """|t| for a raw mpf t as a float whose square, and whose product with
+    another such float, is a normal float: 0.0 for zero, None when |t| lies
+    outside [2^-510, 2^509] or t is not finite.  One rounding, so the float
+    is within 2^-53 of |t| relative."""
+    _, man, exp, bc = t
+    if not man:
+        return 0.0 if t == fzero else None
+    if -510 < exp + bc < 510:
+        return math.ldexp(man, exp)
+    return None
+
+
+def _screened_out(dx, dy, twice_py_f, qy, limit: float) -> bool:
+    """True when the float estimate of w = (dx^2 + dy^2) / (2 py qy), from
+    raw dx, dy and qy and the _screen_float of 2 py, proves that w exceeds
+    the w behind limit, so the exact w would not improve on it.
+
+    Every float in the estimate is finite and normal (_screen_float), or it
+    is not used: each of the four conversions and five operations rounds
+    once, so a finite normal estimate is within 1e-15 relative of the w of
+    the exact dx, dy, 2 py and qy, and the 300-bit w is within 2^-295 of
+    that.  limit is the best w's _screen_float times 1 + _FLOAT_SLACK, some
+    1000 times those errors, so an estimate beyond it belongs to a larger w;
+    it is inf, which screens nothing, while that float is 0.0 or None.  An
+    estimate that underflows stays below limit and one that overflows is
+    not finite: neither screens.
+    """
+    if twice_py_f is None:
+        return False
+    dx_f = _screen_float(dx)
+    dy_f = _screen_float(dy)
+    qy_f = _screen_float(qy)
+    if dx_f is None or dy_f is None or qy_f is None:
+        return False
+    return limit < (dx_f * dx_f + dy_f * dy_f) / (twice_py_f * qy_f) < math.inf
+
+
+def _raw(v):
+    """v in the ray context as a raw mpf, the value _num(v) holds; a
+    normalized mpf of _MP is taken as it is."""
+    if type(v) is _MP.mpf and v._mpf_[3] <= _MP.prec:
+        return v._mpf_
+    return _num(v)._mpf_
+
+
 def _query_point(z):
     """Raw (x, y, twice y) and the float ln y of a point in the upper
     half-plane, given as a complex number or an (x, y) pair."""
     if not isinstance(z, tuple):
         z = (z.real, z.imag)
-    x, y = _point(z[0], z[1])
-    if not (_MP.isfinite(x) and _MP.isfinite(y) and y > 0):
+    x, y = _raw(z[0]), _raw(z[1])
+    if not ((x[1] or x == fzero) and y[1] and not y[0]):
         raise ValueError(f"point must lie in the upper half-plane, got {z!r}")
     prec, rnd = _MP._prec_rounding
-    return (x._mpf_, y._mpf_, mpf_mul_int(y._mpf_, 2, prec, rnd),
-            _log_mpf(y._mpf_))
+    return x, y, mpf_mul_int(y, 2, prec, rnd), _log_mpf(y)
 
 
 @dataclass
@@ -177,39 +226,71 @@ def default_basepoint(schedule: GeneratorSchedule,
 # geodesic rays
 # ---------------------------------------------------------------------------
 
+class _Ray:
+    """The unit-speed ray from p toward a boundary target (None means the
+    point at infinity, i.e. the vertical ray), with p and the target
+    converted to the ray context once.
+
+    Conjugating by z -> -1/(z - target) turns the ray into the vertical one,
+    which has the closed-form parameterization.  With lam the target,
+        dx = px - lam, denom = dx*dx + py*py, wx = -dx/denom, wy = py/denom
+    are fixed per ray, and at time t
+        wy_t = wy*exp(t), denom_t = wx*wx + wy_t*wy_t,
+        z = (lam - wx/denom_t, wy_t/denom_t),
+    one exp and six libmp calls.
+    """
+
+    __slots__ = ("px", "py", "lam", "wx", "wy", "wx2")
+
+    def __init__(self, p, target):
+        self.px, self.py = _num(p[0])._mpf_, _num(p[1])._mpf_
+        self.lam = None if target is None else _num(target)._mpf_
+        if self.lam is None:
+            return
+        prec, rnd = _MP._prec_rounding
+        dx = mpf_sub(self.px, self.lam, prec, rnd)
+        denom = mpf_add(mpf_mul(dx, dx, prec, rnd),
+                        mpf_mul(self.py, self.py, prec, rnd), prec, rnd)
+        self.wx = mpf_div(mpf_neg(dx, prec, rnd), denom, prec, rnd)
+        self.wy = mpf_div(self.py, denom, prec, rnd)
+        self.wx2 = mpf_mul(self.wx, self.wx, prec, rnd)
+
+    def point(self, t):
+        """The ray's point at time t >= 0, as an (x, y) pair of mpfs."""
+        if t < 0:
+            raise ValueError("ray time must be nonnegative")
+        prec, rnd = _MP._prec_rounding
+        # from_float(t) is the value _num(t) holds for a float t
+        growth = mpf_exp(from_float(t) if type(t) is float else _num(t)._mpf_,
+                         prec, rnd)
+        make = _MP.make_mpf
+        if self.lam is None:
+            return (make(self.px), make(mpf_mul(self.py, growth, prec, rnd)))
+        wy_t = mpf_mul(self.wy, growth, prec, rnd)
+        denom_t = mpf_add(self.wx2, mpf_mul(wy_t, wy_t, prec, rnd), prec, rnd)
+        return (make(mpf_sub(self.lam, mpf_div(self.wx, denom_t, prec, rnd),
+                             prec, rnd)),
+                make(mpf_div(wy_t, denom_t, prec, rnd)))
+
+
 def geodesic_ray_point(p, target, t: float):
     """Unit-speed point at time t on the ray from p toward the boundary target
     (None means the point at infinity, i.e. the vertical ray).
 
     p is an (x, y) pair; coordinates may be Fractions, floats or
-    high-precision reals.  Conjugating by z -> -1/(z - target) turns the ray
-    into the vertical one, which has the closed-form parameterization.
+    high-precision reals.  The ray samplers build one _Ray and call its
+    point(t) for every sample.
     """
-    if t < 0:
-        raise ValueError("ray time must be nonnegative")
-    px, py = (_num(p[0]), _num(p[1]))
-    if target is None:
-        return (px, py * _MP.exp(_num(t)))
-    lam = _num(target)
-    # w = -1/(p - lam) with p - lam = dx + i y
-    dx = px - lam
-    denom = dx * dx + py * py
-    wx = -dx / denom
-    wy = py / denom
-    wy_t = wy * _MP.exp(_num(t))
-    # back: z = lam - 1/w_t = lam - (wx - i wy_t)/|w_t|^2
-    denom_t = wx * wx + wy_t * wy_t
-    zx = lam - wx / denom_t
-    zy = wy_t / denom_t
-    return (zx, zy)
+    return _Ray(p, target).point(t)
 
 
 # ---------------------------------------------------------------------------
 # orbit balls
 # ---------------------------------------------------------------------------
 
-# Largest orbit the explore command builds: about 1 KB and 35 us per point,
-# so about 100 MB and a few seconds.
+# Largest orbit the explore command builds: about 1 KB and 10 us per point
+# (measured at radius 9 over 4 letters with mpmath's pure-Python backend),
+# so about 100 MB and one second.
 MAX_ORBIT_POINTS = 100_000
 
 
@@ -222,15 +303,24 @@ def orbit_size(letters: int, radius: int) -> int:
 
 
 def _mpf_mirror(schedule: GeneratorSchedule, letter: int):
-    """The inversion h_letter on (x, y) points of the ray context."""
+    """The inversion h_letter on (x, y) points of the ray context, by the
+    libmp calls of (c + r2*dx/denom, r2*y/denom) with dx = x - c,
+    denom = dx*dx + y*y and r2 = r*r."""
     entry = schedule.entry(letter)
-    c, r = _num(Fraction(entry.center)), _num(Fraction(entry.radius))
-    r2 = r * r
+    c = _num(Fraction(entry.center))._mpf_
+    r = _num(Fraction(entry.radius))._mpf_
+    prec, rnd = _MP._prec_rounding
+    r2 = mpf_mul(r, r, prec, rnd)
+    make = _MP.make_mpf
 
     def invert(z):
-        dx = z[0] - c
-        denom = dx * dx + z[1] * z[1]
-        return (c + r2 * dx / denom, r2 * z[1] / denom)
+        x, y = z[0]._mpf_, z[1]._mpf_
+        dx = mpf_sub(x, c, prec, rnd)
+        denom = mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(y, y, prec, rnd),
+                        prec, rnd)
+        return (make(mpf_add(c, mpf_div(mpf_mul(r2, dx, prec, rnd), denom,
+                                        prec, rnd), prec, rnd)),
+                make(mpf_div(mpf_mul(r2, y, prec, rnd), denom, prec, rnd)))
 
     return invert
 
@@ -324,33 +414,53 @@ def orbit_distance(z, ball: OrbitBall) -> float:
     proxy for the quotient distance.
 
     Scans the ball in order of height gap, keeps the smallest cosh argument
-    u and stops once the gap passes the best distance so far.  acosh is
-    monotone, so the one acosh call, on the smallest u, gives the minimum of
-    the per-point distances bit for bit.
+    w = cosh d - 1 and stops once the gap passes the best distance so far.
+    A point whose float estimate of w proves it no nearer is skipped
+    (_screened_out).  1 + w rounds monotonically and acosh is monotone, so
+    the one acosh call, on 1 + the smallest w, gives the minimum of the
+    per-point distances bit for bit.
     """
     if not ball.points:
         raise ValueError("orbit ball is empty")
     zx, zy, twice_zy, log_y = _query_point(z)
-    best_u, best_d = None, math.inf
+    twice_zy_f = _screen_float(twice_zy)
+    prec, rnd = _MP._prec_rounding
+    best_w, best_d, limit = None, math.inf, math.inf
     for gap, qx, qy, _ in ball._nearest_heights(log_y):
         if _beyond(gap, log_y, best_d):
             break
-        u, w = _cosh_arg(zx, zy, twice_zy, qx, qy)
-        if best_u is None or mpf_lt(u, best_u):
-            best_u, best_d = u, _approx_acosh1p(w)
-    return _acosh_float(best_u)
+        dx = mpf_sub(zx, qx, prec, rnd)
+        dy = mpf_sub(zy, qy, prec, rnd)
+        if _screened_out(dx, dy, twice_zy_f, qy, limit):
+            continue
+        w = _cosh_arg(dx, dy, twice_zy, qy)
+        if best_w is None or mpf_lt(w, best_w):
+            best_w, best_d = w, _approx_acosh1p(w)
+            w_f = _screen_float(w)
+            limit = w_f * (1.0 + _FLOAT_SLACK) if w_f else math.inf
+    return _acosh1p_float(best_w)
 
 
 # ---------------------------------------------------------------------------
 # ray profiles and classifications
 # ---------------------------------------------------------------------------
 
+# Most samples one ray takes, t = 0, step, 2 step, ... up to the horizon; the
+# explore defaults (horizon 50, step 0.25) take 201.
+MAX_RAY_SAMPLES = 100_000
+
+
 def _check_sampling(horizon: float, step: float):
-    """A finite horizon and a positive finite step, so sampling ends."""
+    """A finite horizon and a positive finite step giving at most
+    MAX_RAY_SAMPLES samples, so sampling ends, and soon."""
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step}")
+    # floor(horizon / step) + 1 samples; the quotient may overflow to inf
+    if horizon > 0 and horizon / step >= MAX_RAY_SAMPLES:
+        raise ValueError(f"horizon {horizon!r} at step {step!r} takes more "
+                         f"than {MAX_RAY_SAMPLES} ray samples")
 
 
 @dataclass
@@ -416,10 +526,10 @@ def conicality_profile(schedule: GeneratorSchedule, p, target,
     if alphabet is None:
         alphabet = schedule.indices[:min(4, len(schedule.indices))]
     ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
+    ray = _Ray(p, target)
     t = 0.0
     while t <= horizon + 1e-12:
-        z = geodesic_ray_point(p, target, t)
-        profile.samples.append((t, orbit_distance(z, ball)))
+        profile.samples.append((t, orbit_distance(ray.point(t), ball)))
         t += step
     threshold = profile.threshold
     last_half = [d for t, d in profile.samples if t >= 0.5 * horizon]
@@ -470,8 +580,10 @@ def dirichlet_membership(x, ball: OrbitBall,
     if not rel_tol >= 0:
         raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     zx, zy, twice_zy, log_y = _query_point(x)
-    bx, by = ball.basepoint
-    d_p = _acosh_float(_cosh_arg(zx, zy, twice_zy, bx._mpf_, by._mpf_)[0])
+    prec, rnd = _MP._prec_rounding
+    bx, by = ball.basepoint[0]._mpf_, ball.basepoint[1]._mpf_
+    d_p = _acosh1p_float(_cosh_arg(mpf_sub(zx, bx, prec, rnd),
+                                   mpf_sub(zy, by, prec, rnd), twice_zy, by))
     abs_tol = 1e-12
     # d_q > d_p passes isclose iff d_q - d_p <= max(rel_tol*d_q, abs_tol)
     reach = max(d_p + abs_tol, d_p / (1.0 - rel_tol)) if rel_tol < 1 \
@@ -482,14 +594,15 @@ def dirichlet_membership(x, ball: OrbitBall,
             break
         if not word:
             continue
-        u, w = _cosh_arg(zx, zy, twice_zy, qx, qy)
+        w = _cosh_arg(mpf_sub(zx, qx, prec, rnd), mpf_sub(zy, qy, prec, rnd),
+                      twice_zy, qy)
         est = _approx_acosh1p(w)
         slack = _FLOAT_SLACK * (1.0 + est + d_p)
         if est - d_p > max(rel_tol * est, abs_tol) + slack:
             continue  # farther, and not equidistant
         if d_p - est > max(rel_tol * d_p, abs_tol) + slack:
             return False, False  # nearer, and not equidistant
-        d_q = _acosh_float(u)
+        d_q = _acosh1p_float(w)
         if math.isclose(d_p, d_q, rel_tol=rel_tol, abs_tol=abs_tol):
             boundary = True
             continue
@@ -520,10 +633,10 @@ def jorgensen_check(schedule: GeneratorSchedule, p, target, horizon: float,
     if alphabet is None:
         alphabet = schedule.indices[:min(4, len(schedule.indices))]
     ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
+    ray = _Ray(p, target)
     t = 0.0
     while t <= horizon + 1e-12:
-        z = geodesic_ray_point(p, target, t)
-        inside, _ = dirichlet_membership(z, ball)
+        inside, _ = dirichlet_membership(ray.point(t), ball)
         if not inside:
             return JorgensenResult(consistent=False, vacuous=False,
                                    first_failure_t=t)

@@ -29,6 +29,8 @@ def svg_disk_tree(schedule: GeneratorSchedule, k: int, m: int, depth: int,
     they stay visible; real radii survive in a data attribute for vector
     zooming tools.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if depth > max_depth:
         raise ValueError(f"depth {depth} exceeds the configured maximum {max_depth}")
     if count_words(m, depth, MAX_NODES) > MAX_NODES:

@@ -36,6 +36,12 @@ def test_svg_depth_cap():
         svg_disk_tree(paper_schedule(8), 2, 3, 6)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_svg_rejects_depth_below_one(depth):
+    with pytest.raises(ValueError):
+        svg_disk_tree(paper_schedule(8), 2, 3, depth)
+
+
 def test_svg_deterministic():
     a = svg_disk_tree(paper_schedule(8), 2, 3, 2)
     b = svg_disk_tree(paper_schedule(8), 2, 3, 2)
@@ -230,10 +236,34 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--step", "0"], ["--step", "-0.5"],
                                    ["--step", "nan"], ["--horizon", "nan"],
-                                   ["--horizon", "inf"]])
+                                   ["--horizon", "inf"],
+                                   # beyond explore.MAX_RAY_SAMPLES samples
+                                   ["--step", "1e-6"], ["--horizon", "1e9"],
+                                   ["--step", "5e-324"],
+                                   ["--horizon", "25000"]])
 def test_explore_rejects_bad_sampling(flags, tmp_path, capsys):
     assert_clean_exit_2(["explore", "--word", "1,2", "--periodic",
                          "--out", str(tmp_path / "ray"), *flags], capsys)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("depth", ["-1", "-1000"])
+def test_explore_rejects_negative_depth(depth, tmp_path, capsys):
+    assert_clean_exit_2(["explore", "--word", "1,2", "--periodic",
+                         "--depth", depth, "--out", str(tmp_path / "ray")],
+                        capsys)
+    assert not list(tmp_path.iterdir())
+
+
+def test_explore_depth_zero_is_the_default(tmp_path):
+    outputs = []
+    for extra in ([], ["--depth", "0"]):
+        prefix = tmp_path / f"ray{len(outputs)}"
+        assert main(["explore", "--word", "2,3", "--periodic", "--horizon",
+                     "2", "--out", str(prefix), *extra]) == 0
+        outputs.append([(tmp_path / f"{prefix.name}_{part}").read_bytes()
+                        for part in ("profile.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("ball", ["-1", "10", "1000000000"])
@@ -372,6 +402,9 @@ def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, monkeypatch,
     ["schedule", "--paper", "--count", "1000000000"],
     ["explore", "--word", "3,4", "--escalate", "--depth", "200"],
     ["explore", "--word", "101,2"],
+    # depth below 1
+    ["render", "--k", "2", "--m", "3", "--depth", "0"],
+    ["render", "--k", "2", "--m", "3", "--depth", "-1"],
 ])
 def test_out_of_range_requests_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "out"
