@@ -228,17 +228,14 @@ def center_control(schedule: GeneratorSchedule, k: int, m: int,
             lo, hi, e = power(1, 2 ** ((w + 1) ** 2 + 2))
             tail = ctx.from_dyadic((4 * m * lo, 4 * m * hi, e))
     bound = paper_center_bound(k) if schedule.is_paper else Fraction(1)
-    complete = tail is not None
     total = window_sum if tail is None else window_sum + tail
-    holds = complete and certainly_le(total, bound)
     # without a tail the built-in schedule's check fails at any precision
-    decided = not complete or decidable_le(total, bound)
-    if not schedule.is_paper:
-        holds = certainly_le(window_sum, bound)
-        decided = decidable_le(window_sum, bound)
+    missing_tail = schedule.is_paper and tail is None
+    holds = not missing_tail and certainly_le(total, bound)
+    decided = missing_tail or decidable_le(total, bound)
     return CenterControlResult(k=k, m=m, alpha=alpha, window_sum=window_sum,
                                tail=tail, bound=bound, holds=holds,
-                               complete=complete, decided=decided)
+                               complete=tail is not None, decided=decided)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +427,22 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
     again at twice the bits while some check is undecided
     (:func:`~schottkydim.scalars.decidable_le`), up to
     :data:`MAX_ADAPTIVE_BITS`.  The certificate records the bits used.
-    A window of more than :data:`MAX_CERTIFY_WORDS` reduced words over
-    levels 1..n_max, or beyond the exact-size budget of
-    :func:`~schottkydim.estimators.exact_size`, is refused with ValueError
+    k < 1, m < 2, alpha outside (0, 1], n_max < 2, jobs < 1, and a window
+    of more than :data:`MAX_CERTIFY_WORDS` reduced words over levels
+    1..n_max or beyond the exact-size budget of
+    :func:`~schottkydim.estimators.exact_size` are refused with ValueError
     before anything is built.
     """
     alpha = Fraction(alpha)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     if n_max < 2:
         raise ValueError("n_max must be >= 2: level monotonicity needs two levels")
+    worker_count(jobs, m)  # refuses jobs < 1
     words = count_words(m, n_max, MAX_CERTIFY_WORDS)
     if words > MAX_CERTIFY_WORDS:
         raise ValueError(f"m = {m}, n = {n_max} gives more than "
@@ -510,9 +513,7 @@ def _certify_at(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
         tail_bound_used=cc.complete,
         note="window pairs plus gap-bound tail" if cc.complete
         else "window pairs only"))
-    complete = complete and (cc.complete or not schedule.is_paper)
-    if not cc.complete:
-        complete = False
+    complete = complete and cc.complete
 
     sums = level_sums(schedule, k, m, n_max, alpha, ctx, jobs)
     for n in range(2, n_max + 1):

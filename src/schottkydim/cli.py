@@ -1,27 +1,11 @@
 """Command-line orchestration.
 
-Subcommands: schedule | certify | estimate | render | explore.
-Exit codes:
-
-* 0 -- success (for certify: the verdict is "certified");
-* 1 -- a certification check failed;
-* 2 -- invalid input: a bad flag or config value, a malformed config or
-  schedule file, an inadmissible schedule, window indices missing from the
-  schedule, an explore ``--ball`` that is negative or too large, an
-  explore ``--horizon`` and ``--step`` giving more than
-  ``explore.MAX_RAY_SAMPLES`` (100,000) ray samples, a negative explore
-  ``--depth``, a ``render --depth`` below 1, an
-  ``estimate --n-max`` above ``estimators.MAX_WORD_LENGTH`` (100), an
-  ``estimate`` whose reduced words of length up to
-  max(--n-max, min(--n-max + 1, 4)) number more than
-  ``estimators.MAX_WORDS`` (10^6) or whose exact rationals exceed
-  ``estimators.MAX_EXACT_SIZE``, a ``render`` of more than
-  ``render.MAX_NODES`` disks, a built-in schedule beyond index
-  ``schedule.MAX_PAPER_INDEX`` (100), a ``certify`` of more than
-  ``certify.MAX_CERTIFY_WORDS`` reduced words or beyond the exact-size
-  budget, an ``estimate`` or ``render`` whose disks lie beyond the float
-  range, an ``explore`` whose limit point lies beyond it, or a file that
-  cannot be read or written.  One ``error:`` line goes to stderr.
+Subcommands: schedule | certify | estimate | render | explore.  Each one
+parses its flags and config, builds the schedule and calls the library
+function that does the work; that function checks its inputs and size
+budgets.  Exit codes are listed in README.md: a ValueError, KeyError or
+OSError, a bad flag among them, gives exit 2 and one ``error:`` line on
+stderr.
 
 Flag precedence: command-line flags > config file > defaults.
 """
@@ -38,35 +22,30 @@ from . import certify as certify_mod
 from . import estimators, explore, render
 from .hyperbolic import ends_floats
 from .scalars import IntervalContext, interval_context, parse_rational
-from .schedule import (MAX_PAPER_INDEX, GeneratorSchedule, load_schedule,
-                       paper_schedule, validate_schedule)
-from .words import ReducedWord, count_words
+from .schedule import GeneratorSchedule, load_schedule, paper_schedule
+from .words import ReducedWord
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 
 
-class ConfigError(Exception):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ValueError, so that a bad flag
+    takes main's exit-2 path; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--backend", default=None,
-                        help="exact | hiprec:<bits> (default: exact; certify "
-                             "starts its enclosures at 64 bits and doubles "
-                             "the bits while a check is undecided)")
     parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for certify's level sums, capped "
-                             "by the window size and the usable CPUs "
-                             "(output is identical for any value)")
     parser.add_argument("--config", default=None,
                         help="JSON config file; flags override its values")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schottkydim",
         description="Inversion-group dimension certification and diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -83,6 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="window size")
     p.add_argument("--n", type=int, default=None, help="max word length checked")
     p.add_argument("--schedule", default=None, help="schedule JSON (default: built-in)")
+    p.add_argument("--backend", default=None,
+                   help="exact | hiprec:<bits> (default: exact, which starts "
+                        "the enclosures at 64 bits and doubles the bits "
+                        "while a check is undecided)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes for the level sums, capped by the "
+                        "window size and the usable CPUs (output is "
+                        "identical for any value)")
     _add_common(p)
 
     p = sub.add_parser("estimate", help="level-sum bisection and box counting")
@@ -120,13 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
-        return data
-    return {}
+    """The --config file's object; a key that no flag of the subcommand
+    defines raises ValueError."""
+    if not args.config:
+        return {}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(data) - (set(vars(args)) - {"command", "config"}))
+    if unknown:
+        raise ValueError(f"config keys that no flag of {args.command} "
+                         f"defines: {', '.join(unknown)}")
+    return data
 
 
 def _resolve(args, config: dict, key: str, default):
@@ -143,25 +136,17 @@ def _context(backend: str) -> Optional[IntervalContext]:
     which leaves the precision to the computation."""
     if backend == "exact":
         return None
-    if backend.startswith("hiprec:"):
-        try:
-            bits = int(backend.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad backend spec: {backend}") from exc
-        if bits < 64:
-            raise ConfigError("backend bits must be >= 64")
-        return interval_context(bits)
-    raise ConfigError(f"unknown backend: {backend}")
+    if not backend.startswith("hiprec:"):
+        raise ValueError(f"unknown backend: {backend}")
+    try:
+        bits = int(backend[len("hiprec:"):])
+    except ValueError:
+        raise ValueError(f"bad backend spec: {backend}") from None
+    return interval_context(bits)
 
 
 def _schedule_for(path: Optional[str], needed_max_index: int) -> GeneratorSchedule:
-    if path:
-        return load_schedule(path)
-    if needed_max_index > MAX_PAPER_INDEX:
-        raise ConfigError(f"the built-in schedule goes up to index "
-                          f"{MAX_PAPER_INDEX}; this request needs index "
-                          f"{needed_max_index}")
-    return paper_schedule(needed_max_index)
+    return load_schedule(path) if path else paper_schedule(needed_max_index)
 
 
 def _write(path: Optional[str], text: str):
@@ -177,17 +162,10 @@ def _write(path: Optional[str], text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_schedule(args, config) -> int:
-    count = int(_resolve(args, config, "count", 8))
-    if not 1 <= count <= MAX_PAPER_INDEX:
-        raise ConfigError(f"--count must be between 1 and {MAX_PAPER_INDEX}")
-    use_paper = _resolve(args, config, "paper", True)
-    if not use_paper:
-        raise ConfigError("only the built-in schedule can be emitted; "
-                          "user schedules are authored as JSON directly")
-    sched = paper_schedule(count)
-    report = validate_schedule(sched)
-    if not report.ok:
-        raise ConfigError("generated schedule failed validation:\n" + report.summary())
+    if not _resolve(args, config, "paper", True):
+        raise ValueError("only the built-in schedule can be emitted; "
+                         "user schedules are authored as JSON directly")
+    sched = paper_schedule(int(_resolve(args, config, "count", 8)))
     _write(_resolve(args, config, "out", None), sched.to_json())
     return EXIT_OK
 
@@ -196,25 +174,14 @@ def cmd_certify(args, config) -> int:
     k = _resolve(args, config, "k", None)
     alpha_text = _resolve(args, config, "alpha", None)
     if k is None or alpha_text is None:
-        raise ConfigError("certify requires --k and --alpha")
-    k = int(k)
-    if k < 1:
-        raise ConfigError("--k must be >= 1")
+        raise ValueError("certify requires --k and --alpha")
+    k, m = int(k), int(_resolve(args, config, "m", 6))
     try:
         alpha = parse_rational(str(alpha_text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad alpha: {alpha_text}") from exc
-    if not (0 < alpha <= 1):
-        raise ConfigError("alpha must be a positive rational <= 1")
-    m = int(_resolve(args, config, "m", 6))
-    if m < 2:
-        raise ConfigError("--m must be >= 2")
+        raise ValueError(f"bad alpha: {alpha_text}") from exc
     n_max = int(_resolve(args, config, "n", 4))
-    if n_max < 2:
-        raise ConfigError("--n must be >= 2: level monotonicity needs two levels")
     jobs = int(_resolve(args, config, "jobs", 1))
-    if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     ctx = _context(str(_resolve(args, config, "backend", "exact")))
     sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
     cert = certify_mod.certify_dimension_upper(sched, k, m, n_max, alpha,
@@ -231,22 +198,7 @@ def cmd_estimate(args, config) -> int:
     k = int(_resolve(args, config, "k", 2))
     m = int(_resolve(args, config, "m", 4))
     n_max = int(_resolve(args, config, "n_max", 3))
-    if m < 2 or n_max < 1:
-        raise ConfigError("need --m >= 2 and --n-max >= 1")
-    if n_max > estimators.MAX_WORD_LENGTH:
-        raise ConfigError(f"--n-max must be <= {estimators.MAX_WORD_LENGTH}")
     depth = min(n_max + 1, 4)  # of the disk tree for box counting
-    longest = max(n_max, depth)
-    words = count_words(m, longest, estimators.MAX_WORDS)
-    if words > estimators.MAX_WORDS:
-        raise ConfigError(f"--m {m} --n-max {n_max} builds more than "
-                          f"{estimators.MAX_WORDS} word disks (all reduced "
-                          f"words of length <= {longest})")
-    if estimators.exact_size(k, m, words, longest) > estimators.MAX_EXACT_SIZE:
-        raise ConfigError(f"--k {k} --m {m} --n-max {n_max} needs exact "
-                          f"rationals beyond the estimate budget of "
-                          f"{estimators.MAX_EXACT_SIZE} (see "
-                          f"estimators.exact_size)")
     sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
     lines = ["n,alpha_n,residual"]
     levels = estimators.estimate_levels(sched, k, m, n_max, depth)
@@ -264,7 +216,7 @@ def cmd_estimate(args, config) -> int:
     try:
         points = [ends_floats(disk)[0] for disk in leaves]
     except OverflowError as exc:
-        raise ConfigError("a disk center is beyond the float range") from exc
+        raise ValueError("a disk center is beyond the float range") from exc
     scales = [2.0 ** (-j) for j in range(4, 9)]
     try:
         box = estimators.box_count(points, scales)
@@ -283,11 +235,8 @@ def cmd_render(args, config) -> int:
     width = int(_resolve(args, config, "width", 1200))
     no_color = bool(_resolve(args, config, "no_color_by_level", False))
     sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
-    try:
-        svg = render.svg_disk_tree(sched, k, m, depth, width_px=width,
-                                   color_by_level=not no_color)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    svg = render.svg_disk_tree(sched, k, m, depth, width_px=width,
+                               color_by_level=not no_color)
     _write(_resolve(args, config, "out", None), svg)
     return EXIT_OK
 
@@ -295,69 +244,50 @@ def cmd_render(args, config) -> int:
 def cmd_explore(args, config) -> int:
     word_text = _resolve(args, config, "word", None)
     if not word_text:
-        raise ConfigError("explore requires --word")
-    try:
-        word = ReducedWord.parse(str(word_text))
-    except ValueError as exc:
-        raise ConfigError(f"word is not reduced: {exc}") from exc
+        raise ValueError("explore requires --word")
+    word = ReducedWord.parse(str(word_text))
     periodic = bool(_resolve(args, config, "periodic", False))
     escalate = bool(_resolve(args, config, "escalate", False))
     if periodic and escalate:
-        raise ConfigError("--periodic and --escalate are mutually exclusive")
+        raise ValueError("--periodic and --escalate are mutually exclusive")
     horizon = float(_resolve(args, config, "horizon", 50.0))
     ball = int(_resolve(args, config, "ball", 4))
     step = float(_resolve(args, config, "step", 0.25))
     depth = int(_resolve(args, config, "depth", 0))
     if depth < 0:
-        raise ConfigError(f"--depth must be >= 0 (0 means the default), "
-                          f"got {depth}")
+        raise ValueError(f"--depth must be >= 0 (0 means the default), "
+                         f"got {depth}")
     basepoint_text = _resolve(args, config, "basepoint", None)
 
     if periodic:
-        try:
-            path = explore.WordPath.periodic(word.indices)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if depth <= 0:
-            depth = max(8, 2 * len(word))
+        path = explore.WordPath.periodic(word.indices)
+        depth = depth or max(8, 2 * len(word))
     elif escalate:
         path = explore.WordPath.escalating(word.indices)
-        if depth <= 0:
-            depth = len(word) + 2
+        depth = depth or len(word) + 2
     else:
         path = explore.WordPath.finite(word.indices)
-        if depth <= 0:
-            depth = len(word)
+        depth = depth or len(word)
 
     max_index = max(max(path.prefix(depth)), max(word.indices))
-    sched_path = _resolve(args, config, "schedule", None)
-    sched = _schedule_for(sched_path, max_index)
+    sched = _schedule_for(_resolve(args, config, "schedule", None), max_index)
 
     target_point, err = explore.limit_point(sched, path, depth)
     target = target_point.value  # exact rational: keeps sub-ulp offsets
     try:
         target_float, err_float = float(target), float(err)
     except OverflowError as exc:
-        raise ConfigError("the limit point estimate is beyond the float "
-                          "range") from exc
+        raise ValueError("the limit point estimate is beyond the float "
+                         "range") from exc
     if basepoint_text is None:
         p = explore.default_basepoint(sched, word.indices[0])
     else:
         try:
             bx, by = (parse_rational(v) for v in str(basepoint_text).split(","))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad basepoint: {basepoint_text}") from exc
-        if by <= 0:
-            raise ConfigError("basepoint must lie in the upper half-plane")
+            raise ValueError(f"bad basepoint: {basepoint_text}") from exc
         p = (bx, by)
-    alphabet = sched.indices[:min(4, len(sched.indices))]
-    if ball < 0:
-        raise ConfigError(f"--ball must be >= 0, got {ball}")
-    if explore.orbit_size(len(alphabet), ball) > explore.MAX_ORBIT_POINTS:
-        raise ConfigError(f"--ball {ball} over {len(alphabet)} letters gives "
-                          f"more than {explore.MAX_ORBIT_POINTS} orbit points")
-    profile = explore.conicality_profile(sched, p, target, horizon, ball,
-                                         step, alphabet=alphabet)
+    profile = explore.conicality_profile(sched, p, target, horizon, ball, step)
     out_prefix = _resolve(args, config, "out", "explore")
     _write(f"{out_prefix}_profile.csv", profile.to_csv())
     summary = profile.summary_dict()
@@ -387,11 +317,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        return COMMANDS[args.command](args, config)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+        args = _parser().parse_args(argv)
+        return COMMANDS[args.command](args, _load_config(args))
+    except (ValueError, KeyError, OSError) as exc:
         # json.JSONDecodeError is a ValueError; str() of a KeyError is the
         # repr of its message, so print the message itself
         if isinstance(exc, KeyError) and exc.args:

@@ -15,14 +15,13 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .hyperbolic import HPoint, ends_radius, hyp_distance_float
 from .schedule import GeneratorSchedule
-from .words import disk_levels, prepend_levels, word_radius_levels
+from .words import count_words, disk_levels, prepend_levels, word_radius_levels
 
 
-# Limits of an ``estimate`` request, checked before anything is built: the
-# most reduced words its bisection levels and box-counting tree may hold,
-# the longest level (exact radii grow with the word length: over 2 letters,
-# 100 levels take about 0.6 s and 200 levels about 4 s), and the budget of
-# :func:`exact_size`.
+# Limits of the word levels an estimate builds, checked by _check_levels
+# before anything is built: the most reduced words, the longest level (exact
+# radii grow with the word length: over 2 letters, 100 levels take about
+# 0.6 s and 200 levels about 4 s), and the budget of :func:`exact_size`.
 MAX_WORDS = 1_000_000
 MAX_WORD_LENGTH = 100
 MAX_EXACT_SIZE = 10 ** 8
@@ -37,6 +36,26 @@ def exact_size(k: int, m: int, words: int, longest: int) -> int:
     letters to length 16 (k = 2) build about 200,000 word disks in about 7 s
     and 80 MB."""
     return (words * longest + k + m) * (k + m) ** 2
+
+
+def _check_levels(k: int, m: int, n_max: int, longest: int):
+    """Refuse, with ValueError, word levels 1..longest over the window
+    (k, k+m] beyond MAX_WORD_LENGTH, MAX_WORDS or MAX_EXACT_SIZE, and
+    m < 2 or n_max < 1; only counts are made."""
+    if m < 2 or n_max < 1:
+        raise ValueError(f"need m >= 2 and n_max >= 1, got m = {m}, "
+                         f"n_max = {n_max}")
+    if longest > MAX_WORD_LENGTH:
+        raise ValueError(f"words of length {longest} are longer than "
+                         f"{MAX_WORD_LENGTH}")
+    words = count_words(m, longest, MAX_WORDS)
+    if words > MAX_WORDS:
+        raise ValueError(f"m = {m} to length {longest} gives more than "
+                         f"{MAX_WORDS} reduced words")
+    if exact_size(k, m, words, longest) > MAX_EXACT_SIZE:
+        raise ValueError(f"k = {k}, m = {m} to length {longest} needs exact "
+                         f"rationals beyond the estimate budget of "
+                         f"{MAX_EXACT_SIZE} (see estimators.exact_size)")
 
 
 class BracketError(RuntimeError):
@@ -55,7 +74,9 @@ def _log_fraction(q: Fraction) -> float:
 def level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
                     n_max: int) -> Iterator[List[float]]:
     """The log radii of the window's words of each length 1..n_max, one
-    list per level, from one pass of the level engine."""
+    list per level, from one pass of the level engine.  Levels beyond the
+    limits of :func:`_check_levels` raise ValueError before any is built."""
+    _check_levels(k, m, n_max, n_max)
     for level in word_radius_levels(schedule, schedule.window(k, m), n_max):
         yield _log_radii(level)
 
@@ -74,8 +95,10 @@ def estimate_levels(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     The log radii are those of :func:`level_log_radii`, and None past
     n_max.  The endpoints are the integer endpoint disks, and None for a
     level n_max beyond ``depth``: that level is computed radius-only and
-    lazily.
+    lazily.  Levels beyond the limits of :func:`_check_levels` raise
+    ValueError before any is built.
     """
+    _check_levels(k, m, n_max, max(n_max, depth))
     radius_last = n_max > depth
     levels = disk_levels(schedule, schedule.window(k, m), max(n_max, depth),
                          radius_last)
@@ -100,7 +123,6 @@ class BisectResult:
     n: int
     alpha: float
     residual: float
-    iterations: int
 
 
 def level_dimension_bisect(schedule: GeneratorSchedule, k: int, m: int, n: int,
@@ -113,7 +135,8 @@ def level_dimension_bisect(schedule: GeneratorSchedule, k: int, m: int, n: int,
     radius is below 1.  With a single word the sum stays below 1 for every
     positive alpha and no root exists; this is reported as a bracket error.
     A caller that has the level's log radii from :func:`level_log_radii`
-    passes them as ``log_radii``; otherwise levels 1..n are built here.
+    passes them as ``log_radii``; otherwise levels 1..n are built here,
+    within the limits of :func:`level_log_radii`.
     """
     if log_radii is None:
         log_radii = _level_log_radii(schedule, k, m, n)
@@ -131,17 +154,16 @@ def level_dimension_bisect(schedule: GeneratorSchedule, k: int, m: int, n: int,
         hi *= 2.0
         if hi > 1e6:
             raise BracketError("no upper bracket found")
-    it = 0
-    while hi - lo > tol and it < max_iter:
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
         mid = 0.5 * (lo + hi)
         if level_sum(mid) >= 1.0:
             lo = mid
         else:
             hi = mid
-        it += 1
     alpha = 0.5 * (lo + hi)
-    return BisectResult(n=n, alpha=alpha, residual=level_sum(alpha) - 1.0,
-                        iterations=it)
+    return BisectResult(n=n, alpha=alpha, residual=level_sum(alpha) - 1.0)
 
 
 @dataclass

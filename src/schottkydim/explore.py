@@ -288,18 +288,10 @@ def geodesic_ray_point(p, target, t: float):
 # orbit balls
 # ---------------------------------------------------------------------------
 
-# Largest orbit the explore command builds: about 1 KB and 10 us per point
-# (measured at radius 9 over 4 letters with mpmath's pure-Python backend),
-# so about 100 MB and one second.
+# Most points besides the basepoint an orbit ball holds, counted before it
+# is built: about 1 KB and 10 us per point (measured at radius 9 over 4
+# letters with mpmath's pure-Python backend), so about 100 MB and one second.
 MAX_ORBIT_POINTS = 100_000
-
-
-def orbit_size(letters: int, radius: int) -> int:
-    """Number of reduced words of length 1..radius over an alphabet of the
-    given size, sum_j letters*(letters-1)^(j-1): the ball's points besides the
-    basepoint.  Counting stops once the total passes MAX_ORBIT_POINTS, so a
-    huge radius is cheap to check."""
-    return count_words(letters, radius, MAX_ORBIT_POINTS)
 
 
 def _mpf_mirror(schedule: GeneratorSchedule, letter: int):
@@ -338,7 +330,6 @@ class OrbitBall:
 
     basepoint: Tuple[object, object]
     radius: int
-    alphabet: Tuple[int, ...]
     points: List[Tuple[Tuple[int, ...], Tuple[object, object]]] = \
         field(default_factory=list)
     _log_heights: List[float] = field(init=False, repr=False, compare=False)
@@ -352,10 +343,20 @@ class OrbitBall:
 
     @staticmethod
     def build(schedule: GeneratorSchedule, p, radius: int,
-              alphabet: Sequence[int]) -> "OrbitBall":
+              alphabet: Optional[Sequence[int]] = None) -> "OrbitBall":
+        """The ball of the given word radius over ``alphabet`` (default: the
+        schedule's first four indices).  A negative radius, more than
+        MAX_ORBIT_POINTS points besides the basepoint (counted, not built)
+        and a basepoint off the upper half-plane raise ValueError."""
+        if alphabet is None:
+            alphabet = schedule.indices[:4]
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
-        alphabet = tuple(alphabet)
+        if count_words(len(alphabet), radius, MAX_ORBIT_POINTS) > \
+                MAX_ORBIT_POINTS:
+            raise ValueError(f"ball radius {radius} over {len(alphabet)} "
+                             f"letters gives more than {MAX_ORBIT_POINTS} "
+                             f"orbit points")
         base = _point(p[0], p[1]) if isinstance(p, tuple) else \
             _point(p.real, p.imag)
         if not (_MP.isfinite(base[0]) and _MP.isfinite(base[1])
@@ -369,8 +370,7 @@ class OrbitBall:
         pts = [((), base)]
         for level in labelled_levels(maps, radius):
             pts.extend(level)
-        return OrbitBall(basepoint=base, radius=radius, alphabet=alphabet,
-                         points=pts)
+        return OrbitBall(basepoint=base, radius=radius, points=pts)
 
     def __len__(self):
         return len(self.points)
@@ -466,7 +466,6 @@ def _check_sampling(horizon: float, step: float):
 @dataclass
 class RayProfile:
     basepoint: Tuple[object, object]
-    target: Optional[object]
     horizon: float
     ball_radius: int
     step: float
@@ -514,19 +513,17 @@ def conicality_profile(schedule: GeneratorSchedule, p, target,
     the slimness constant somewhere in the last half of the horizon,
     otherwise "escaping".  The basepoint may be a complex number or an
     (x, y) pair of exact rationals; the target a real, a Fraction, or None
-    for the point at infinity.
+    for the point at infinity.  The ball is built, and so checked by
+    :meth:`OrbitBall.build`, for every horizon; horizon <= 0 takes no
+    samples.
     """
     _check_sampling(horizon, step)
-    if not isinstance(p, tuple):
-        p = (p.real, p.imag)
-    profile = RayProfile(basepoint=_point(p[0], p[1]), target=target,
-                         horizon=horizon, ball_radius=ball_radius, step=step)
+    ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
+    profile = RayProfile(basepoint=ball.basepoint, horizon=horizon,
+                         ball_radius=ball_radius, step=step)
     if horizon <= 0:
         return profile
-    if alphabet is None:
-        alphabet = schedule.indices[:min(4, len(schedule.indices))]
-    ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
-    ray = _Ray(p, target)
+    ray = _Ray(ball.basepoint, target)
     t = 0.0
     while t <= horizon + 1e-12:
         profile.samples.append((t, orbit_distance(ray.point(t), ball)))
@@ -624,16 +621,14 @@ def jorgensen_check(schedule: GeneratorSchedule, p, target, horizon: float,
     """Window approximation of the contained-in-a-Dirichlet-domain property:
     every sampled ray point must pass Dirichlet membership for the ball.
     True may be falsified by larger balls or horizons; False is conclusive.
+    The ball is built, and so checked, for every horizon; horizon <= 0
+    gives a vacuous result.
     """
     _check_sampling(horizon, step)
+    ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
     if horizon <= 0:
         return JorgensenResult(consistent=True, vacuous=True)
-    if not isinstance(p, tuple):
-        p = (p.real, p.imag)
-    if alphabet is None:
-        alphabet = schedule.indices[:min(4, len(schedule.indices))]
-    ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
-    ray = _Ray(p, target)
+    ray = _Ray(ball.basepoint, target)
     t = 0.0
     while t <= horizon + 1e-12:
         inside, _ = dirichlet_membership(ray.point(t), ball)

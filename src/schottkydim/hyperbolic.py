@@ -108,7 +108,7 @@ def hyp_distance(p: HPoint, q: HPoint, ctx: Optional[IntervalContext] = None):
     """
     u = cosh_distance(p, q)
     if isinstance(u, float):
-        return math.acosh(max(u, 1.0))
+        return hyp_distance_float(p.as_complex(), q.as_complex())
     ctx = ctx or default_context()
     if isinstance(u, (int, Fraction)) and u == 1:
         return ctx.zero

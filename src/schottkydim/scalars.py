@@ -225,16 +225,8 @@ class IntervalContext:
         return f"IntervalContext(bits={self.bits})"
 
     @property
-    def one(self):
-        return self._ctx.mpf(1)
-
-    @property
     def zero(self):
         return self._ctx.mpf(0)
-
-    @property
-    def pi(self):
-        return +self._ctx.pi
 
     def from_rational(self, q: Rational):
         """Tightest representable enclosure of an integer or Fraction."""
@@ -258,14 +250,8 @@ class IntervalContext:
     def sqrt(self, x):
         return self._ctx.sqrt(self.convert(x))
 
-    def exp(self, x):
-        return self._ctx.exp(self.convert(x))
-
     def log(self, x):
         return self._ctx.log(self.convert(x))
-
-    def sin(self, x):
-        return self._ctx.sin(self.convert(x))
 
     def acosh(self, x):
         # acosh(u) = log(u + sqrt(u^2 - 1)); enclosure-safe for u >= 1

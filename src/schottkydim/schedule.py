@@ -102,12 +102,11 @@ class ValidationReport:
     def summary(self) -> str:
         if self.ok:
             return "schedule admissible"
-        lines = [f"{kind} at {indices}: {detail}"
-                 for kind, indices, detail in self.violations]
-        return "\n".join(lines)
+        return "; ".join(f"{kind} at {indices}: {detail}"
+                         for kind, indices, detail in self.violations)
 
 
-# The largest index a command builds the built-in schedule to.  Index i
+# The largest index the built-in schedule is built to.  Index i
 # takes about i^2 bits, so the schedule to index n takes about n^3/3 bits,
 # and a word disk over indices near n about n^2 bits a letter.
 MAX_PAPER_INDEX = 100
@@ -118,9 +117,11 @@ def paper_radius(i: int) -> Fraction:
 
 
 def paper_schedule(count: int) -> GeneratorSchedule:
-    """The built-in schedule for indices 1..count."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    """The built-in schedule for indices 1..count, 1 <= count <=
+    MAX_PAPER_INDEX."""
+    if not 1 <= count <= MAX_PAPER_INDEX:
+        raise ValueError(f"the built-in schedule goes from index 1 to "
+                         f"{MAX_PAPER_INDEX}; count {count} is out of range")
     entries = []
     c = Fraction(0)
     for i in range(1, count + 1):
@@ -177,7 +178,7 @@ def schedule_from_json_dict(data: Dict) -> GeneratorSchedule:
     schedule = GeneratorSchedule(entries, provenance=provenance)
     report = validate_schedule(schedule)
     if not report.ok:
-        raise ValueError("inadmissible schedule:\n" + report.summary())
+        raise ValueError("inadmissible schedule: " + report.summary())
     return schedule
 
 

@@ -241,8 +241,8 @@ def near_one_schedule(eps):
     """Two disks whose radii to the 1/2 sum to 1 + eps: the window radius
     check is decided only once the enclosures are narrower than eps."""
     r2 = (Fraction(1, 2) + eps) ** 2
-    return GeneratorSchedule((ScheduleEntry(1, Fraction(0), Fraction(1, 4)),
-                              ScheduleEntry(2, Fraction(5), r2)))
+    return GeneratorSchedule((ScheduleEntry(2, Fraction(0), Fraction(1, 4)),
+                              ScheduleEntry(3, Fraction(5), r2)))
 
 
 def test_adaptive_precision_starts_at_64_bits():
@@ -254,12 +254,12 @@ def test_adaptive_precision_starts_at_64_bits():
 
 def test_undecided_check_doubles_the_bits():
     schedule = near_one_schedule(Fraction(1, 2 ** 80))
-    at_64 = certify_dimension_upper(schedule, 0, 2, 2, Fraction(1, 2),
+    at_64 = certify_dimension_upper(schedule, 1, 2, 2, Fraction(1, 2),
                                     IntervalContext(64))
     radii = at_64.checks[0]
     assert radii.name == "radii_sum_window"
     assert radii.lhs_lo <= 1 < radii.lhs_hi  # undecided at 64 bits
-    cert = certify_dimension_upper(schedule, 0, 2, 2, Fraction(1, 2))
+    cert = certify_dimension_upper(schedule, 1, 2, 2, Fraction(1, 2))
     assert cert.backend_bits == 128
     assert cert.checks[0].lhs_lo > 1 and not cert.checks[0].holds
     assert reverify(cert, schedule)
@@ -269,7 +269,7 @@ def test_adaptive_precision_stops_at_its_cap(monkeypatch):
     from schottkydim import certify
     monkeypatch.setattr(certify, "MAX_ADAPTIVE_BITS", 128)
     schedule = near_one_schedule(Fraction(1, 2 ** 200))
-    cert = certify_dimension_upper(schedule, 0, 2, 2, Fraction(1, 2))
+    cert = certify_dimension_upper(schedule, 1, 2, 2, Fraction(1, 2))
     assert cert.backend_bits == 128
     radii = cert.checks[0]
     assert radii.lhs_lo <= 1 < radii.lhs_hi and not radii.holds
@@ -294,6 +294,27 @@ def test_certify_refuses_huge_windows_before_building(k, m, n, monkeypatch):
     with pytest.raises(ValueError):
         certify_dimension_upper(paper_schedule(k + m), k, m, n,
                                 Fraction(1, 4))
+
+
+@pytest.mark.parametrize("k,m,n,alpha,jobs", [
+    (2, 1, 2, Fraction(1, 4), 1),    # one letter
+    (2, 6, 2, Fraction(1, 4), 0),    # no worker
+    (2, 6, 2, Fraction(1, 4), -2),
+    (0, 6, 2, Fraction(1, 4), 1),    # the bound 1/(2k) needs k >= 1
+    (2, 6, 1, Fraction(1, 4), 1),    # one level
+    (2, 6, 2, Fraction(0), 1),       # alpha outside (0, 1]
+    (2, 6, 2, Fraction(3, 2), 1),
+])
+def test_certify_refuses_bad_requests_before_building(k, m, n, alpha, jobs,
+                                                      monkeypatch):
+    from schottkydim import certify
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a window for a bad request")
+    for name in ("level_sums", "center_control", "radii_tail_bound"):
+        monkeypatch.setattr(certify, name, never)
+    with pytest.raises(ValueError):
+        certify_dimension_upper(SCHED, k, m, n, alpha, jobs=jobs)
 
 
 def test_reverify_hits_the_word_limit():

@@ -98,6 +98,17 @@ def test_certify_bad_backend(tmp_path):
                  "--backend", "float32"]) == 2
 
 
+@pytest.mark.parametrize("backend", ["hiprec:32", "hiprec:x", "hiprec"])
+def test_certify_bad_hiprec_bits(backend, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--k", "2", "--alpha", "1/4", "--backend", backend,
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k": 2, "alpha": "1/4", "m": 6, "n": 2,
@@ -216,8 +227,51 @@ def test_inadmissible_schedule_is_config_error(tmp_path, capsys):
         "entries": [{"i": 1, "c": "0", "r": "1/2"},
                     {"i": 2, "c": "1/2", "r": "1/2"},
                     {"i": 3, "c": "5", "r": "1/2"}]}))
-    assert_clean_exit_2(["certify", "--k", "0", "--alpha", "1/2", "--m", "3",
+    # a valid k: the schedule file alone is at fault
+    assert_clean_exit_2(["certify", "--k", "1", "--alpha", "1/2", "--m", "3",
                          "--n", "2", "--schedule", str(sched)], capsys)
+
+
+def test_unknown_config_keys_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # "N" is no flag of certify: the window would silently default to n = 4
+    cfg.write_text(json.dumps({"k": 2, "alpha": "1/4", "N": 6, "jobs": 1,
+                               "out": str(tmp_path / "c.json")}))
+    assert main(["certify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config keys that no flag of certify defines: N\n"
+    assert not (tmp_path / "c.json").exists()
+    # --jobs is a flag of certify only
+    cfg.write_text(json.dumps({"jobs": 2, "depth": 1,
+                               "out": str(tmp_path / "t.svg")}))
+    assert_clean_exit_2(["render", "--config", str(cfg)], capsys)
+    assert not (tmp_path / "t.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--k", "abc", "--alpha", "1/4"],    # a bad int
+    ["certify", "--k", "2", "--alpha", "1/4", "--bogus"],  # an unknown flag
+    [],                                             # no subcommand
+    ["frobnicate"],
+    # --backend and --jobs are flags of certify only
+    ["render", "--jobs", "2"],
+    ["render", "--jobs", "7", "--backend", "hiprec:99"],
+    ["estimate", "--backend", "hiprec:64"],
+    ["schedule", "--jobs", "1"],
+    ["explore", "--word", "1,2", "--periodic", "--backend", "nonsense"],
+])
+def test_parse_errors_exit_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert_clean_exit_2(argv, capsys)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["certify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_missing_window_indices_is_config_error(tmp_path, capsys):

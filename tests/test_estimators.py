@@ -27,6 +27,10 @@ def test_bisect_single_word_has_no_root():
     single = GeneratorSchedule((ScheduleEntry(1, Fraction(0), Fraction(1, 4)),),
                                provenance="user")
     with pytest.raises(BracketError):
+        level_dimension_bisect(single, 0, 1, 1,
+                               log_radii=[math.log(0.25)])
+    # a one-letter window is refused before its levels are built
+    with pytest.raises(ValueError, match="m >= 2"):
         level_dimension_bisect(single, 0, 1, 1)
 
 
@@ -177,3 +181,40 @@ def test_one_pass_log_radii_are_the_per_level_ones():
         assert log_radii == _level_log_radii(SCHED, 2, 4, n)
         assert level_dimension_bisect(SCHED, 2, 4, n, log_radii=log_radii) \
             == level_dimension_bisect(SCHED, 2, 4, n)
+
+
+# ---------------------------------------------------------------------------
+# size limits, checked before anything is built
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k,m,n", [
+    (2, 9, 12),      # about 8.8e10 words
+    (2, 2, 101),     # few words, but too long
+    (2, 3, 17),      # 393,213 words: beyond the exact-size budget
+    (2, 1, 3),       # one letter
+    (2, 3, 0),       # no level
+])
+def test_level_limits_refuse_before_building(k, m, n, monkeypatch):
+    from schottkydim import estimators
+
+    def never(*args, **kwargs):
+        raise AssertionError("built levels beyond the limits")
+    monkeypatch.setattr(estimators, "word_radius_levels", never)
+    monkeypatch.setattr(estimators, "disk_levels", never)
+    sched = paper_schedule(11)
+    with pytest.raises(ValueError):
+        level_dimension_bisect(sched, k, m, n)
+    with pytest.raises(ValueError):
+        next(estimators.level_log_radii(sched, k, m, n))
+    with pytest.raises(ValueError):
+        next(estimators.estimate_levels(sched, k, m, n, min(n + 1, 4)))
+
+
+def test_box_count_tree_counts_toward_the_word_limit(monkeypatch):
+    from schottkydim import estimators
+    monkeypatch.setattr(estimators, "MAX_WORDS", 3 + 6)
+    # n_max 1 with a depth-2 tree builds the words of length 1 and 2
+    assert len(list(estimators.estimate_levels(SCHED, 2, 3, 1, 2))) == 2
+    monkeypatch.setattr(estimators, "MAX_WORDS", 3 + 6 - 1)
+    with pytest.raises(ValueError, match="reduced words"):
+        next(estimators.estimate_levels(SCHED, 2, 3, 1, 2))

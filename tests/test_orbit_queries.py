@@ -17,8 +17,10 @@ from schottkydim import explore
 from schottkydim.explore import (MAX_ORBIT_POINTS, OrbitBall, WordPath,
                                  conicality_profile, default_basepoint,
                                  dirichlet_membership, geodesic_ray_point,
-                                 limit_point, orbit_distance, orbit_size)
+                                 jorgensen_check, limit_point,
+                                 orbit_distance)
 from schottkydim.schedule import paper_schedule
+from schottkydim.words import count_words
 
 SCHED = paper_schedule(10)
 
@@ -188,11 +190,11 @@ def raw(points):
 def test_ball_points_equal_breadth_first_oracle(radius, alphabet):
     ball = OrbitBall.build(SCHED, BASE, radius, alphabet)
     oracle = oracle_ball_points(SCHED, BASE, radius, alphabet)
-    assert len(ball.points) == len(oracle) == orbit_size(len(alphabet),
-                                                         radius) + 1
+    assert len(ball.points) == len(oracle) == \
+        count_words(len(alphabet), radius, MAX_ORBIT_POINTS) + 1
     assert raw(ball.points) == raw(oracle)
     expected = OrbitBall(basepoint=ball.basepoint, radius=radius,
-                         alphabet=alphabet, points=oracle)
+                         points=oracle)
     assert ball._log_heights == expected._log_heights
     assert ball._by_height == expected._by_height
 
@@ -211,8 +213,7 @@ def hand_ball(*points):
     """An OrbitBall over explicit (x, y) points; the first is the basepoint."""
     words = [(), (1,), (2,), (1, 2)]
     pts = [(word, explore._point(x, y)) for word, (x, y) in zip(words, points)]
-    return OrbitBall(basepoint=pts[0][1], radius=1, alphabet=(1, 2),
-                     points=pts)
+    return OrbitBall(basepoint=pts[0][1], radius=1, points=pts)
 
 
 @pytest.mark.parametrize("excess", [1e-13, 1e-9, 1e-3, 0.5])
@@ -271,11 +272,41 @@ def test_ball_rejects_negative_radius_and_bad_basepoint():
 
 
 def test_orbit_size_counts_reduced_words():
+    def size(letters, radius):
+        return count_words(letters, radius, MAX_ORBIT_POINTS)
     for letters in (1, 2, 3, 4):
         for radius in range(5):
             ball = OrbitBall.build(SCHED, BASE, radius,
                                    tuple(range(1, letters + 1)))
-            assert orbit_size(letters, radius) == len(ball) - 1
+            assert size(letters, radius) == len(ball) - 1
     # huge radii are counted only up to the cap
-    assert MAX_ORBIT_POINTS < orbit_size(4, 10 ** 9) <= 4 * MAX_ORBIT_POINTS
-    assert MAX_ORBIT_POINTS < orbit_size(2, 10 ** 9) <= MAX_ORBIT_POINTS + 2
+    assert MAX_ORBIT_POINTS < size(4, 10 ** 9) <= 4 * MAX_ORBIT_POINTS
+    assert MAX_ORBIT_POINTS < size(2, 10 ** 9) <= MAX_ORBIT_POINTS + 2
+
+
+def never(*args, **kwargs):
+    raise AssertionError("built an orbit ball beyond the limits")
+
+
+@pytest.mark.parametrize("radius", [-1, 10, 10 ** 9])
+@pytest.mark.parametrize("query", [
+    lambda radius: OrbitBall.build(SCHED, BASE, radius, (1, 2, 3, 4)),
+    # both default to the schedule's first four indices
+    lambda radius: conicality_profile(SCHED, BASE, None, 5.0, radius, 0.25),
+    lambda radius: jorgensen_check(SCHED, BASE, None, 5.0, radius, 0.25),
+], ids=["build", "conicality_profile", "jorgensen_check"])
+def test_ball_limits_refuse_before_building(query, radius, monkeypatch):
+    # 4 letters: radius 10 gives 4 * (3^10 - 1) / 2 = 118,096 orbit points
+    monkeypatch.setattr(explore, "_mpf_mirror", never)
+    monkeypatch.setattr(explore, "labelled_levels", never)
+    with pytest.raises(ValueError, match="ball radius"):
+        query(radius)
+
+
+@pytest.mark.parametrize("horizon", [5.0, 0.0])
+def test_ray_queries_check_the_ball_at_every_horizon(horizon):
+    for query in (conicality_profile, jorgensen_check):
+        with pytest.raises(ValueError, match="ball radius"):
+            query(SCHED, BASE, None, horizon, -1, 0.25)
+        with pytest.raises(ValueError, match="upper half-plane"):
+            query(SCHED, (Fraction(0), Fraction(-1)), None, horizon, 1, 0.25)

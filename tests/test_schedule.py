@@ -115,3 +115,28 @@ def test_neighbour_check_equals_pairwise_check(disks):
 
 def test_builtin_schedule_to_the_largest_index_validates():
     assert validate_schedule(paper_schedule(100)).ok
+
+
+@pytest.mark.parametrize("count", [0, -1, 101, 10 ** 9])
+def test_builtin_schedule_index_limit_refuses_before_building(count,
+                                                              monkeypatch):
+    from schottkydim import schedule
+
+    def never(*args, **kwargs):
+        raise AssertionError("built an entry beyond the limit")
+    monkeypatch.setattr(schedule, "ScheduleEntry", never)
+    with pytest.raises(ValueError, match="index 1 to 100"):
+        paper_schedule(count)
+
+
+def test_violations_are_reported_on_one_line():
+    bad = {"model": "upper-half-plane", "provenance": "user",
+           "entries": [{"i": 1, "c": "0", "r": "1/2"},
+                       {"i": 2, "c": "1/2", "r": "1/2"},
+                       {"i": 3, "c": "2", "r": "2"}]}
+    with pytest.raises(ValueError) as info:
+        schedule_from_json(json.dumps(bad))
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith("inadmissible schedule: ")
+    assert message.count("; ") == 2  # three violations
