@@ -20,10 +20,9 @@ from typing import List, Optional, Sequence
 
 from .estimators import MAX_EXACT_SIZE, exact_size
 from .schedule import GeneratorSchedule
-from .scalars import (DyadicPower, IntervalContext, certainly_le,
-                      decidable_le, default_context, dyadic_sum,
-                      format_rational, interval_context, lower,
-                      parse_rational, upper)
+from .scalars import (DEFAULT_PRECISION_BITS, DyadicPower, certainly_le,
+                      decidable_le, dyadic_sum, format_rational, lower,
+                      parse_rational, round_dyadic, upper)
 from .words import count_words, word_radius_levels
 
 CERTIFIED = "certified"
@@ -83,7 +82,7 @@ def _pool_partials(schedule, k, m, n_max, alpha, bits, letters, workers):
 
 
 def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
-               alpha: Fraction, ctx: Optional[IntervalContext] = None,
+               alpha: Fraction, bits: int = DEFAULT_PRECISION_BITS,
                jobs: int = 1) -> list:
     """Enclosures of S_1, ..., S_{n_max}, where S_n is the sum of r_w^alpha
     over all reduced words w of length n in the window alphabet
@@ -91,37 +90,42 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
 
     Radii are exact rationals, one integer inversion per word (see
     :func:`~schottkydim.words.word_radius_levels`).  Each power is a dyadic
-    enclosure in plain integers at ``ctx.bits`` bits
+    enclosure in plain integers at ``bits`` bits
     (:class:`~schottkydim.scalars.DyadicPower`), and the enclosures are added
     exactly, so a level's sum does not depend on the order of its words or
-    letters, nor on ``jobs``.  Each exact sum is rounded outward once, into
-    ``ctx``, so each result encloses the true window sum.
+    letters, nor on ``jobs``.  Each exact sum is rounded outward once to
+    ``bits`` bits (:func:`~schottkydim.scalars.round_dyadic`), so each result
+    is a dyadic enclosure (lo, hi, E) of the true window sum.
     With ``jobs`` >= 2 the letters are split among :func:`worker_count`
     worker processes, each of which builds levels 1..n_max-1 itself and hands
     back its letters' exact partials as plain integers.
     """
-    ctx = ctx or default_context()
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     letters = schedule.window(k, m)
     workers = worker_count(jobs, len(letters))
     if workers > 1 and n_max > 1:
-        partials = _pool_partials(schedule, k, m, n_max, alpha, ctx.bits,
+        partials = _pool_partials(schedule, k, m, n_max, alpha, bits,
                                   letters, workers)
     else:
-        partials = _letter_partials(schedule, k, m, n_max, alpha, ctx.bits,
+        partials = _letter_partials(schedule, k, m, n_max, alpha, bits,
                                     letters)
-    return [ctx.from_dyadic(dyadic_sum(partials[letter][n]
-                                       for letter in letters))
+    return [round_dyadic(dyadic_sum(partials[letter][n] for letter in letters),
+                         bits)
             for n in range(n_max)]
 
 
 def alpha_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,
-              alpha: Fraction, ctx: Optional[IntervalContext] = None,
-              jobs: int = 1):
-    """The level-n window sum S_n of :func:`level_sums`."""
-    return level_sums(schedule, k, m, n, alpha, ctx, jobs)[-1]
+              alpha: Fraction, ctx=None, jobs: int = 1):
+    """The level-n window sum S_n of :func:`level_sums`, at ``ctx.bits``
+    bits (:data:`~schottkydim.scalars.DEFAULT_PRECISION_BITS` without
+    ``ctx``)."""
+    # It takes an interval context, and reads only its bits, because
+    # bench/harness.py passes one; it stays until the benchmark calls
+    # level_sums (ROADMAP item 1).
+    bits = DEFAULT_PRECISION_BITS if ctx is None else ctx.bits
+    return level_sums(schedule, k, m, n, alpha, bits, jobs)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,7 @@ def alpha_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,
 # ---------------------------------------------------------------------------
 
 def radii_tail_bound(schedule: GeneratorSchedule, k: int, alpha: Fraction,
-                     i0: int, ctx: Optional[IntervalContext] = None):
+                     i0: int, bits: int = DEFAULT_PRECISION_BITS):
     """Enclosure of the truncated generator-radius sum plus a certified bound
     on its infinite tail.
 
@@ -138,11 +142,10 @@ def radii_tail_bound(schedule: GeneratorSchedule, k: int, alpha: Fraction,
     2^(-2(2i+1) alpha), so under the condition (2 i0 + 1) alpha >= 1 the
     tail is geometric with ratio <= 1/2 and bounded by twice its first term.
 
-    Returns (truncated_sum, tail_bound) as enclosures: each an exact sum of
-    :class:`~schottkydim.scalars.DyadicPower` enclosures at ``ctx.bits``
-    bits, rounded outward once into ``ctx``.
+    Returns (truncated_sum, tail_bound) as dyadic enclosures (lo, hi, E):
+    each an exact sum of :class:`~schottkydim.scalars.DyadicPower`
+    enclosures at ``bits`` bits, rounded outward once to ``bits`` bits.
     """
-    ctx = ctx or default_context()
     alpha = Fraction(alpha)
     if not schedule.is_paper:
         raise TailBoundError("closed-form tail requires the built-in schedule")
@@ -154,10 +157,10 @@ def radii_tail_bound(schedule: GeneratorSchedule, k: int, alpha: Fraction,
         raise TailBoundError(
             f"term ratio 2^(-2(2 i0+1) alpha) > 1/2 at i0 = {i0}; "
             "increase the truncation point")
-    power = DyadicPower(alpha, ctx.bits)
+    power = DyadicPower(alpha, bits)
     trunc = power.sum((1, 2 ** (2 * i * i)) for i in range(k + 1, i0 + 1))
     lo, hi, e = power(1, 2 ** (2 * (i0 + 1) * (i0 + 1)))
-    return ctx.from_dyadic(trunc), ctx.from_dyadic((2 * lo, 2 * hi, e))
+    return round_dyadic(trunc, bits), round_dyadic((2 * lo, 2 * hi, e), bits)
 
 
 def paper_radii_bound(k: int) -> Fraction:
@@ -171,24 +174,17 @@ def paper_center_bound(k: int) -> Fraction:
 
 @dataclass
 class CenterControlResult:
-    k: int
-    m: int
-    alpha: Fraction
-    window_sum: object
-    tail: Optional[object]
+    window_sum: tuple
+    total: tuple
     bound: Fraction
     holds: bool
     complete: bool
     decided: bool
 
-    @property
-    def total(self):
-        return self.window_sum if self.tail is None else self.window_sum + self.tail
-
 
 def center_control(schedule: GeneratorSchedule, k: int, m: int,
                    alpha: Fraction,
-                   ctx: Optional[IntervalContext] = None) -> CenterControlResult:
+                   bits: int = DEFAULT_PRECISION_BITS) -> CenterControlResult:
     """The center-gap criterion: the double sum over ordered index pairs of
     (1/(|c_i - c_j| - 1))^(2 alpha) must not exceed 1.
 
@@ -198,15 +194,15 @@ def center_control(schedule: GeneratorSchedule, k: int, m: int,
     user schedules only the window part is computed and the result is marked
     incomplete.  The window part and the tail are each an exact sum of
     :class:`~schottkydim.scalars.DyadicPower` enclosures, rounded outward
-    once into ``ctx``.  ``decided`` says whether the enclosures settle the
+    once to ``bits`` bits, and their total is their exact sum rounded
+    outward again.  ``decided`` says whether the enclosures settle the
     comparison with the bound either way.
     """
-    ctx = ctx or default_context()
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     window = schedule.window(k, m)
-    power = DyadicPower(2 * alpha, ctx.bits)
+    power = DyadicPower(2 * alpha, bits)
     inverse_gaps = []
     for pos, i in enumerate(window):
         ci = schedule.entry(i).center
@@ -216,7 +212,7 @@ def center_control(schedule: GeneratorSchedule, k: int, m: int,
                 raise ValueError(f"|c_{i} - c_{j}| <= 1; criterion undefined")
             inverse_gaps.append((gap.denominator, gap.numerator))
     lo, hi, e = power.sum(inverse_gaps)
-    window_sum = ctx.from_dyadic((2 * lo, 2 * hi, e))  # both orderings
+    window_sum = round_dyadic((2 * lo, 2 * hi, e), bits)  # both orderings
     tail = None
     if schedule.is_paper:
         w = k + m
@@ -226,15 +222,16 @@ def center_control(schedule: GeneratorSchedule, k: int, m: int,
         # alpha (2w+3) >= 1, giving tail <= 4 m 2^(-2 alpha ((w+1)^2+2)).
         if alpha * (2 * w + 3) >= 1:
             lo, hi, e = power(1, 2 ** ((w + 1) ** 2 + 2))
-            tail = ctx.from_dyadic((4 * m * lo, 4 * m * hi, e))
+            tail = round_dyadic((4 * m * lo, 4 * m * hi, e), bits)
     bound = paper_center_bound(k) if schedule.is_paper else Fraction(1)
-    total = window_sum if tail is None else window_sum + tail
+    total = (window_sum if tail is None
+             else round_dyadic(dyadic_sum((window_sum, tail)), bits))
     # without a tail the built-in schedule's check fails at any precision
     missing_tail = schedule.is_paper and tail is None
     holds = not missing_tail and certainly_le(total, bound)
     decided = missing_tail or decidable_le(total, bound)
-    return CenterControlResult(k=k, m=m, alpha=alpha, window_sum=window_sum,
-                               tail=tail, bound=bound, holds=holds,
+    return CenterControlResult(window_sum=window_sum, total=total,
+                               bound=bound, holds=holds,
                                complete=tail is not None, decided=decided)
 
 
@@ -251,10 +248,25 @@ FORMAT_VERSION = 2
 # anything is built: about ten times the 23,436 of (k, m, n) = (3, 6, 6).
 MAX_CERTIFY_WORDS = 250_000
 
-# Without a context, certify starts at MIN_ADAPTIVE_BITS and doubles the
-# bits while some check is undecided, up to MAX_ADAPTIVE_BITS.
+# Without fixed bits, certify starts at MIN_ADAPTIVE_BITS and doubles the
+# bits while some check is undecided, up to MAX_ADAPTIVE_BITS.  Fixed bits
+# must be at least MIN_ADAPTIVE_BITS.
 MIN_ADAPTIVE_BITS = 64
 MAX_ADAPTIVE_BITS = 1024
+
+# Most work on integer roots one certify may take on at one precision, in
+# the units of _power_cost: power calls times the square of each root
+# argument's bits.  A call's time grows as that square (CPython's long
+# division is quadratic).  Measured with Python 3.11.7 on a 2-vCPU host:
+# 2.4e-13 to 7.3e-13 s per unit at 10^5 to 10^7 bits per argument --
+# (k, m, n) = (1, 2, 2) at alpha = 1/1000 costs 4.7e12 (2.2 s) and at
+# 1/2000 3.7e13 (14.9 s), at 9999/10000 8.3e12 (2.0 s) and at 19999/20000
+# 3.3e13 (7.9 s); (2, 3, 3) at 200,000 bits costs 1.9e13 (12.5 s).  The
+# deepest benchmark shape, (3, 6, 6), costs 2.0e9 at 64 bits (0.3 s) and
+# 3.8e12 at 1,024 bits (7.1 s), and alpha = 1/196 at (98, 2, 2) 3.9e11 at
+# 1,024 bits (0.3 s).  So a refused request would have run for seconds to
+# hours; an accepted one runs for a few seconds of roots at most.
+MAX_POWER_COST = 10 ** 13
 
 
 def _relative(num: Fraction, den: Fraction) -> Optional[float]:
@@ -409,30 +421,14 @@ def certificate_from_json(text: str) -> Certificate:
     )
 
 
-def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
-                            n_max: int, alpha: Fraction,
-                            ctx: Optional[IntervalContext] = None,
-                            jobs: int = 1) -> Certificate:
-    """Run the full inequality bundle and assemble a certificate.
-
-    Checks, in order: the radius-sum tail bound, the center-control
-    criterion (which implies level monotonicity for the whole infinite
-    family), and direct levelwise monotonicity of the window alpha-sums as
-    corroboration.  The verdict is "certified" only when every check holds
-    with separated enclosures and the infinite parts are covered by
-    closed-form tails.
-
-    ``ctx`` fixes the precision of every enclosure.  Without it the
-    precision is adaptive: the bundle runs at :data:`MIN_ADAPTIVE_BITS` and
-    again at twice the bits while some check is undecided
-    (:func:`~schottkydim.scalars.decidable_le`), up to
-    :data:`MAX_ADAPTIVE_BITS`.  The certificate records the bits used.
-    k < 1, m < 2, alpha outside (0, 1], n_max < 2, jobs < 1, and a window
-    of more than :data:`MAX_CERTIFY_WORDS` reduced words over levels
-    1..n_max or beyond the exact-size budget of
-    :func:`~schottkydim.estimators.exact_size` are refused with ValueError
-    before anything is built.
-    """
+def check_arguments(k: int, m: int, n_max: int, alpha: Fraction,
+                    bits: Optional[int] = None, jobs: int = 1) -> int:
+    """Refuse a certify request with ValueError before anything is built:
+    k < 1, m < 2, alpha outside (0, 1], n_max < 2, fixed ``bits`` below
+    :data:`MIN_ADAPTIVE_BITS`, jobs < 1, and a window of more than
+    :data:`MAX_CERTIFY_WORDS` reduced words over levels 1..n_max or beyond
+    the exact-size budget of :func:`~schottkydim.estimators.exact_size`.
+    Returns the window's reduced words over levels 1..n_max."""
     alpha = Fraction(alpha)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -442,6 +438,9 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
         raise ValueError("alpha must lie in (0, 1]")
     if n_max < 2:
         raise ValueError("n_max must be >= 2: level monotonicity needs two levels")
+    if bits is not None and bits < MIN_ADAPTIVE_BITS:
+        raise ValueError(f"certify's precision must be at least "
+                         f"{MIN_ADAPTIVE_BITS} bits, got {bits}")
     worker_count(jobs, m)  # refuses jobs < 1
     words = count_words(m, n_max, MAX_CERTIFY_WORDS)
     if words > MAX_CERTIFY_WORDS:
@@ -452,84 +451,125 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
         raise ValueError(f"k = {k}, m = {m}, n = {n_max} needs exact "
                          f"rationals beyond the budget of {MAX_EXACT_SIZE} "
                          f"(see estimators.exact_size)")
-    if ctx is not None:
-        return _certify_at(schedule, k, m, n_max, alpha, ctx, jobs)[0]
+    return words
+
+
+def _truncation_point(k: int, m: int, alpha: Fraction) -> int:
+    """i0 of the radius tail: past the window, and far enough that the
+    tail's term ratio is at most 1/2 (see :func:`radii_tail_bound`)."""
+    return max(k + m, math.ceil(Fraction(1, 2) / alpha - Fraction(1, 2)))
+
+
+def _power_cost(schedule: GeneratorSchedule, k: int, m: int, words: int,
+                alpha: Fraction, bits: int) -> int:
+    """The power calls of one certify at ``bits`` bits times the square of
+    each call's root argument bits, q (bits + GUARD_BITS) for alpha = p/q.
+    The calls are the level words, the window's center pairs, and the
+    radii: the window's for a user schedule, those up to the truncation
+    point and the two tails for the built-in one."""
+    calls = words + m * (m - 1) // 2
+    if schedule.is_paper:
+        calls += _truncation_point(k, m, alpha) - k + 2
+    else:
+        calls += m
+    return calls * (alpha.denominator * (bits + DyadicPower.GUARD_BITS)) ** 2
+
+
+def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
+                            n_max: int, alpha: Fraction,
+                            bits: Optional[int] = None,
+                            jobs: int = 1) -> Certificate:
+    """Run the full inequality bundle and assemble a certificate.
+
+    Checks, in order: the radius-sum tail bound, the center-control
+    criterion (which implies level monotonicity for the whole infinite
+    family), and direct levelwise monotonicity of the window alpha-sums as
+    corroboration.  The verdict is "certified" only when every check holds
+    with separated enclosures and the infinite parts are covered by
+    closed-form tails.
+
+    ``bits`` fixes the precision of every enclosure.  Without it the
+    precision is adaptive: the bundle runs at :data:`MIN_ADAPTIVE_BITS` and
+    again at twice the bits while some check is undecided
+    (:func:`~schottkydim.scalars.decidable_le`), up to
+    :data:`MAX_ADAPTIVE_BITS` and while the doubled precision stays within
+    :data:`MAX_POWER_COST`.  The certificate records the bits used.  The
+    requests :func:`check_arguments` refuses, and one whose powers cost more
+    than :data:`MAX_POWER_COST` at its first precision
+    (:func:`_power_cost`), are refused with ValueError before anything is
+    built.
+    """
+    alpha = Fraction(alpha)
+    words = check_arguments(k, m, n_max, alpha, bits, jobs)
+    first = MIN_ADAPTIVE_BITS if bits is None else bits
+    cost = _power_cost(schedule, k, m, words, alpha, first)
+    if cost > MAX_POWER_COST:
+        raise ValueError(f"k = {k}, m = {m}, n = {n_max}, alpha = "
+                         f"{format_rational(alpha)} at {first} bits costs "
+                         f"{cost:.1e} in integer roots, beyond the budget "
+                         f"of {MAX_POWER_COST:.0e} (see "
+                         f"certify.MAX_POWER_COST)")
+    if bits is not None:
+        return _certify_at(schedule, k, m, n_max, alpha, bits, jobs)[0]
     bits = MIN_ADAPTIVE_BITS
     while True:
-        cert, decided = _certify_at(schedule, k, m, n_max, alpha,
-                                    interval_context(bits), jobs)
-        if decided or bits >= MAX_ADAPTIVE_BITS:
+        cert, decided = _certify_at(schedule, k, m, n_max, alpha, bits, jobs)
+        if (decided or bits >= MAX_ADAPTIVE_BITS
+                or _power_cost(schedule, k, m, words, alpha,
+                               2 * bits) > MAX_POWER_COST):
             return cert
         bits *= 2
 
 
+def _record(name: str, lhs, rhs: Fraction, note: str,
+            holds: Optional[bool] = None,
+            tail_bound_used: bool = False) -> CheckRecord:
+    """The check lhs <= rhs for an enclosure ``lhs``: unless ``holds`` says
+    otherwise, it holds when the whole enclosure lies at or below rhs."""
+    return CheckRecord(
+        name=name, lhs_lo=lower(lhs), lhs_hi=upper(lhs), rhs=rhs,
+        holds=certainly_le(lhs, rhs) if holds is None else holds,
+        tail_bound_used=tail_bound_used, note=note)
+
+
 def _certify_at(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
-                alpha: Fraction, ctx: IntervalContext, jobs: int):
-    """The certificate at ``ctx``'s precision, and whether every check is
-    decided there: a check that fails at any precision counts as decided."""
-    checks: List[CheckRecord] = []
-    complete = True
-    decided = True
-
-    # radius-sum hypothesis with analytic tail
+                alpha: Fraction, bits: int, jobs: int):
+    """The certificate at ``bits`` bits, and whether every check is decided
+    there: a check that fails at any precision counts as decided."""
+    # radius-sum hypothesis, with the analytic tail for the built-in schedule
     if schedule.is_paper:
-        i0 = max(k + m, math.ceil((Fraction(1, 2) / alpha - Fraction(1, 2))))
-        rhs = paper_radii_bound(k)
-        try:
-            trunc, tail = radii_tail_bound(schedule, k, alpha, i0, ctx)
-            total = trunc + tail
-            decided = decidable_le(total, rhs)
-            checks.append(CheckRecord(
-                name="radii_tail",
-                lhs_lo=lower(total), lhs_hi=upper(total),
-                rhs=rhs, holds=certainly_le(total, rhs),
-                tail_bound_used=True,
-                note=f"truncated at i0={i0} plus geometric tail"))
-        except TailBoundError as exc:
-            checks.append(CheckRecord(
-                name="radii_tail", lhs_lo=Fraction(0), lhs_hi=Fraction(0),
-                rhs=rhs, holds=False, tail_bound_used=False,
-                note=f"tail bound unavailable: {exc}"))
+        i0 = _truncation_point(k, m, alpha)
+        trunc, tail = radii_tail_bound(schedule, k, alpha, i0, bits)
+        total = round_dyadic(dyadic_sum((trunc, tail)), bits)
+        radii = _record("radii_tail", total, paper_radii_bound(k),
+                        f"truncated at i0={i0} plus geometric tail",
+                        tail_bound_used=True)
     else:
-        radii = (schedule.entry(i).radius for i in schedule.window(k, m))
-        window_total = ctx.from_dyadic(DyadicPower(alpha, ctx.bits).sum(
-            (r.numerator, r.denominator) for r in radii))
-        decided = decidable_le(window_total, 1)
-        checks.append(CheckRecord(
-            name="radii_sum_window",
-            lhs_lo=lower(window_total), lhs_hi=upper(window_total),
-            rhs=Fraction(1), holds=certainly_le(window_total, 1),
-            tail_bound_used=False,
-            note="window only; no closed-form tail for user schedules"))
-        complete = False
+        window = (schedule.entry(i).radius for i in schedule.window(k, m))
+        total = round_dyadic(DyadicPower(alpha, bits).sum(
+            (r.numerator, r.denominator) for r in window), bits)
+        radii = _record("radii_sum_window", total, Fraction(1),
+                        "window only; no closed-form tail for user schedules")
+    cc = center_control(schedule, k, m, alpha, bits)
+    decided = decidable_le(total, radii.rhs) and cc.decided
+    checks = [radii, _record(
+        "center_control", cc.total, cc.bound,
+        "window pairs plus gap-bound tail" if cc.complete
+        else "window pairs only", holds=cc.holds, tail_bound_used=cc.complete)]
 
-    cc = center_control(schedule, k, m, alpha, ctx)
-    total = cc.total
-    decided = decided and cc.decided
-    checks.append(CheckRecord(
-        name="center_control",
-        lhs_lo=lower(total), lhs_hi=upper(total),
-        rhs=cc.bound, holds=cc.holds,
-        tail_bound_used=cc.complete,
-        note="window pairs plus gap-bound tail" if cc.complete
-        else "window pairs only"))
-    complete = complete and cc.complete
-
-    sums = level_sums(schedule, k, m, n_max, alpha, ctx, jobs)
+    sums = level_sums(schedule, k, m, n_max, alpha, bits, jobs)
     for n in range(2, n_max + 1):
         prev, cur = sums[n - 2], sums[n - 1]
         decided = decided and decidable_le(cur, prev)
-        checks.append(CheckRecord(
-            name=f"level_monotonicity_n{n}",
-            lhs_lo=lower(cur), lhs_hi=upper(cur),
-            rhs=lower(prev),
-            holds=certainly_le(cur, lower(prev)),
-            note=f"window alpha-sum S_{n} against lower bound of S_{n - 1}"))
+        checks.append(_record(
+            f"level_monotonicity_n{n}", cur, lower(prev),
+            f"window alpha-sum S_{n} against lower bound of S_{n - 1}"))
 
+    complete = schedule.is_paper and cc.complete
     all_hold = all(c.holds for c in checks)
     verdict = CERTIFIED if (all_hold and complete) else NOT_CERTIFIED
     cert = Certificate(k=k, alpha=alpha, m=m, n_max=n_max, checks=checks,
-                       verdict=verdict, backend_bits=ctx.bits,
+                       verdict=verdict, backend_bits=bits,
                        schedule_provenance=schedule.provenance,
                        schedule_sha256=schedule.sha256())
     return cert, decided
@@ -542,10 +582,9 @@ def reverify(certificate: Certificate, schedule: GeneratorSchedule,
     computed on."""
     if certificate.schedule_sha256 != schedule.sha256():
         return False
-    ctx = interval_context(certificate.backend_bits)
     fresh = certify_dimension_upper(schedule, certificate.k, certificate.m,
                                     certificate.n_max, certificate.alpha,
-                                    ctx, jobs=jobs)
+                                    certificate.backend_bits, jobs=jobs)
     if fresh.verdict != certificate.verdict:
         return False
     if len(fresh.checks) != len(certificate.checks):
@@ -555,4 +594,3 @@ def reverify(certificate: Certificate, schedule: GeneratorSchedule,
                 (b.name, b.lhs_lo, b.lhs_hi, b.rhs, b.holds):
             return False
     return True
-

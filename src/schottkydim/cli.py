@@ -21,7 +21,7 @@ from typing import Optional
 from . import certify as certify_mod
 from . import estimators, explore, render
 from .hyperbolic import ends_floats
-from .scalars import IntervalContext, interval_context, parse_rational
+from .scalars import parse_rational
 from .schedule import GeneratorSchedule, load_schedule, paper_schedule
 from .words import ReducedWord
 
@@ -131,18 +131,17 @@ def _resolve(args, config: dict, key: str, default):
     return default
 
 
-def _context(backend: str) -> Optional[IntervalContext]:
-    """The fixed-precision context of ``hiprec:<bits>``; None for ``exact``,
-    which leaves the precision to the computation."""
+def _backend_bits(backend: str) -> Optional[int]:
+    """The fixed precision of ``hiprec:<bits>``; None for ``exact``, which
+    leaves the precision to the computation."""
     if backend == "exact":
         return None
     if not backend.startswith("hiprec:"):
         raise ValueError(f"unknown backend: {backend}")
     try:
-        bits = int(backend[len("hiprec:"):])
+        return int(backend[len("hiprec:"):])
     except ValueError:
         raise ValueError(f"bad backend spec: {backend}") from None
-    return interval_context(bits)
 
 
 def _schedule_for(path: Optional[str], needed_max_index: int) -> GeneratorSchedule:
@@ -182,10 +181,11 @@ def cmd_certify(args, config) -> int:
         raise ValueError(f"bad alpha: {alpha_text}") from exc
     n_max = int(_resolve(args, config, "n", 4))
     jobs = int(_resolve(args, config, "jobs", 1))
-    ctx = _context(str(_resolve(args, config, "backend", "exact")))
+    bits = _backend_bits(str(_resolve(args, config, "backend", "exact")))
+    certify_mod.check_arguments(k, m, n_max, alpha, bits, jobs)
     sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
     cert = certify_mod.certify_dimension_upper(sched, k, m, n_max, alpha,
-                                               ctx, jobs=jobs)
+                                               bits, jobs=jobs)
     out = _resolve(args, config, "out", "certificate.json")
     _write(out, cert.to_json())
     print(cert.summary())

@@ -1,39 +1,40 @@
-"""Dual arithmetic backends.
+"""Scalar backends: exact rationals, dyadic and mpmath enclosures, floats.
 
-All geometric quantities in this package are one of three scalar kinds:
+All geometric quantities in this package are one of four scalar kinds:
 
 * ``fractions.Fraction`` -- the exact backend.  Closed under every rational
   operation; carries no rounding error at all.
-* an mpmath interval (``ivmpf``) -- the high-precision backend.  Every value
-  is an enclosure [lo, hi] whose endpoints are binary floats, so the true
-  value is always contained in the interval and both endpoints convert
-  exactly to rationals.
+* a dyadic enclosure (lo, hi, E) of plain integers -- certification's
+  backend.  The value lies in [lo 2^-E, hi 2^-E]; :func:`dyadic_sum` adds
+  enclosures exactly and :func:`round_dyadic` rounds one outward to a fixed
+  number of bits.
+* an mpmath interval (``ivmpf``) -- the high-precision backend of the
+  hyperbolic distances.  Every value is an enclosure [lo, hi] whose
+  endpoints are binary floats.
 * plain ``float`` -- for heuristic diagnostics only, never for certification.
 
-Inequalities are *verified* only through :func:`certainly_le` /
-:func:`certainly_lt`, which demand separated enclosures (or exact rationals).
-An undecidable comparison is reported as such instead of being guessed.
+Every enclosure's endpoints convert exactly to rationals (:func:`lower`,
+:func:`upper`), and inequalities are *verified* only through
+:func:`certainly_le` / :func:`certainly_lt`, which demand separated
+enclosures (or exact rationals).  An undecidable comparison is reported as
+such instead of being guessed.
 
 The powers r^alpha of certification come from :class:`DyadicPower`, which
 encloses them between integers times a power of two by exact integer
-q-th roots; such enclosures add exactly and are rounded into an interval
-context once, by :meth:`IntervalContext.from_dyadic`.
-:class:`PowerEnclosure` (mpmath's exp and log) remains behind
+q-th roots.  :class:`PowerEnclosure` (mpmath's exp and log) remains behind
 :meth:`IntervalContext.pow_rational` and as the tests' oracle.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from fractions import Fraction
 from typing import Tuple, Union
 
 from mpmath import ctx_iv
-from mpmath.libmp import (fone, from_int, from_man_exp, mpi_div, mpi_exp,
-                          mpi_log, mpi_mul, round_ceiling, round_floor,
-                          to_rational)
+from mpmath.libmp import (fone, from_int, mpi_div, mpi_exp, mpi_log, mpi_mul,
+                          round_ceiling, round_floor, to_rational)
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -207,6 +208,19 @@ def dyadic_sum(terms) -> Tuple[int, int, int]:
             sum(hi << (top - E) for _, hi, E in terms), top)
 
 
+def round_dyadic(enclosure, bits: int) -> Tuple[int, int, int]:
+    """A dyadic enclosure (lo, hi, E) rounded outward to ``bits``
+    significant bits: lo 2^-E down and hi 2^-E up, each as mpmath's
+    ``from_man_exp`` rounds it with ``round_floor`` and ``round_ceiling``.
+    Both ends come back at one exponent."""
+    lo, hi, E = enclosure
+    lo_shift = max(0, abs(lo).bit_length() - bits)
+    hi_shift = max(0, abs(hi).bit_length() - bits)
+    lo, hi = lo >> lo_shift, -(-hi >> hi_shift)  # floor and ceiling
+    common = min(lo_shift, hi_shift)
+    return lo << (lo_shift - common), hi << (hi_shift - common), E - common
+
+
 class IntervalContext:
     """A fixed-precision interval arithmetic context.
 
@@ -215,8 +229,6 @@ class IntervalContext:
     """
 
     def __init__(self, bits: int = DEFAULT_PRECISION_BITS):
-        if bits < 64:
-            raise ValueError("interval precision must be at least 64 bits")
         self.bits = bits
         self._ctx = ctx_iv.MPIntervalContext()
         self._ctx.prec = bits
@@ -233,14 +245,6 @@ class IntervalContext:
         q = Fraction(q)
         return self._ctx.make_mpf(
             _ratio_endpoints(q.numerator, q.denominator, self.bits))
-
-    def from_dyadic(self, enclosure):
-        """The interval [lo 2^-E, hi 2^-E] of a dyadic enclosure (lo, hi, E),
-        rounded outward once to this context's precision."""
-        lo, hi, E = enclosure
-        return self._ctx.make_mpf(
-            (from_man_exp(lo, -E, self.bits, round_floor),
-             from_man_exp(hi, -E, self.bits, round_ceiling)))
 
     def convert(self, x):
         if isinstance(x, (int, Fraction)):
@@ -279,42 +283,34 @@ def default_context() -> IntervalContext:
     return _DEFAULT_CONTEXT
 
 
-@functools.lru_cache(maxsize=8)
-def interval_context(bits: int) -> IntervalContext:
-    """The shared context of one precision: building a context costs about
-    as much as a small certify request, and contexts hold no per-call
-    state."""
-    if bits == DEFAULT_PRECISION_BITS:
-        return _DEFAULT_CONTEXT
-    return IntervalContext(bits)
-
-
 def is_interval(x) -> bool:
     return type(x).__name__ == "ivmpf"
 
 
-def lower(x) -> Fraction:
-    """Exact rational lower endpoint of a scalar."""
+def _endpoint(x, end: int) -> Fraction:
+    """The exact lower (``end`` 0) or upper (``end`` 1) endpoint of a
+    scalar: a rational, a dyadic enclosure (lo, hi, E), an mpmath interval
+    or a float."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
+    if isinstance(x, tuple):
+        man, E = x[end], x[2]
+        return Fraction(man, 1 << E) if E >= 0 else Fraction(man << -E)
     if is_interval(x):
-        lo, _ = x._mpi_
-        return Fraction(*to_rational(lo))
+        return Fraction(*to_rational(x._mpi_[end]))
     if isinstance(x, numbers.Real):
         return Fraction(x)
     raise TypeError(f"not a scalar: {x!r}")
+
+
+def lower(x) -> Fraction:
+    """Exact rational lower endpoint of a scalar."""
+    return _endpoint(x, 0)
 
 
 def upper(x) -> Fraction:
     """Exact rational upper endpoint of a scalar."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if is_interval(x):
-        _, hi = x._mpi_
-        return Fraction(*to_rational(hi))
-    if isinstance(x, numbers.Real):
-        return Fraction(x)
-    raise TypeError(f"not a scalar: {x!r}")
+    return _endpoint(x, 1)
 
 
 def midpoint(x) -> Fraction:

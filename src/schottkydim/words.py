@@ -49,7 +49,14 @@ class ReducedWord:
 
     @staticmethod
     def parse(text: str) -> "ReducedWord":
-        return ReducedWord(tuple(int(t) for t in text.split(",") if t.strip()))
+        """The word of comma-separated indices such as ``1,2,1``."""
+        tokens = [t.strip() for t in text.split(",") if t.strip()]
+        for token in tokens:
+            if not token.isdecimal():
+                raise ValueError(f"bad word {text!r}: {token!r} is not an "
+                                 f"index; expected comma-separated indices "
+                                 f"such as 1,2,1")
+        return ReducedWord(tuple(map(int, tokens)))
 
     def __str__(self):
         return ",".join(str(i) for i in self.indices)

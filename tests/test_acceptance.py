@@ -26,12 +26,14 @@ from schottkydim.hyperbolic import (BoundaryPoint, Circle, HPoint,
                                     cosh_distance, disk_from_half_plane,
                                     gromov_product, hyp_distance)
 from schottkydim.scalars import (IntervalContext, certainly_le, contains,
-                                 lower, midpoint, upper)
+                                 dyadic_sum, lower, midpoint, round_dyadic,
+                                 upper)
 from schottkydim.schedule import paper_schedule
 from schottkydim.words import beardon_check, disk_tree, enumerate_words
 
 SCHED = paper_schedule(12)
-CTX = IntervalContext(256)
+BITS = 256
+CTX = IntervalContext(BITS)  # the hyperbolic checks', and alpha_sum's
 
 VISUAL_TOL = 1e-9
 BOX_SLOPE_MARGIN = 0.1
@@ -69,8 +71,9 @@ def test_criterion_2_radius_sum_tails():
     details = []
     for k in (2, 3, 4):
         alpha = Fraction(1, 2 * k)
-        trunc, tail = radii_tail_bound(SCHED, k, alpha, k + 6, CTX)
-        holds = certainly_le(trunc + tail, paper_radii_bound(k))
+        trunc, tail = radii_tail_bound(SCHED, k, alpha, k + 6, BITS)
+        total = round_dyadic(dyadic_sum((trunc, tail)), BITS)
+        holds = certainly_le(total, paper_radii_bound(k))
         ok = ok and holds
         details.append(f"k={k}:{'<=' if holds else '>'}1/{3 * 2 ** k}")
     elapsed = time.monotonic() - start
@@ -83,7 +86,7 @@ def test_criterion_3_center_control():
     start = time.monotonic()
     ok = True
     for k in (2, 3, 4):
-        res = center_control(SCHED, k, 6, Fraction(1, 2 * k), CTX)
+        res = center_control(SCHED, k, 6, Fraction(1, 2 * k), BITS)
         ok = ok and res.complete and res.holds
         ok = ok and certainly_le(res.total, paper_center_bound(k))
     elapsed = time.monotonic() - start

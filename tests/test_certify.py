@@ -5,21 +5,25 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from schottkydim.certify import (FORMAT_VERSION, MAX_CERTIFY_WORDS,
-                                 MIN_ADAPTIVE_BITS, TailBoundError, alpha_sum,
-                                 center_control, certificate_from_json,
+from schottkydim.certify import (FORMAT_VERSION, MAX_ADAPTIVE_BITS,
+                                 MAX_CERTIFY_WORDS, MAX_POWER_COST,
+                                 MIN_ADAPTIVE_BITS, TailBoundError,
+                                 _power_cost, alpha_sum, center_control,
+                                 certificate_from_json, check_arguments,
                                  certify_dimension_upper, paper_center_bound,
                                  paper_radii_bound, radii_tail_bound,
                                  reverify)
 from schottkydim.estimators import MAX_EXACT_SIZE, exact_size
-from schottkydim.scalars import (IntervalContext, certainly_le, contains,
-                                 lower, midpoint, upper)
+from schottkydim.scalars import (DyadicPower, IntervalContext, certainly_le,
+                                 contains, dyadic_sum, lower, midpoint,
+                                 round_dyadic, upper)
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule)
 from schottkydim.words import count_words
 
 SCHED = paper_schedule(10)
-CTX = IntervalContext(256)
+BITS = 256
+CTX = IntervalContext(BITS)  # alpha_sum reads a context's bits
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +63,7 @@ def test_alpha_sum_independent_of_job_count():
 # ---------------------------------------------------------------------------
 
 def test_radii_tail_first_term_bound():
-    trunc, tail = radii_tail_bound(SCHED, 2, Fraction(1, 4), 6, CTX)
+    trunc, tail = radii_tail_bound(SCHED, 2, Fraction(1, 4), 6, BITS)
     # tail = 2 * r_7^(1/4) = 2 * 2^(-49/2)
     with mpmath.workdps(40):
         expected = 2 * mpmath.power(2, mpmath.mpf(-49) / 2)
@@ -67,13 +71,14 @@ def test_radii_tail_first_term_bound():
 
 
 def test_radii_window_plus_tail_under_target():
-    trunc, tail = radii_tail_bound(SCHED, 2, Fraction(1, 4), 6, CTX)
-    assert certainly_le(trunc + tail, paper_radii_bound(2))
+    trunc, tail = radii_tail_bound(SCHED, 2, Fraction(1, 4), 6, BITS)
+    total = round_dyadic(dyadic_sum((trunc, tail)), BITS)
+    assert certainly_le(total, paper_radii_bound(2))
     assert paper_radii_bound(2) == Fraction(1, 12)
 
 
 def test_tail_bound_decreases_with_truncation_point():
-    tails = [upper(radii_tail_bound(SCHED, 2, Fraction(1, 4), i0, CTX)[1])
+    tails = [upper(radii_tail_bound(SCHED, 2, Fraction(1, 4), i0, BITS)[1])
              for i0 in (5, 6, 7)]
     assert tails[0] > tails[1] > tails[2]
 
@@ -81,16 +86,16 @@ def test_tail_bound_decreases_with_truncation_point():
 def test_tail_requires_ratio_condition():
     # (2 i0 + 1) alpha < 1 must be rejected
     with pytest.raises(TailBoundError):
-        radii_tail_bound(SCHED, 2, Fraction(1, 100), 6, CTX)
+        radii_tail_bound(SCHED, 2, Fraction(1, 100), 6, BITS)
     with pytest.raises(TailBoundError):
-        radii_tail_bound(SCHED, 2, Fraction(1, 4), 2, CTX)
+        radii_tail_bound(SCHED, 2, Fraction(1, 4), 2, BITS)
 
 
 def test_tail_requires_builtin_schedule():
     user = GeneratorSchedule((ScheduleEntry(3, Fraction(0), Fraction(1, 4)),),
                              provenance="user")
     with pytest.raises(TailBoundError):
-        radii_tail_bound(user, 2, Fraction(1, 4), 6, CTX)
+        radii_tail_bound(user, 2, Fraction(1, 4), 6, BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +103,7 @@ def test_tail_requires_builtin_schedule():
 # ---------------------------------------------------------------------------
 
 def test_center_control_holds_at_quarter():
-    res = center_control(SCHED, 2, 6, Fraction(1, 4), CTX)
+    res = center_control(SCHED, 2, 6, Fraction(1, 4), BITS)
     assert res.complete and res.holds
     assert certainly_le(res.total, paper_center_bound(2))
     assert paper_center_bound(2) == Fraction(1, 6)
@@ -106,7 +111,7 @@ def test_center_control_holds_at_quarter():
 
 def test_center_control_window_pair_value():
     # window {3,4} only: both orderings of the single pair, gap = 2^18
-    res = center_control(SCHED, 2, 2, Fraction(1, 4), CTX)
+    res = center_control(SCHED, 2, 2, Fraction(1, 4), BITS)
     assert contains(res.window_sum, Fraction(2, 2 ** 9))
 
 
@@ -114,14 +119,14 @@ def test_center_control_fails_for_touching_centers():
     s = GeneratorSchedule((ScheduleEntry(1, Fraction(0), Fraction(1, 4)),
                            ScheduleEntry(2, Fraction(2), Fraction(1, 4))),
                           provenance="user")
-    res = center_control(s, 0, 2, Fraction(1, 4), CTX)
+    res = center_control(s, 0, 2, Fraction(1, 4), BITS)
     # term = 1 per ordered pair: sum = 2 > 1
     assert not res.holds
     assert lower(res.window_sum) >= 2
 
 
 def test_center_control_tiny_alpha_fails():
-    res = center_control(SCHED, 2, 6, Fraction(1, 100), CTX)
+    res = center_control(SCHED, 2, 6, Fraction(1, 100), BITS)
     assert not res.holds
 
 
@@ -130,24 +135,24 @@ def test_center_control_tiny_alpha_fails():
 # ---------------------------------------------------------------------------
 
 def test_certify_k2_quarter():
-    cert = certify_dimension_upper(SCHED, 2, 6, 3, Fraction(1, 4), CTX)
+    cert = certify_dimension_upper(SCHED, 2, 6, 3, Fraction(1, 4), BITS)
     assert cert.certified
     assert cert.failing() == []
 
 
 def test_certify_k3_sixth():
-    cert = certify_dimension_upper(SCHED, 3, 6, 2, Fraction(1, 6), CTX)
+    cert = certify_dimension_upper(SCHED, 3, 6, 2, Fraction(1, 6), BITS)
     assert cert.certified
 
 
 def test_certify_tiny_alpha_not_certified():
-    cert = certify_dimension_upper(SCHED, 2, 6, 2, Fraction(1, 100), CTX)
+    cert = certify_dimension_upper(SCHED, 2, 6, 2, Fraction(1, 100), BITS)
     assert not cert.certified
     assert "center_control" in cert.failing()
 
 
 def test_certificate_json_round_trip_and_reverify():
-    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), CTX)
+    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), BITS)
     again = certificate_from_json(cert.to_json())
     assert again.verdict == cert.verdict
     assert [c.lhs_hi for c in again.checks] == [c.lhs_hi for c in cert.checks]
@@ -156,9 +161,9 @@ def test_certificate_json_round_trip_and_reverify():
 
 def test_certify_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        certify_dimension_upper(SCHED, 2, 6, 2, Fraction(0), CTX)
+        certify_dimension_upper(SCHED, 2, 6, 2, Fraction(0), BITS)
     with pytest.raises(ValueError):
-        certify_dimension_upper(SCHED, 2, 6, 2, Fraction(3, 2), CTX)
+        certify_dimension_upper(SCHED, 2, 6, 2, Fraction(3, 2), BITS)
 
 
 def test_user_schedule_verdict_is_never_certified():
@@ -166,7 +171,7 @@ def test_user_schedule_verdict_is_never_certified():
         tuple(ScheduleEntry(i, SCHED.entry(i).center, SCHED.entry(i).radius)
               for i in range(1, 9)),
         provenance="user")
-    cert = certify_dimension_upper(user, 2, 4, 2, Fraction(1, 4), CTX)
+    cert = certify_dimension_upper(user, 2, 4, 2, Fraction(1, 4), BITS)
     # window checks may all hold, but the infinite tails are not covered
     assert not cert.certified
 
@@ -198,7 +203,7 @@ def test_float_text_below_the_normal_range_is_exact(x, text, text6):
 
 
 def test_certificate_format_2_fields():
-    cert = certify_dimension_upper(SCHED, 2, 4, 3, Fraction(1, 4), CTX)
+    cert = certify_dimension_upper(SCHED, 2, 4, 3, Fraction(1, 4), BITS)
     data = json.loads(cert.to_json())
     assert data["format_version"] == FORMAT_VERSION == 2
     assert data["schedule_sha256"] == \
@@ -215,7 +220,7 @@ def test_certificate_format_2_fields():
 @pytest.mark.parametrize("version", [1, 3, None])
 def test_certificate_from_json_reads_format_2_only(version):
     data = json.loads(certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4),
-                                              CTX).to_json())
+                                              BITS).to_json())
     if version is None:
         del data["format_version"]  # as written before format 2
     else:
@@ -225,7 +230,7 @@ def test_certificate_from_json_reads_format_2_only(version):
 
 
 def test_reverify_rejects_a_different_schedule():
-    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), CTX)
+    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), BITS)
     assert reverify(cert, SCHED)
     # the same window, but not the schedule the certificate was computed on
     assert not reverify(cert, paper_schedule(11))
@@ -254,8 +259,7 @@ def test_adaptive_precision_starts_at_64_bits():
 
 def test_undecided_check_doubles_the_bits():
     schedule = near_one_schedule(Fraction(1, 2 ** 80))
-    at_64 = certify_dimension_upper(schedule, 1, 2, 2, Fraction(1, 2),
-                                    IntervalContext(64))
+    at_64 = certify_dimension_upper(schedule, 1, 2, 2, Fraction(1, 2), 64)
     radii = at_64.checks[0]
     assert radii.name == "radii_sum_window"
     assert radii.lhs_lo <= 1 < radii.lhs_hi  # undecided at 64 bits
@@ -317,8 +321,64 @@ def test_certify_refuses_bad_requests_before_building(k, m, n, alpha, jobs,
         certify_dimension_upper(SCHED, k, m, n, alpha, jobs=jobs)
 
 
+def test_certify_refuses_bits_below_64():
+    with pytest.raises(ValueError, match="at least 64 bits"):
+        certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), 32)
+    with pytest.raises(ValueError, match="at least 64 bits"):
+        check_arguments(2, 4, 2, Fraction(1, 4), 63)
+    assert check_arguments(2, 4, 2, Fraction(1, 4), 64) == 4 + 12
+
+
+@pytest.mark.parametrize("k,m,n,alpha,bits", [
+    (1, 2, 2, Fraction(999999, 1000000), None),  # q (B + 32) = 9.6e7 bits
+    (1, 2, 2, Fraction(1, 100003), None),        # 50,000 radius terms
+    (1, 2, 2, Fraction(1, 2000), None),          # ran 14.9 s
+    (2, 3, 3, Fraction(1, 4), 10 ** 7),
+])
+def test_certify_refuses_costly_powers_before_any(k, m, n, alpha, bits,
+                                                  monkeypatch):
+    from schottkydim import certify
+
+    def never(*args, **kwargs):
+        raise AssertionError("took a power beyond the budget")
+    monkeypatch.setattr(DyadicPower, "__call__", never)
+    for name in ("level_sums", "center_control", "radii_tail_bound"):
+        monkeypatch.setattr(certify, name, never)
+    with pytest.raises(ValueError, match="integer roots"):
+        certify_dimension_upper(paper_schedule(k + m), k, m, n, alpha, bits)
+
+
+def test_power_budget_admits_the_paper_and_benchmark_requests():
+    # alpha = 1/(2k) at m = n = 2 for every k of the built-in schedule, and
+    # the benchmark's deepest windows at q = 12, all at the top precision
+    top = MAX_ADAPTIVE_BITS
+    schedule = paper_schedule(100)
+    for k in range(1, 99):
+        words = check_arguments(k, 2, 2, Fraction(1, 2 * k), top)
+        assert _power_cost(schedule, k, 2, words, Fraction(1, 2 * k),
+                           top) <= MAX_POWER_COST
+    for k, m, n in ((2, 8, 5), (3, 6, 6)):
+        words = check_arguments(k, m, n, Fraction(5, 12), top)
+        assert _power_cost(schedule, k, m, words, Fraction(5, 12),
+                           top) <= MAX_POWER_COST
+    for k in (1, 50, 98):
+        certify_dimension_upper(schedule, k, 2, 2, Fraction(1, 2 * k))
+
+
+def test_adaptive_precision_stops_before_the_power_budget(monkeypatch):
+    from schottkydim import certify
+    schedule = near_one_schedule(Fraction(1, 2 ** 80))
+    at_64 = _power_cost(schedule, 1, 2, 4, Fraction(1, 2), 64)
+    # 64 bits leave the radius check undecided, and 128 bits cost more
+    monkeypatch.setattr(certify, "MAX_POWER_COST", at_64)
+    cert = certify_dimension_upper(schedule, 1, 2, 2, Fraction(1, 2))
+    assert cert.backend_bits == 64
+    radii = cert.checks[0]
+    assert radii.lhs_lo <= 1 < radii.lhs_hi and not radii.holds
+
+
 def test_reverify_hits_the_word_limit():
-    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), CTX)
+    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), BITS)
     cert.n_max = 30
     with pytest.raises(ValueError, match="reduced words"):
         reverify(cert, SCHED)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,13 @@ def test_explore_rejects_unreduced_word(tmp_path):
     assert main(["explore", "--word", "1,1"]) == 2
 
 
+def test_explore_bad_word_names_the_token(capsys):
+    assert main(["explore", "--word", "1,a"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: bad word '1,a': 'a' is not an index; expected "
+                   "comma-separated indices such as 1,2,1\n")
+
+
 def test_explore_rejects_conflicting_modes(tmp_path):
     assert main(["explore", "--word", "1,2", "--periodic", "--escalate"]) == 2
 
@@ -212,6 +220,27 @@ def test_certify_rejects_fewer_than_two_levels(n, capsys):
 def test_certify_rejects_jobs_below_one(jobs, capsys):
     assert_clean_exit_2(["certify", "--k", "2", "--alpha", "1/4", "--m", "4",
                          "--n", "2", "--jobs", jobs], capsys)
+
+
+@pytest.mark.parametrize("k", ["0", "-10"])
+def test_certify_bad_k_is_named_before_the_schedule(k, capsys):
+    # the schedule to index k + m would be refused with its own message
+    assert main(["certify", "--k", k, "--alpha", "1/4"]) == 2
+    assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--k", "1", "--m", "2", "--n", "2", "--alpha", "999999/1000000"],
+    ["--k", "1", "--m", "2", "--n", "2", "--alpha", "1/100003"],
+    ["--k", "2", "--m", "3", "--n", "3", "--alpha", "1/4",
+     "--backend", "hiprec:10000000"],
+])
+def test_certify_refuses_costly_powers_at_once(flags, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    start = time.monotonic()
+    assert_clean_exit_2(["certify", *flags, "--out", str(out)], capsys)
+    assert time.monotonic() - start < 5
+    assert not out.exists()
 
 
 def test_malformed_config_is_config_error(tmp_path, capsys):

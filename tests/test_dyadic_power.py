@@ -2,7 +2,9 @@
 
 Every enclosure of :class:`DyadicPower` is checked by the exact integer
 facts it claims, lo^q t^p <= s^p 2^(qE) <= hi^q t^p, and against the mpmath
-routine :class:`PowerEnclosure` it replaced in the level sums.
+routine :class:`PowerEnclosure` it replaced in the level sums.  The outward
+rounding of :func:`round_dyadic`, alone and after an exact addition, is
+pinned to mpmath's ``from_man_exp`` and ``mpi_add``.
 """
 
 import math
@@ -12,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpmath.libmp import (from_man_exp, mpi_add, round_ceiling, round_floor,
+                          to_rational)
+
 from schottkydim.scalars import (DyadicPower, IntervalContext,
                                  PowerEnclosure, _iroot, contains,
-                                 dyadic_sum, lower, upper)
+                                 dyadic_sum, lower, round_dyadic, upper)
 
 radii = st.tuples(st.integers(1, 2 ** 3000), st.integers(1, 2 ** 3000))
 small_radii = st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
@@ -59,9 +64,8 @@ def test_enclosure_facts_hold(bits, radius, exponent):
 @given(radius=st.one_of(radii, small_radii), exponent=exponents)
 def test_enclosure_overlaps_mpmath_routine(radius, exponent):
     s, t = radius
-    ctx = IntervalContext(128)
-    ours = ctx.from_dyadic(DyadicPower(exponent, 128)(s, t))
-    theirs = ctx.pow_rational(Fraction(s, t), exponent)
+    ours = round_dyadic(DyadicPower(exponent, 128)(s, t), 128)
+    theirs = IntervalContext(128).pow_rational(Fraction(s, t), exponent)
     assert lower(ours) <= upper(theirs) and lower(theirs) <= upper(ours)
 
 
@@ -128,19 +132,83 @@ def test_empty_sum_is_zero():
 
 @pytest.mark.parametrize("bits", [64, 100, 256])
 def test_rounding_into_a_context_is_outward(bits):
-    ctx = IntervalContext(bits)
     lo, hi, E = 3 ** 400, 3 ** 400 + 1, 700
-    x = ctx.from_dyadic((lo, hi, E))
+    x = round_dyadic((lo, hi, E), bits)
     assert lower(x) <= Fraction(lo, 2 ** E) and Fraction(hi, 2 ** E) <= upper(x)
-    assert contains(ctx.from_dyadic((5, 5, 3)), Fraction(5, 8))
-    assert lower(ctx.from_dyadic((5, 5, 3))) == Fraction(5, 8)
+    assert x[0].bit_length() <= bits and x[1].bit_length() <= bits + 1
+    assert contains(round_dyadic((5, 5, 3), bits), Fraction(5, 8))
+    assert lower(round_dyadic((5, 5, 3), bits)) == Fraction(5, 8)
 
 
 def test_power_routines_agree_on_a_deep_radius():
     # a radius of about 3,000 bits, as in certify (3, 6, 6)
     s, t = 3 ** 50 + 1, 2 ** 3000 + 7
     for exponent in (Fraction(1, 3), Fraction(1, 6), Fraction(5, 12)):
-        ctx = IntervalContext(256)
-        ours = ctx.from_dyadic(DyadicPower(exponent, 256)(s, t))
-        theirs = ctx._ctx.make_mpf(PowerEnclosure(exponent, 256)(s, t))
+        ours = round_dyadic(DyadicPower(exponent, 256)(s, t), 256)
+        theirs = IntervalContext(256)._ctx.make_mpf(
+            PowerEnclosure(exponent, 256)(s, t))
         assert lower(ours) <= upper(theirs) and lower(theirs) <= upper(ours)
+
+
+# ---------------------------------------------------------------------------
+# outward rounding, against mpmath's
+# ---------------------------------------------------------------------------
+
+def mpf_value(x):
+    return Fraction(*to_rational(x))
+
+
+def mpmath_round(enclosure, bits):
+    """mpmath's raw interval of a dyadic enclosure rounded to ``bits``."""
+    lo, hi, E = enclosure
+    return (from_man_exp(lo, -E, bits, round_floor),
+            from_man_exp(hi, -E, bits, round_ceiling))
+
+
+def as_fractions(enclosure):
+    return lower(enclosure), upper(enclosure)
+
+
+roundings = st.sampled_from([64, 128, 256, 1024])
+mantissas = st.one_of(st.just(0), st.integers(1, 2 ** 70),
+                      st.integers(1, 2 ** 3000))
+
+
+@st.composite
+def enclosures(draw, exponents=st.integers(-3000, 3000)):
+    """(lo, hi, E) with 0 <= lo <= hi; lo = 0, exact points, one unit and
+    wide enclosures, and exponents of either sign all come up."""
+    lo = draw(mantissas)
+    hi = lo + draw(st.one_of(st.just(0), st.just(1), st.integers(0, 2 ** 80),
+                             mantissas))
+    return lo, hi, draw(exponents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(enclosure=enclosures(), bits=roundings)
+def test_round_dyadic_matches_from_man_exp(enclosure, bits):
+    rounded = round_dyadic(enclosure, bits)
+    expected = mpmath_round(enclosure, bits)
+    assert as_fractions(rounded) == tuple(map(mpf_value, expected))
+    assert round_dyadic(rounded, bits) == rounded
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=enclosures(), b=enclosures(st.integers(-300, 300)),
+       gap=st.one_of(st.integers(-40, 40), st.integers(-6000, 6000)),
+       bits=roundings)
+def test_exact_add_then_round_matches_mpi_add(a, b, gap, bits):
+    # gaps of thousands of bits between the two exponents, either way
+    b = (b[0], b[1], a[2] + gap)
+    x, y = round_dyadic(a, bits), round_dyadic(b, bits)
+    ours = round_dyadic(dyadic_sum((x, y)), bits)
+    theirs = mpi_add(mpmath_round(a, bits), mpmath_round(b, bits), bits)
+    assert as_fractions(ours) == tuple(map(mpf_value, theirs))
+
+
+def test_round_dyadic_of_negative_exponent_and_zero():
+    # 5 * 2^40 to 2 bits is 4 * 2^40 below and 6 * 2^40 above; zero stays 0
+    assert as_fractions(round_dyadic((5, 5, -40), 2)) == \
+        (Fraction(4 * 2 ** 40), Fraction(6 * 2 ** 40))
+    assert as_fractions(round_dyadic((0, 7, 5), 2)) == \
+        (Fraction(0), Fraction(8, 32))

@@ -4,7 +4,7 @@ The oracle recomputes every word disk from scratch with ``word_disk`` and
 sums ``pow_rational`` of the radii in ``enumerate_words`` order, one partial
 per first letter, the partials added in letter order.  The engine's exact
 dyadic sums must overlap the oracle's enclosures at every level, and give
-the same interval endpoints for every job count.
+the same dyadic enclosures for every job count.
 """
 
 import hashlib
@@ -24,7 +24,8 @@ from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
 from schottkydim.words import disk_tree, enumerate_words, word_disk
 
 SCHED = paper_schedule(10)
-CTX = IntervalContext(256)
+BITS = 256
+CTX = IntervalContext(BITS)  # the oracle's, and alpha_sum's
 
 # certify --k 2 --alpha 1/3 --m 6 --n 5 in certificate format 2 (exact
 # dyadic level sums, decided at 64 bits)
@@ -58,10 +59,6 @@ def oracle_level_sums(schedule, k, m, n_max, alpha, ctx):
     return sums
 
 
-def endpoints(sums):
-    return [s._mpi_ for s in sums]
-
-
 def assert_overlap(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -84,20 +81,20 @@ CASES = [(SCHED, 2, 4, 3, Fraction(1, 4)),
 @pytest.mark.parametrize("case", CASES, ids=["2,4,3", "3,5,4", "user"])
 def test_level_sums_match_per_word_oracle(case, jobs, many_cpus):
     schedule, k, m, n, alpha = case
-    got = level_sums(schedule, k, m, n, alpha, CTX, jobs)
+    got = level_sums(schedule, k, m, n, alpha, BITS, jobs)
     assert_overlap(got, oracle_level_sums(schedule, k, m, n, alpha, CTX))
-    serial = endpoints(level_sums(schedule, k, m, n, alpha, CTX, 1))
-    assert endpoints(got) == serial
-    assert alpha_sum(schedule, k, m, n, alpha, CTX, jobs)._mpi_ == serial[-1]
+    serial = level_sums(schedule, k, m, n, alpha, BITS, 1)
+    assert got == serial
+    assert alpha_sum(schedule, k, m, n, alpha, CTX, jobs) == serial[-1]
 
 
 def test_pool_runs_under_spawn(monkeypatch, many_cpus):
     import multiprocessing
     schedule, k, m, n, alpha = CASES[0]
-    serial = endpoints(level_sums(schedule, k, m, n, alpha, CTX, 1))
+    serial = level_sums(schedule, k, m, n, alpha, BITS, 1)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
-    assert endpoints(level_sums(schedule, k, m, n, alpha, CTX, 2)) == serial
+    assert level_sums(schedule, k, m, n, alpha, BITS, 2) == serial
 
 
 def test_engine_disks_are_the_word_disks():
@@ -143,13 +140,13 @@ def test_jobs_below_one_rejected(jobs):
     with pytest.raises(ValueError):
         worker_count(jobs, 4)
     with pytest.raises(ValueError):
-        level_sums(SCHED, 2, 4, 2, Fraction(1, 4), CTX, jobs)
+        level_sums(SCHED, 2, 4, 2, Fraction(1, 4), BITS, jobs)
 
 
 @pytest.mark.parametrize("n_max", [0, 1])
 def test_certify_needs_two_levels(n_max):
     with pytest.raises(ValueError):
-        certify_dimension_upper(SCHED, 2, 4, n_max, Fraction(1, 4), CTX)
+        certify_dimension_upper(SCHED, 2, 4, n_max, Fraction(1, 4), BITS)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -159,7 +156,7 @@ def test_exterior_image_raises_in_workers_too(jobs, many_cpus):
         ScheduleEntry(1, Fraction(0), Fraction(1)),
         ScheduleEntry(2, Fraction(1, 4), Fraction(1, 2))))
     with pytest.raises(ExteriorImageError):
-        level_sums(overlapping, 0, 2, 2, Fraction(1, 2), CTX, jobs)
+        level_sums(overlapping, 0, 2, 2, Fraction(1, 2), BITS, jobs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -170,7 +167,7 @@ def test_level_sums_at_integer_alpha_match_oracle(case, alpha, jobs,
     # alpha = 1 takes the exact-power path of the power routine, alpha = 0
     # the constant one: both sums are rationals, which the enclosures hold
     schedule, k, m, n, _ = case
-    got = level_sums(schedule, k, m, n, alpha, CTX, jobs)
+    got = level_sums(schedule, k, m, n, alpha, BITS, jobs)
     assert_overlap(got, oracle_level_sums(schedule, k, m, n, alpha, CTX))
     for level, total in enumerate(got, start=1):
         exact = sum(word_disk(schedule, w).radius ** alpha

@@ -16,11 +16,6 @@ def ctx():
     return IntervalContext(128)
 
 
-def test_context_rejects_tiny_precision():
-    with pytest.raises(ValueError):
-        IntervalContext(32)
-
-
 def test_from_rational_endpoints_bracket_value(ctx):
     q = Fraction(1, 3)
     x = ctx.from_rational(q)
@@ -124,14 +119,6 @@ def test_pow_rational_encloses_float_reference(base, exponent):
     assert float(lower(x)) <= ref * (1 + 1e-12) + 1e-300
     assert float(upper(x)) >= ref * (1 - 1e-12)
 
-
-def test_interval_context_is_shared_per_precision():
-    from schottkydim.scalars import interval_context
-    assert interval_context(256) is default_context()
-    assert interval_context(128) is interval_context(128)
-    assert interval_context(128).bits == 128
-    with pytest.raises(ValueError):
-        interval_context(32)
 
 
 @pytest.mark.parametrize("value", [

@@ -22,6 +22,12 @@ def test_word_rejects_adjacent_repeats():
         ReducedWord(())
 
 
+def test_word_parse_names_a_bad_token():
+    with pytest.raises(ValueError, match="'a' is not an index; expected "
+                                         "comma-separated indices"):
+        ReducedWord.parse("1,a")
+
+
 def test_word_parse_and_str_round_trip():
     w = ReducedWord.parse("3,4,3")
     assert w.indices == (3, 4, 3)
