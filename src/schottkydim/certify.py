@@ -37,19 +37,16 @@ class TailBoundError(ValueError):
 # level sums
 # ---------------------------------------------------------------------------
 
-def _letter_partials(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
-                     alpha: Fraction, bits: int, letters: Sequence[int]):
-    """{letter: [exact sum of the enclosures of r_w^alpha over the level-n
-    words w starting with letter, for n = 1..n_max]}, each a dyadic
-    enclosure (lo, hi, E) of plain integers (see
+def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
+               roots: Sequence[int], n_max: int, alpha: Fraction,
+               bits: int) -> list:
+    """[exact sum of the enclosures of r_w^alpha over the level-n words w
+    over ``letters`` that end in a letter of ``roots``, for n = 1..n_max],
+    each a dyadic enclosure (lo, hi, E) of plain integers (see
     :class:`~schottkydim.scalars.DyadicPower`)."""
     power = DyadicPower(alpha, bits)
-    partials = {letter: [] for letter in letters}
-    for level in word_radius_levels(schedule, schedule.window(k, m), n_max):
-        for letter, radii in level:
-            if letter in partials:
-                partials[letter].append(power.sum(radii))
-    return partials
+    return [power.sum(radius for _, radii in level for radius in radii)
+            for level in word_radius_levels(schedule, letters, n_max, roots)]
 
 
 def _usable_cpus() -> int:
@@ -67,18 +64,18 @@ def worker_count(jobs: int, letters: int) -> int:
     return max(1, min(jobs, letters, _usable_cpus()))
 
 
-def _pool_partials(schedule, k, m, n_max, alpha, bits, letters, workers):
+def _starmap(func, tasks: list) -> list:
+    """[func(*task) for task in tasks]: in this process for one task, else
+    in a pool of one worker process per task."""
+    if len(tasks) == 1:
+        return [func(*tasks[0])]
     import multiprocessing  # only here, so importing the package stays cheap
     # fork starts a worker without re-importing the package; the arguments
     # are plain picklable values, so spawn works as well where fork is absent
     methods = multiprocessing.get_all_start_methods()
     mp = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    groups = [letters[i::workers] for i in range(workers)]
-    with mp.Pool(workers) as pool:
-        results = pool.starmap(_letter_partials, [
-            (schedule, k, m, n_max, alpha, bits, group) for group in groups])
-    return {letter: sums for result in results
-            for letter, sums in result.items()}
+    with mp.Pool(len(tasks)) as pool:
+        return pool.starmap(func, tasks)
 
 
 def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
@@ -92,28 +89,27 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     :func:`~schottkydim.words.word_radius_levels`).  Each power is a dyadic
     enclosure in plain integers at ``bits`` bits
     (:class:`~schottkydim.scalars.DyadicPower`), and the enclosures are added
-    exactly, so a level's sum does not depend on the order of its words or
-    letters, nor on ``jobs``.  Each exact sum is rounded outward once to
-    ``bits`` bits (:func:`~schottkydim.scalars.round_dyadic`), so each result
-    is a dyadic enclosure (lo, hi, E) of the true window sum.
-    With ``jobs`` >= 2 the letters are split among :func:`worker_count`
-    worker processes, each of which builds levels 1..n_max-1 itself and hands
-    back its letters' exact partials as plain integers.
+    exactly, so a level's sum does not depend on the order of its words nor
+    on ``jobs``.  Each exact sum is rounded outward once to ``bits`` bits
+    (:func:`~schottkydim.scalars.round_dyadic`), so each result is a dyadic
+    enclosure (lo, hi, E) of the true window sum.
+
+    The words are split by their last letter: the letters are dealt
+    round-robin into :func:`worker_count` groups, and each group's subtrees
+    (the words ending in one of its letters) are built and summed on their
+    own, in this process for one group and in one worker process per group
+    otherwise.  No word is built twice, and the groups' exact sums are added
+    per level.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     letters = schedule.window(k, m)
     workers = worker_count(jobs, len(letters))
-    if workers > 1 and n_max > 1:
-        partials = _pool_partials(schedule, k, m, n_max, alpha, bits,
-                                  letters, workers)
-    else:
-        partials = _letter_partials(schedule, k, m, n_max, alpha, bits,
-                                    letters)
-    return [round_dyadic(dyadic_sum(partials[letter][n] for letter in letters),
-                         bits)
-            for n in range(n_max)]
+    groups = _starmap(_root_sums, [
+        (schedule, letters, letters[i::workers], n_max, alpha, bits)
+        for i in range(workers)])
+    return [round_dyadic(dyadic_sum(level), bits) for level in zip(*groups)]
 
 
 def alpha_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,
@@ -455,9 +451,13 @@ def check_arguments(k: int, m: int, n_max: int, alpha: Fraction,
 
 
 def _truncation_point(k: int, m: int, alpha: Fraction) -> int:
-    """i0 of the radius tail: past the window, and far enough that the
-    tail's term ratio is at most 1/2 (see :func:`radii_tail_bound`)."""
-    return max(k + m, math.ceil(Fraction(1, 2) / alpha - Fraction(1, 2)))
+    """i0 of the radius tail: past the window, at least k + 3, and far
+    enough that the tail's term ratio is at most 1/2 (see
+    :func:`radii_tail_bound`).  At m = 2 and alpha = 1/(2k), i0 = k + 2
+    puts the truncated sum plus twice its first tail term above 1/(3 2^k)
+    for every k >= 51; i0 = k + 3 keeps it below for k = 1..98."""
+    return max(k + m, k + 3,
+               math.ceil(Fraction(1, 2) / alpha - Fraction(1, 2)))
 
 
 def _power_cost(schedule: GeneratorSchedule, k: int, m: int, words: int,

@@ -106,11 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> dict:
-    """The --config file's object; a key that no flag of the subcommand
-    defines raises ValueError."""
+# the JSON types a --config value may take, by the type of its flag
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _load_config(args):
+    """Fill the flags left unset from the --config file's object, each value
+    as its flag would give it: a JSON boolean for a switch, an integer for
+    an integer flag, a number for a float flag and a string otherwise.  A
+    key that no flag of the subcommand defines, or a value of another JSON
+    type, raises ValueError."""
     if not args.config:
-        return {}
+        return
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -119,16 +126,23 @@ def _load_config(args) -> dict:
     if unknown:
         raise ValueError(f"config keys that no flag of {args.command} "
                          f"defines: {', '.join(unknown)}")
-    return data
+    sub = next(action for action in _parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions}
+    for key, value in data.items():
+        kind = bool if flags[key].nargs == 0 else flags[key].type or str
+        if type(value) not in _JSON_TYPES[kind]:
+            raise ValueError(f"config key {key}: expected {kind.__name__}, "
+                             f"got {json.dumps(value)}")
+        if getattr(args, key) is None:  # flags > config
+            # a number goes through its text, as a flag's value does, so
+            # an integer beyond the float range gives inf, not OverflowError
+            setattr(args, key, float(str(value)) if kind is float else value)
 
 
-def _resolve(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _resolve(args, key: str, default):
+    value = getattr(args, key)
+    return default if value is None else value
 
 
 def _backend_bits(backend: str) -> Optional[int]:
@@ -160,46 +174,42 @@ def _write(path: Optional[str], text: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_schedule(args, config) -> int:
-    if not _resolve(args, config, "paper", True):
+def cmd_schedule(args) -> int:
+    if not _resolve(args, "paper", True):
         raise ValueError("only the built-in schedule can be emitted; "
                          "user schedules are authored as JSON directly")
-    sched = paper_schedule(int(_resolve(args, config, "count", 8)))
-    _write(_resolve(args, config, "out", None), sched.to_json())
+    sched = paper_schedule(_resolve(args, "count", 8))
+    _write(args.out, sched.to_json())
     return EXIT_OK
 
 
-def cmd_certify(args, config) -> int:
-    k = _resolve(args, config, "k", None)
-    alpha_text = _resolve(args, config, "alpha", None)
+def cmd_certify(args) -> int:
+    k, alpha_text = args.k, args.alpha
     if k is None or alpha_text is None:
         raise ValueError("certify requires --k and --alpha")
-    k, m = int(k), int(_resolve(args, config, "m", 6))
+    m = _resolve(args, "m", 6)
     try:
-        alpha = parse_rational(str(alpha_text))
+        alpha = parse_rational(alpha_text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad alpha: {alpha_text}") from exc
-    n_max = int(_resolve(args, config, "n", 4))
-    jobs = int(_resolve(args, config, "jobs", 1))
-    bits = _backend_bits(str(_resolve(args, config, "backend", "exact")))
+    n_max = _resolve(args, "n", 4)
+    jobs = _resolve(args, "jobs", 1)
+    bits = _backend_bits(_resolve(args, "backend", "exact"))
     certify_mod.check_arguments(k, m, n_max, alpha, bits, jobs)
-    sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
+    sched = _schedule_for(args.schedule, k + m)
     cert = certify_mod.certify_dimension_upper(sched, k, m, n_max, alpha,
                                                bits, jobs=jobs)
-    out = _resolve(args, config, "out", "certificate.json")
-    _write(out, cert.to_json())
+    _write(_resolve(args, "out", "certificate.json"), cert.to_json())
     print(cert.summary())
-    if not cert.certified:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_OK if cert.certified else EXIT_CHECK_FAILED
 
 
-def cmd_estimate(args, config) -> int:
-    k = int(_resolve(args, config, "k", 2))
-    m = int(_resolve(args, config, "m", 4))
-    n_max = int(_resolve(args, config, "n_max", 3))
+def cmd_estimate(args) -> int:
+    k = _resolve(args, "k", 2)
+    m = _resolve(args, "m", 4)
+    n_max = _resolve(args, "n_max", 3)
     depth = min(n_max + 1, 4)  # of the disk tree for box counting
-    sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
+    sched = _schedule_for(args.schedule, k + m)
     lines = ["n,alpha_n,residual"]
     levels = estimators.estimate_levels(sched, k, m, n_max, depth)
     for n, (log_radii, ends) in enumerate(levels, 1):
@@ -224,40 +234,40 @@ def cmd_estimate(args, config) -> int:
                      f"counts={'|'.join(map(str, box.counts))}")
     except ValueError as exc:
         lines.append(f"box_count_depth{depth},ERROR,{exc}")
-    _write(_resolve(args, config, "out", None), "\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_render(args, config) -> int:
-    k = int(_resolve(args, config, "k", 2))
-    m = int(_resolve(args, config, "m", 3))
-    depth = int(_resolve(args, config, "depth", 2))
-    width = int(_resolve(args, config, "width", 1200))
-    no_color = bool(_resolve(args, config, "no_color_by_level", False))
-    sched = _schedule_for(_resolve(args, config, "schedule", None), k + m)
+def cmd_render(args) -> int:
+    k = _resolve(args, "k", 2)
+    m = _resolve(args, "m", 3)
+    depth = _resolve(args, "depth", 2)
+    width = _resolve(args, "width", 1200)
+    no_color = _resolve(args, "no_color_by_level", False)
+    sched = _schedule_for(args.schedule, k + m)
     svg = render.svg_disk_tree(sched, k, m, depth, width_px=width,
                                color_by_level=not no_color)
-    _write(_resolve(args, config, "out", None), svg)
+    _write(args.out, svg)
     return EXIT_OK
 
 
-def cmd_explore(args, config) -> int:
-    word_text = _resolve(args, config, "word", None)
+def cmd_explore(args) -> int:
+    word_text = args.word
     if not word_text:
         raise ValueError("explore requires --word")
-    word = ReducedWord.parse(str(word_text))
-    periodic = bool(_resolve(args, config, "periodic", False))
-    escalate = bool(_resolve(args, config, "escalate", False))
+    word = ReducedWord.parse(word_text)
+    periodic = _resolve(args, "periodic", False)
+    escalate = _resolve(args, "escalate", False)
     if periodic and escalate:
         raise ValueError("--periodic and --escalate are mutually exclusive")
-    horizon = float(_resolve(args, config, "horizon", 50.0))
-    ball = int(_resolve(args, config, "ball", 4))
-    step = float(_resolve(args, config, "step", 0.25))
-    depth = int(_resolve(args, config, "depth", 0))
+    horizon = _resolve(args, "horizon", 50.0)
+    ball = _resolve(args, "ball", 4)
+    step = _resolve(args, "step", 0.25)
+    depth = _resolve(args, "depth", 0)
     if depth < 0:
         raise ValueError(f"--depth must be >= 0 (0 means the default), "
                          f"got {depth}")
-    basepoint_text = _resolve(args, config, "basepoint", None)
+    basepoint_text = args.basepoint
 
     if periodic:
         path = explore.WordPath.periodic(word.indices)
@@ -270,7 +280,7 @@ def cmd_explore(args, config) -> int:
         depth = depth or len(word)
 
     max_index = max(max(path.prefix(depth)), max(word.indices))
-    sched = _schedule_for(_resolve(args, config, "schedule", None), max_index)
+    sched = paper_schedule(max_index)
 
     target_point, err = explore.limit_point(sched, path, depth)
     target = target_point.value  # exact rational: keeps sub-ulp offsets
@@ -283,12 +293,12 @@ def cmd_explore(args, config) -> int:
         p = explore.default_basepoint(sched, word.indices[0])
     else:
         try:
-            bx, by = (parse_rational(v) for v in str(basepoint_text).split(","))
+            bx, by = (parse_rational(v) for v in basepoint_text.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad basepoint: {basepoint_text}") from exc
         p = (bx, by)
     profile = explore.conicality_profile(sched, p, target, horizon, ball, step)
-    out_prefix = _resolve(args, config, "out", "explore")
+    out_prefix = _resolve(args, "out", "explore")
     _write(f"{out_prefix}_profile.csv", profile.to_csv())
     summary = profile.summary_dict()
     summary["word"] = str(word)
@@ -319,7 +329,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return COMMANDS[args.command](args, _load_config(args))
+        _load_config(args)
+        return COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         # json.JSONDecodeError is a ValueError; str() of a KeyError is the
         # repr of its message, so print the message itself

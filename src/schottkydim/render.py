@@ -31,6 +31,8 @@ def svg_disk_tree(schedule: GeneratorSchedule, k: int, m: int, depth: int,
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if width_px < 1:
+        raise ValueError(f"width must be >= 1 pixel, got {width_px}")
     if depth > max_depth:
         raise ValueError(f"depth {depth} exceeds the configured maximum {max_depth}")
     if count_words(m, depth, MAX_NODES) > MAX_NODES:

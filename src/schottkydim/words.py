@@ -106,7 +106,7 @@ def count_words(m: int, n: int, cap: int) -> int:
     return total
 
 
-def prepend_levels(maps, n: int):
+def prepend_levels(maps, n: int, roots=None):
     """The one word recursion: levels 1..n of an item per reduced word.
 
     ``maps`` lists (letter, item, image) triples: ``item`` belongs to the
@@ -116,8 +116,14 @@ def prepend_levels(maps, n: int):
     :func:`enumerate_words` gives the words when ``maps`` runs over the
     alphabet in increasing order.  Level j is built from level j-1 with one
     image per word, item(a w) = h_a(item(w)).
+
+    With ``roots``, a collection of letters of ``maps``, level 1 holds only
+    the roots' items, so the levels hold the words that end in a root: the
+    subtrees of those roots.  Deeper levels prepend every letter of ``maps``
+    as before, and the subtrees of disjoint roots share no word.
     """
-    level = [(letter, [item]) for letter, item, _ in maps]
+    level = [(letter, [item]) for letter, item, _ in maps
+             if roots is None or letter in roots]
     for depth in range(1, n + 1):
         if depth > 1:
             level = [(letter, [image(item) for first, items in level
@@ -163,27 +169,31 @@ def _radius_images(mirror: IntegerMirror, letter: int,
 
 
 def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
-                n_max: int, radius_last: bool = False) -> Iterator[list]:
+                n_max: int, radius_last: bool = False,
+                roots=None) -> Iterator[list]:
     """Levels 1..n_max of the integer endpoint disks of the reduced words over
     ``letters``, in the layout of :func:`prepend_levels`; each disk equals
-    :func:`word_disk` of its word.
+    :func:`word_disk` of its word.  With ``roots``, only the words that end
+    in a root letter (see :func:`prepend_levels`).
 
     With ``radius_last``, level n_max holds the radii alone, as pairs (s, t)
-    of integers in lowest terms for the radius s/t, computed lazily: a caller
-    pays only for the last-level letters it reads.
+    of integers in lowest terms for the radius s/t, computed lazily: the
+    last level is the largest, and neither its disks nor its radii are ever
+    stored.
     """
     if n_max < 1:
         raise ValueError("word length must be >= 1")
     mirrors = _mirrors(schedule, letters)
+    maps = _ends_maps(mirrors)
     level = None
     stored = n_max - 1 if radius_last else n_max
-    for level in prepend_levels(_ends_maps(mirrors), stored):
+    for level in prepend_levels(maps, stored, roots):
         yield level
     if not radius_last:
         return
-    if level is None:
-        yield [(letter, [ends_radius(mirror.ends)])
-               for letter, mirror in mirrors]
+    if level is None:  # n_max = 1: the generator disks' radii
+        yield [(letter, [ends_radius(disk) for disk in disks])
+               for letter, disks in next(prepend_levels(maps, 1, roots))]
         return
     crossed = [(first, [(disk, ends_cross(disk)) for disk in disks])
                for first, disks in level]
@@ -192,11 +202,11 @@ def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
 
 
 def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
-                       n_max: int) -> Iterator[list]:
+                       n_max: int, roots=None) -> Iterator[list]:
     """The radii of the disks of :func:`disk_levels`, as pairs (s, t) of
     integers in lowest terms, level n_max computed radius-only and
     lazily."""
-    levels = disk_levels(schedule, letters, n_max, radius_last=True)
+    levels = disk_levels(schedule, letters, n_max, True, roots)
     for n, level in enumerate(levels, 1):
         if n == n_max:
             yield level

@@ -361,8 +361,9 @@ def test_power_budget_admits_the_paper_and_benchmark_requests():
         words = check_arguments(k, m, n, Fraction(5, 12), top)
         assert _power_cost(schedule, k, m, words, Fraction(5, 12),
                            top) <= MAX_POWER_COST
-    for k in (1, 50, 98):
-        certify_dimension_upper(schedule, k, 2, 2, Fraction(1, 2 * k))
+    for k in (1, 50, 51, 98):
+        assert certify_dimension_upper(schedule, k, 2, 2,
+                                       Fraction(1, 2 * k)).certified
 
 
 def test_adaptive_precision_stops_before_the_power_budget(monkeypatch):

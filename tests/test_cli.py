@@ -243,10 +243,38 @@ def test_certify_refuses_costly_powers_at_once(flags, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_malformed_config_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("command,text,key", [
+    ("certify", '{"k": 2,', None),
+    # values of another JSON type than their flag's
+    ("certify", '{"k": 2, "alpha": "1/4", "m": null}', "m"),
+    ("certify", '{"k": 2, "alpha": "1/4", "m": [4]}', "m"),
+    ("certify", '{"k": 2.9, "alpha": "1/4"}', "k"),
+    ("explore", '{"word": "1,2", "horizon": null}', "horizon"),
+    ("explore", '{"word": "1,2", "periodic": 1}', "periodic"),
+], ids=["truncated", "m-null", "m-list", "k-float", "horizon-null",
+        "switch-int"])
+def test_malformed_config_is_config_error(command, text, key, tmp_path,
+                                          capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{\"k\": 2,")
-    assert_clean_exit_2(["certify", "--config", str(cfg)], capsys)
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+    if key is not None:
+        assert err.startswith(f"error: config key {key}: expected ")
+
+
+def test_config_values_take_their_flags_types(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # an integer for a float flag, and a JSON boolean for a switch
+    cfg.write_text(json.dumps({"word": "1,2", "horizon": 2, "step": 1,
+                               "periodic": True,
+                               "out": str(tmp_path / "ray")}))
+    assert main(["explore", "--config", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "ray_summary.json").read_text())
+    assert summary["path"].startswith("periodic")
 
 
 def test_inadmissible_schedule_is_config_error(tmp_path, capsys):
@@ -488,6 +516,9 @@ def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, monkeypatch,
     # depth below 1
     ["render", "--k", "2", "--m", "3", "--depth", "0"],
     ["render", "--k", "2", "--m", "3", "--depth", "-1"],
+    # width below 1 pixel
+    ["render", "--k", "2", "--m", "3", "--width", "0"],
+    ["render", "--k", "2", "--m", "3", "--width", "-5"],
 ])
 def test_out_of_range_requests_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -4,7 +4,9 @@ The oracle recomputes every word disk from scratch with ``word_disk`` and
 sums ``pow_rational`` of the radii in ``enumerate_words`` order, one partial
 per first letter, the partials added in letter order.  The engine's exact
 dyadic sums must overlap the oracle's enclosures at every level, and give
-the same dyadic enclosures for every job count.
+the same dyadic enclosures for every job count.  The engine splits the words
+by their last letter; every split of the window letters into root groups
+must share out each level, with one inversion per word.
 """
 
 import hashlib
@@ -17,11 +19,14 @@ from schottkydim.certify import (alpha_sum, certify_dimension_upper,
                                  level_sums, worker_count)
 from schottkydim.cli import main
 from schottkydim.estimators import _level_log_radii, _log_fraction
-from schottkydim.hyperbolic import ExteriorImageError
+from schottkydim.hyperbolic import (ExteriorImageError, IntegerMirror,
+                                    ends_circle)
 from schottkydim.scalars import IntervalContext, contains, lower, upper
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule, validate_schedule)
-from schottkydim.words import disk_tree, enumerate_words, word_disk
+from schottkydim.words import (ReducedWord, count_words, disk_levels,
+                               disk_tree, enumerate_words, prepend_levels,
+                               word_disk, word_radius_levels)
 
 SCHED = paper_schedule(10)
 BITS = 256
@@ -77,10 +82,11 @@ CASES = [(SCHED, 2, 4, 3, Fraction(1, 4)),
          (user_schedule(), 0, 5, 3, Fraction(2, 3))]
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("jobs", [1, 2, 3, "m"])
 @pytest.mark.parametrize("case", CASES, ids=["2,4,3", "3,5,4", "user"])
 def test_level_sums_match_per_word_oracle(case, jobs, many_cpus):
     schedule, k, m, n, alpha = case
+    jobs = m if jobs == "m" else jobs  # one root letter per worker
     got = level_sums(schedule, k, m, n, alpha, BITS, jobs)
     assert_overlap(got, oracle_level_sums(schedule, k, m, n, alpha, CTX))
     serial = level_sums(schedule, k, m, n, alpha, BITS, 1)
@@ -95,6 +101,77 @@ def test_pool_runs_under_spawn(monkeypatch, many_cpus):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     assert level_sums(schedule, k, m, n, alpha, BITS, 2) == serial
+
+
+def splits(letters):
+    """Every split of ``letters`` into nonempty groups."""
+    if not letters:
+        yield []
+        return
+    first, rest = letters[0], letters[1:]
+    for split in splits(rest):
+        yield [(first,)] + split
+        for pos in range(len(split)):
+            yield split[:pos] + [(first,) + split[pos]] + split[pos + 1:]
+
+
+SUBTREE_CASES = [(SCHED, 2, 4, 3), (user_schedule(), 0, 5, 3)]
+
+
+def root_words(letters, n, roots):
+    maps = [(letter, (letter,), lambda w, a=letter: (a,) + w)
+            for letter in letters]
+    return [[word for _, words in level for word in words]
+            for level in prepend_levels(maps, n, roots)]
+
+
+@pytest.mark.parametrize("schedule,k,m,n", SUBTREE_CASES,
+                         ids=["2,4,3", "user"])
+def test_root_subtrees_split_every_level(schedule, k, m, n):
+    letters = schedule.window(k, m)
+    all_splits = list(splits(letters))
+    assert len(all_splits) == {4: 15, 5: 52}[m]  # the Bell numbers
+    for split in all_splits:
+        groups = [root_words(letters, n, roots) for roots in split]
+        disks = [list(disk_levels(schedule, letters, n, roots=roots))
+                 for roots in split]
+        for depth in range(1, n + 1):
+            words = [w.indices for w in enumerate_words(k, m, depth)]
+            shares = [group[depth - 1] for group in groups]
+            # disjoint, and together the whole level
+            assert sum(map(len, shares)) == len(words)
+            assert sorted(w for share in shares for w in share) == words
+            for roots, share in zip(split, shares):
+                assert all(word[-1] in roots for word in share)
+            # each group's disks are its words' disks, in the same layout
+            for share, levels in zip(shares, disks):
+                ends = [d for _, level in levels[depth - 1] for d in level]
+                assert [ends_circle(d) for d in ends] == \
+                    [word_disk(schedule, ReducedWord(w)) for w in share]
+
+
+@pytest.mark.parametrize("schedule,k,m,n", SUBTREE_CASES,
+                         ids=["2,4,3", "user"])
+def test_root_subtrees_invert_each_word_once(schedule, k, m, n, monkeypatch):
+    calls = []
+    for name in ("invert", "invert_radius"):
+        def counted(self, *args, _method=getattr(IntegerMirror, name)):
+            calls.append(1)
+            return _method(self, *args)
+        monkeypatch.setattr(IntegerMirror, name, counted)
+    letters = schedule.window(k, m)
+    for n_max in range(1, n + 1):
+        for split in splits(letters):
+            calls.clear()
+            sizes = [0] * n_max
+            for roots in split:
+                levels = word_radius_levels(schedule, letters, n_max, roots)
+                for depth, level in enumerate(levels):
+                    sizes[depth] += sum(len(list(radii)) for _, radii in level)
+            assert sizes == [m * (m - 1) ** j for j in range(n_max)]
+            # one inversion per word of levels 2..n_max, the generator disks
+            # of level 1 taking none
+            assert len(calls) == count_words(m, n_max, 10 ** 6) - m
 
 
 def test_engine_disks_are_the_word_disks():
