@@ -577,20 +577,12 @@ def _certify_at(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
 
 def reverify(certificate: Certificate, schedule: GeneratorSchedule,
              jobs: int = 1) -> bool:
-    """Recompute the certificate at its recorded precision and compare
-    exactly; False as well when ``schedule`` is not the schedule it was
-    computed on."""
+    """Recompute the certificate at its recorded precision and compare every
+    field, each check's note and tail flag among them, exactly; False as
+    well when ``schedule`` is not the schedule it was computed on."""
     if certificate.schedule_sha256 != schedule.sha256():
         return False
     fresh = certify_dimension_upper(schedule, certificate.k, certificate.m,
                                     certificate.n_max, certificate.alpha,
                                     certificate.backend_bits, jobs=jobs)
-    if fresh.verdict != certificate.verdict:
-        return False
-    if len(fresh.checks) != len(certificate.checks):
-        return False
-    for a, b in zip(fresh.checks, certificate.checks):
-        if (a.name, a.lhs_lo, a.lhs_hi, a.rhs, a.holds) != \
-                (b.name, b.lhs_lo, b.lhs_hi, b.rhs, b.holds):
-            return False
-    return True
+    return fresh == certificate

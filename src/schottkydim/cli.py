@@ -7,7 +7,8 @@ budgets.  Exit codes are listed in README.md: a ValueError, KeyError or
 OSError, a bad flag among them, gives exit 2 and one ``error:`` line on
 stderr.
 
-Flag precedence: command-line flags > config file > defaults.
+Each flag's default is declared once, in build_parser; a --config file
+replaces defaults, so flags > config file > defaults.
 """
 
 from __future__ import annotations
@@ -32,16 +33,27 @@ EXIT_BAD_CONFIG = 2
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise ValueError, so that a bad flag
-    takes main's exit-2 path; its subparsers are of this class too."""
+    takes main's exit-2 path; its subparsers are of this class too, and
+    their help shows each flag's default."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_Formatter, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--out", default=None, help="output path")
+class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):
+        # None stands for "not given" or "computed", not for a value
+        return action.help if action.default is None else \
+            super()._get_help_string(action)
+
+
+def _add_common(parser, out="-", out_help="output path, - for stdout"):
+    parser.add_argument("--out", default=out, help=out_help)
     parser.add_argument("--config", default=None,
-                        help="JSON config file; flags override its values")
+                        help="JSON file of flag defaults; flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,57 +63,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="emit a generator schedule as JSON")
-    p.add_argument("--paper", action="store_true", default=None,
+    p.add_argument("--paper", action="store_true", default=True,
                    help="use the built-in doubly-exponential schedule")
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=8, help="largest index")
     _add_common(p)
 
     p = sub.add_parser("certify", help="certify a dimension upper bound")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="window offset")
     p.add_argument("--alpha", default=None, help="rational exponent, e.g. 1/4")
-    p.add_argument("--m", type=int, default=None, help="window size")
-    p.add_argument("--n", type=int, default=None, help="max word length checked")
+    p.add_argument("--m", type=int, default=6, help="window size")
+    p.add_argument("--n", type=int, default=4, help="max word length checked")
     p.add_argument("--schedule", default=None, help="schedule JSON (default: built-in)")
-    p.add_argument("--backend", default=None,
-                   help="exact | hiprec:<bits> (default: exact, which starts "
-                        "the enclosures at 64 bits and doubles the bits "
-                        "while a check is undecided)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--backend", default="exact",
+                   help="exact | hiprec:<bits> (default: %(default)s, which "
+                        "starts the enclosures at 64 bits and doubles the "
+                        "bits while a check is undecided)")
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the level sums, capped by the "
                         "window size and the usable CPUs (output is "
                         "identical for any value)")
-    _add_common(p)
+    _add_common(p, "certificate.json", "certificate path, - for stdout")
 
     p = sub.add_parser("estimate", help="level-sum bisection and box counting")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--k", type=int, default=2, help="window offset")
+    p.add_argument("--m", type=int, default=4, help="window size")
+    p.add_argument("--n-max", type=int, default=3, help="max word length")
     p.add_argument("--schedule", default=None)
     _add_common(p)
 
     p = sub.add_parser("render", help="SVG of the nested disk tree")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--width", type=int, default=None, help="pixel width")
-    p.add_argument("--no-color-by-level", action="store_true", default=None)
+    p.add_argument("--k", type=int, default=2, help="window offset")
+    p.add_argument("--m", type=int, default=3, help="window size")
+    p.add_argument("--depth", type=int, default=2, help="tree depth")
+    p.add_argument("--width", type=int, default=1200, help="pixel width")
+    p.add_argument("--no-color-by-level", action="store_true", default=False,
+                   help="draw every level in one color")
     p.add_argument("--schedule", default=None)
     _add_common(p)
 
     p = sub.add_parser("explore", help="ray diagnostics for a word-specified limit point")
     p.add_argument("--word", default=None, help="comma-separated indices, e.g. 1,2")
-    p.add_argument("--periodic", action="store_true", default=None)
-    p.add_argument("--escalate", action="store_true", default=None,
+    p.add_argument("--periodic", action="store_true", default=False,
+                   help="repeat the word forever")
+    p.add_argument("--escalate", action="store_true", default=False,
                    help="continue the word with strictly increasing indices")
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--ball", type=int, default=None,
-                   help="word length of the orbit ball (default 4; at most "
-                        f"{explore.MAX_ORBIT_POINTS} orbit points)")
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--depth", type=int, default=None,
-                   help="nested-disk depth for the limit point estimate")
+    p.add_argument("--horizon", type=float, default=50.0, help="ray length")
+    p.add_argument("--ball", type=int, default=4,
+                   help="word length of the orbit ball (default %(default)s; "
+                        f"at most {explore.MAX_ORBIT_POINTS} orbit points)")
+    p.add_argument("--step", type=float, default=0.25, help="ray time step")
+    p.add_argument("--depth", type=int, default=0,
+                   help="limit-point disk depth; 0 picks it from the word")
     p.add_argument("--basepoint", default=None, help="x,y in the half-plane")
-    _add_common(p)
+    _add_common(p, "explore", "prefix of the two output files")
 
     return parser
 
@@ -110,14 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
 _JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-def _load_config(args):
-    """Fill the flags left unset from the --config file's object, each value
-    as its flag would give it: a JSON boolean for a switch, an integer for
-    an integer flag, a number for a float flag and a string otherwise.  A
-    key that no flag of the subcommand defines, or a value of another JSON
-    type, raises ValueError."""
+def _parse(argv):
+    """Parse argv.  The values of a --config file become the subcommand's
+    defaults on a newly built parser, never on the shared one, so argparse
+    gives flags > config > defaults.  Each value must be of its flag's kind:
+    a JSON boolean for a switch, an integer for an integer flag, a number
+    for a float flag and a string otherwise.  A key that no flag of the
+    subcommand defines, or a value of another JSON type, raises
+    ValueError."""
+    args = _parser().parse_args(argv)
     if not args.config:
-        return
+        return args
     with open(args.config, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -126,23 +143,21 @@ def _load_config(args):
     if unknown:
         raise ValueError(f"config keys that no flag of {args.command} "
                          f"defines: {', '.join(unknown)}")
-    sub = next(action for action in _parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices[args.command]._actions}
+    parser = build_parser()
+    sub = next(action for action in parser._actions if isinstance(
+        action, argparse._SubParsersAction)).choices[args.command]
+    flags = {a.dest: a for a in sub._actions}
     for key, value in data.items():
         kind = bool if flags[key].nargs == 0 else flags[key].type or str
         if type(value) not in _JSON_TYPES[kind]:
             raise ValueError(f"config key {key}: expected {kind.__name__}, "
                              f"got {json.dumps(value)}")
-        if getattr(args, key) is None:  # flags > config
+        if kind is float:
             # a number goes through its text, as a flag's value does, so
             # an integer beyond the float range gives inf, not OverflowError
-            setattr(args, key, float(str(value)) if kind is float else value)
-
-
-def _resolve(args, key: str, default):
-    value = getattr(args, key)
-    return default if value is None else value
+            data[key] = float(str(value))
+    sub.set_defaults(**data)
+    return parser.parse_args(argv)
 
 
 def _backend_bits(backend: str) -> Optional[int]:
@@ -162,8 +177,8 @@ def _schedule_for(path: Optional[str], needed_max_index: int) -> GeneratorSchedu
     return load_schedule(path) if path else paper_schedule(needed_max_index)
 
 
-def _write(path: Optional[str], text: str):
-    if path is None or path == "-":
+def _write(path: str, text: str):
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -175,39 +190,32 @@ def _write(path: Optional[str], text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_schedule(args) -> int:
-    if not _resolve(args, "paper", True):
+    if not args.paper:
         raise ValueError("only the built-in schedule can be emitted; "
                          "user schedules are authored as JSON directly")
-    sched = paper_schedule(_resolve(args, "count", 8))
-    _write(args.out, sched.to_json())
+    _write(args.out, paper_schedule(args.count).to_json())
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    k, alpha_text = args.k, args.alpha
-    if k is None or alpha_text is None:
+    if args.k is None or args.alpha is None:
         raise ValueError("certify requires --k and --alpha")
-    m = _resolve(args, "m", 6)
     try:
-        alpha = parse_rational(alpha_text)
+        alpha = parse_rational(args.alpha)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad alpha: {alpha_text}") from exc
-    n_max = _resolve(args, "n", 4)
-    jobs = _resolve(args, "jobs", 1)
-    bits = _backend_bits(_resolve(args, "backend", "exact"))
-    certify_mod.check_arguments(k, m, n_max, alpha, bits, jobs)
-    sched = _schedule_for(args.schedule, k + m)
-    cert = certify_mod.certify_dimension_upper(sched, k, m, n_max, alpha,
-                                               bits, jobs=jobs)
-    _write(_resolve(args, "out", "certificate.json"), cert.to_json())
+        raise ValueError(f"bad alpha: {args.alpha}") from exc
+    bits = _backend_bits(args.backend)
+    certify_mod.check_arguments(args.k, args.m, args.n, alpha, bits, args.jobs)
+    sched = _schedule_for(args.schedule, args.k + args.m)
+    cert = certify_mod.certify_dimension_upper(sched, args.k, args.m, args.n,
+                                               alpha, bits, jobs=args.jobs)
+    _write(args.out, cert.to_json())
     print(cert.summary())
     return EXIT_OK if cert.certified else EXIT_CHECK_FAILED
 
 
 def cmd_estimate(args) -> int:
-    k = _resolve(args, "k", 2)
-    m = _resolve(args, "m", 4)
-    n_max = _resolve(args, "n_max", 3)
+    k, m, n_max = args.k, args.m, args.n_max
     depth = min(n_max + 1, 4)  # of the disk tree for box counting
     sched = _schedule_for(args.schedule, k + m)
     lines = ["n,alpha_n,residual"]
@@ -239,45 +247,33 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    k = _resolve(args, "k", 2)
-    m = _resolve(args, "m", 3)
-    depth = _resolve(args, "depth", 2)
-    width = _resolve(args, "width", 1200)
-    no_color = _resolve(args, "no_color_by_level", False)
-    sched = _schedule_for(args.schedule, k + m)
-    svg = render.svg_disk_tree(sched, k, m, depth, width_px=width,
-                               color_by_level=not no_color)
+    sched = _schedule_for(args.schedule, args.k + args.m)
+    svg = render.svg_disk_tree(sched, args.k, args.m, args.depth,
+                               width_px=args.width,
+                               color_by_level=not args.no_color_by_level)
     _write(args.out, svg)
     return EXIT_OK
 
 
 def cmd_explore(args) -> int:
-    word_text = args.word
-    if not word_text:
+    if not args.word:
         raise ValueError("explore requires --word")
-    word = ReducedWord.parse(word_text)
-    periodic = _resolve(args, "periodic", False)
-    escalate = _resolve(args, "escalate", False)
-    if periodic and escalate:
+    word = ReducedWord.parse(args.word)
+    if args.periodic and args.escalate:
         raise ValueError("--periodic and --escalate are mutually exclusive")
-    horizon = _resolve(args, "horizon", 50.0)
-    ball = _resolve(args, "ball", 4)
-    step = _resolve(args, "step", 0.25)
-    depth = _resolve(args, "depth", 0)
-    if depth < 0:
+    if args.depth < 0:
         raise ValueError(f"--depth must be >= 0 (0 means the default), "
-                         f"got {depth}")
-    basepoint_text = args.basepoint
+                         f"got {args.depth}")
 
-    if periodic:
+    if args.periodic:
         path = explore.WordPath.periodic(word.indices)
-        depth = depth or max(8, 2 * len(word))
-    elif escalate:
+        depth = args.depth or max(8, 2 * len(word))
+    elif args.escalate:
         path = explore.WordPath.escalating(word.indices)
-        depth = depth or len(word) + 2
+        depth = args.depth or len(word) + 2
     else:
         path = explore.WordPath.finite(word.indices)
-        depth = depth or len(word)
+        depth = args.depth or len(word)
 
     max_index = max(max(path.prefix(depth)), max(word.indices))
     sched = paper_schedule(max_index)
@@ -289,23 +285,23 @@ def cmd_explore(args) -> int:
     except OverflowError as exc:
         raise ValueError("the limit point estimate is beyond the float "
                          "range") from exc
-    if basepoint_text is None:
+    if args.basepoint is None:
         p = explore.default_basepoint(sched, word.indices[0])
     else:
         try:
-            bx, by = (parse_rational(v) for v in basepoint_text.split(","))
+            bx, by = (parse_rational(v) for v in args.basepoint.split(","))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad basepoint: {basepoint_text}") from exc
+            raise ValueError(f"bad basepoint: {args.basepoint}") from exc
         p = (bx, by)
-    profile = explore.conicality_profile(sched, p, target, horizon, ball, step)
-    out_prefix = _resolve(args, "out", "explore")
-    _write(f"{out_prefix}_profile.csv", profile.to_csv())
+    profile = explore.conicality_profile(sched, p, target, args.horizon,
+                                         args.ball, args.step)
+    _write(f"{args.out}_profile.csv", profile.to_csv())
     summary = profile.summary_dict()
     summary["word"] = str(word)
     summary["path"] = path.description
     summary["limit_point_estimate"] = target_float
     summary["limit_point_error_radius"] = err_float
-    _write(f"{out_prefix}_summary.json",
+    _write(f"{args.out}_summary.json",
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"classification: {profile.classification}")
     return EXIT_OK
@@ -328,8 +324,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        _load_config(args)
+        args = _parse(argv)
         return COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         # json.JSONDecodeError is a ValueError; str() of a KeyError is the

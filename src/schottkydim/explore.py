@@ -409,36 +409,48 @@ def _beyond(gap: float, log_y: float, reach: float) -> bool:
     return gap - reach > _FLOAT_SLACK * (1.0 + abs(log_y) + gap)
 
 
-def orbit_distance(z, ball: OrbitBall) -> float:
-    """Minimum hyperbolic distance from z to the orbit points; a finite-ball
-    proxy for the quotient distance.
+def _nearest_w(query, ball: OrbitBall, reach: float, skip_identity: bool):
+    """The smallest w = cosh d - 1 from a _query_point to the ball's points,
+    as a raw mpf, whenever the nearest point lies within distance reach;
+    None when the scan finds no point.
 
-    Scans the ball in order of height gap, keeps the smallest cosh argument
-    w = cosh d - 1 and stops once the gap passes the best distance so far.
-    A point whose float estimate of w proves it no nearer is skipped
-    (_screened_out).  1 + w rounds monotonically and acosh is monotone, so
-    the one acosh call, on 1 + the smallest w, gives the minimum of the
-    per-point distances bit for bit.
+    Scans the ball in order of height gap and stops once the gap passes
+    reach or the best distance so far.  A point whose float estimate of w
+    proves it no nearer is skipped (_screened_out).  With skip_identity the
+    basepoint itself (the empty word) is left out.
     """
-    if not ball.points:
-        raise ValueError("orbit ball is empty")
-    zx, zy, twice_zy, log_y = _query_point(z)
+    zx, zy, twice_zy, log_y = query
     twice_zy_f = _screen_float(twice_zy)
     prec, rnd = _MP._prec_rounding
-    best_w, best_d, limit = None, math.inf, math.inf
-    for gap, qx, qy, _ in ball._nearest_heights(log_y):
+    best_w, best_d, limit = None, reach, math.inf
+    for gap, qx, qy, word in ball._nearest_heights(log_y):
         if _beyond(gap, log_y, best_d):
             break
+        if skip_identity and not word:
+            continue
         dx = mpf_sub(zx, qx, prec, rnd)
         dy = mpf_sub(zy, qy, prec, rnd)
         if _screened_out(dx, dy, twice_zy_f, qy, limit):
             continue
         w = _cosh_arg(dx, dy, twice_zy, qy)
         if best_w is None or mpf_lt(w, best_w):
-            best_w, best_d = w, _approx_acosh1p(w)
+            best_w, best_d = w, min(best_d, _approx_acosh1p(w))
             w_f = _screen_float(w)
             limit = w_f * (1.0 + _FLOAT_SLACK) if w_f else math.inf
-    return _acosh1p_float(best_w)
+    return best_w
+
+
+def orbit_distance(z, ball: OrbitBall) -> float:
+    """Minimum hyperbolic distance from z to the orbit points; a finite-ball
+    proxy for the quotient distance.
+
+    1 + w rounds monotonically and acosh is monotone, so the one acosh call,
+    on 1 + the smallest w (_nearest_w), gives the minimum of the per-point
+    distances bit for bit.
+    """
+    if not ball.points:
+        raise ValueError("orbit ball is empty")
+    return _acosh1p_float(_nearest_w(_query_point(z), ball, math.inf, False))
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +578,16 @@ def dirichlet_membership(x, ball: OrbitBall,
     the true domain, so only False is conclusive.  Equality within tolerance
     (math.isclose with rel_tol and an absolute 1e-12) sets the flag.
 
-    Only orbit points that can be closer than, or equidistant with, the
-    basepoint matter, so the scan stops at the first height gap beyond the
-    farthest distance that still passes the equidistance test.  A float
-    estimate of each distance settles the points that are clearly nearer or
-    farther; the rest are decided on their exact distances, as before.  The
-    verdict depends only on which points are nearer or equidistant, not on
-    the order they are visited in.
+    The nearest orbit point other than the basepoint settles both: for
+    d >= d_p, d - d_p <= max(rel_tol * d, 1e-12) only becomes true as d
+    gets smaller, so every point between the nearest one and d_p is
+    equidistant whenever the nearest is, and no point farther than d_p is
+    nearer.  The scan reaches the farthest distance that still passes the
+    equidistance test.
     """
     if not rel_tol >= 0:
         raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
-    zx, zy, twice_zy, log_y = _query_point(x)
+    zx, zy, twice_zy, _ = query = _query_point(x)
     prec, rnd = _MP._prec_rounding
     bx, by = ball.basepoint[0]._mpf_, ball.basepoint[1]._mpf_
     d_p = _acosh1p_float(_cosh_arg(mpf_sub(zx, bx, prec, rnd),
@@ -585,27 +596,13 @@ def dirichlet_membership(x, ball: OrbitBall,
     # d_q > d_p passes isclose iff d_q - d_p <= max(rel_tol*d_q, abs_tol)
     reach = max(d_p + abs_tol, d_p / (1.0 - rel_tol)) if rel_tol < 1 \
         else math.inf
-    boundary = False
-    for gap, qx, qy, word in ball._nearest_heights(log_y):
-        if _beyond(gap, log_y, reach):
-            break
-        if not word:
-            continue
-        w = _cosh_arg(mpf_sub(zx, qx, prec, rnd), mpf_sub(zy, qy, prec, rnd),
-                      twice_zy, qy)
-        est = _approx_acosh1p(w)
-        slack = _FLOAT_SLACK * (1.0 + est + d_p)
-        if est - d_p > max(rel_tol * est, abs_tol) + slack:
-            continue  # farther, and not equidistant
-        if d_p - est > max(rel_tol * d_p, abs_tol) + slack:
-            return False, False  # nearer, and not equidistant
-        d_q = _acosh1p_float(w)
-        if math.isclose(d_p, d_q, rel_tol=rel_tol, abs_tol=abs_tol):
-            boundary = True
-            continue
-        if d_q < d_p:
-            return False, False
-    return True, boundary
+    w = _nearest_w(query, ball, reach, True)
+    if w is None:
+        return True, False
+    d_q = _acosh1p_float(w)
+    if math.isclose(d_p, d_q, rel_tol=rel_tol, abs_tol=abs_tol):
+        return True, True
+    return d_q > d_p, False
 
 
 @dataclass

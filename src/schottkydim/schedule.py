@@ -165,16 +165,46 @@ def validate_schedule(s: GeneratorSchedule) -> ValidationReport:
     return report
 
 
+def _typed(value, kind: type, where: str):
+    """value when its JSON type is kind (a boolean is no int); else
+    ValueError naming where it stands in the schedule file."""
+    if type(value) is not kind:
+        raise ValueError(f"schedule {where}: expected {kind.__name__}, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
+def _entry(e, where: str) -> ScheduleEntry:
+    _typed(e, dict, where)
+    c, r = (_typed(e.get(key), str, f"{where}.{key}") for key in "cr")
+    try:
+        return ScheduleEntry(_typed(e.get("i"), int, f"{where}.i"),
+                             parse_rational(c), parse_rational(r))
+    except ZeroDivisionError:
+        raise ValueError(f"schedule {where}: zero denominator") from None
+
+
 def schedule_from_json_dict(data: Dict) -> GeneratorSchedule:
+    """The schedule of a JSON object as :meth:`GeneratorSchedule.to_json`
+    writes it: "entries" is a list of objects, each with an integer "i" and
+    the strings "c" and "r".  A schedule of the paper's provenance must hold
+    built-in entries only, since certify bounds its tail by theirs.
+    Anything else raises ValueError."""
+    _typed(data, dict, "file")
     if data.get("model") != "upper-half-plane":
         raise ValueError(f"unsupported model: {data.get('model')!r}")
     provenance = data.get("provenance", USER_PROVENANCE)
     if provenance not in (PAPER_PROVENANCE, USER_PROVENANCE):
         raise ValueError(f"unknown provenance: {provenance!r}")
-    entries = tuple(
-        ScheduleEntry(int(e["i"]), parse_rational(e["c"]), parse_rational(e["r"]))
-        for e in data["entries"]
-    )
+    entries = tuple(_entry(e, f"entries[{n}]") for n, e in
+                    enumerate(_typed(data.get("entries"), list, "entries")))
+    if provenance == PAPER_PROVENANCE:
+        top = min(max((e.index for e in entries), default=1), MAX_PAPER_INDEX)
+        built_in = set(paper_schedule(max(top, 1)).entries)
+        stray = [e.index for e in entries if e not in built_in]
+        if stray:
+            raise ValueError(f"provenance {PAPER_PROVENANCE!r}, but entries "
+                             f"{stray} are not the built-in ones")
     schedule = GeneratorSchedule(entries, provenance=provenance)
     report = validate_schedule(schedule)
     if not report.ok:

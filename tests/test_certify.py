@@ -159,6 +159,20 @@ def test_certificate_json_round_trip_and_reverify():
     assert reverify(again, SCHED)
 
 
+def test_reverify_compares_every_field():
+    cert = certify_dimension_upper(SCHED, 2, 4, 2, Fraction(1, 4), BITS)
+    assert certificate_from_json(cert.to_json()) == cert
+    # the center check claims only the window pairs, with no tail bound
+    data = json.loads(cert.to_json())
+    check = next(c for c in data["checks"] if c["name"] == "center_control")
+    assert check["tail_bound_used"] and check["holds"]
+    check["note"], check["tail_bound_used"] = "window pairs only", False
+    tampered = certificate_from_json(json.dumps(data))
+    assert tampered.verdict == cert.verdict
+    assert not reverify(tampered, SCHED)
+    assert reverify(certificate_from_json(cert.to_json()), SCHED)
+
+
 def test_certify_rejects_bad_alpha():
     with pytest.raises(ValueError):
         certify_dimension_upper(SCHED, 2, 6, 2, Fraction(0), BITS)

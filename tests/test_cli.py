@@ -1,14 +1,18 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import schottkydim
 from schottkydim.cli import main
 from schottkydim.render import svg_disk_tree
-from schottkydim.scalars import parse_rational
+from schottkydim.scalars import format_rational, parse_rational
 from schottkydim.schedule import paper_schedule, schedule_from_json
 
 
@@ -289,6 +293,65 @@ def test_inadmissible_schedule_is_config_error(tmp_path, capsys):
                          "--n", "2", "--schedule", str(sched)], capsys)
 
 
+def doctored_paper_schedule():
+    """The built-in schedule to index 8, still labelled "paper", with r_i
+    multiplied by 2^(i^2) from i = 3 on: its disks stay disjoint, but its
+    level-one radius sum is about 0.288, far above the paper's."""
+    data = paper_schedule(8).to_json_dict()
+    for e in data["entries"][2:]:
+        e["r"] = format_rational(parse_rational(e["r"]) * 2 ** (e["i"] ** 2))
+    return data
+
+
+def test_paper_label_requires_the_built_in_entries(tmp_path, capsys):
+    sched = tmp_path / "doctored.json"
+    argv = ["certify", "--k", "2", "--alpha", "1/4", "--m", "6", "--n", "3",
+            "--schedule", str(sched), "--out", str(tmp_path / "c.json")]
+    data = doctored_paper_schedule()
+    # labelled as a user schedule, the same disks are admissible and are
+    # certified on their own sums, which fail
+    sched.write_text(json.dumps({**data, "provenance": "user"}))
+    assert main(argv) == 1
+    capsys.readouterr()
+    (tmp_path / "c.json").unlink()
+    sched.write_text(json.dumps(data))
+    assert_clean_exit_2(argv, capsys)
+    assert not (tmp_path / "c.json").exists()
+
+
+def _schedule_with(entry=None, **fields):
+    """The built-in schedule to index 3, labelled "user", with its second
+    entry replaced by ``entry`` or its ``fields`` changed."""
+    data = paper_schedule(3).to_json_dict()
+    data["provenance"] = "user"
+    data["entries"][1] = entry if entry is not None else \
+        {**data["entries"][1], **fields}
+    return data
+
+
+@pytest.mark.parametrize("data,where", [
+    ({"model": "upper-half-plane", "entries": 5}, "entries"),
+    ([], "file"),
+    (_schedule_with(entry=[2, "17", "1/256"]), "entries[1]"),
+    (_schedule_with(c=0), "entries[1].c"),
+    (_schedule_with(i=2.7), "entries[1].i"),
+    (_schedule_with(i=True), "entries[1].i"),
+], ids=["entries-number", "top-level-list", "entry-list", "c-number",
+        "i-float", "i-bool"])
+def test_malformed_schedule_files_exit_2(data, where, tmp_path, capsys):
+    sched = tmp_path / "bad.json"
+    sched.write_text(json.dumps(data))
+    out = tmp_path / "c.json"
+    assert main(["certify", "--k", "1", "--alpha", "1/2", "--m", "2",
+                 "--n", "2", "--schedule", str(sched),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # one line that names the field
+    assert err.startswith(f"error: schedule {where}: expected ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_config_keys_are_refused(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     # "N" is no flag of certify: the window would silently default to n = 4
@@ -492,6 +555,37 @@ def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, monkeypatch,
         code = main(argv + ["--out", str(out)])
         text = out.read_bytes() if out.exists() else b""
         assert (code, text, capsys.readouterr().err) == result, argv
+
+
+def test_config_does_not_leak_into_the_shared_parser(tmp_path, monkeypatch):
+    # --config values become defaults of a newly built parser only: a plain
+    # render after one with {"m": 4} draws the default m = 3 again
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"m": 4}))
+    assert main(["render", "--config", "cfg.json", "--out", "m4.svg"]) == 0
+    assert main(["render", "--out", "after.svg"]) == 0
+    src = pathlib.Path(schottkydim.__file__).parents[1]
+    subprocess.run([sys.executable, "-m", "schottkydim", "render", "--out",
+                    "fresh.svg"], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+    fresh = (tmp_path / "fresh.svg").read_bytes()
+    assert (tmp_path / "after.svg").read_bytes() == fresh
+    assert (tmp_path / "m4.svg").read_bytes() != fresh
+
+
+def test_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["certify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for shown in ["window size (default: 6)", "(default: certificate.json)",
+                  "(default: exact, which starts", "identical for any value) "
+                  "(default: 1)"]:
+        assert shown in text
+    with pytest.raises(SystemExit):
+        main(["explore", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "orbit ball (default 4;" in text and "(default: 0.25)" in text
+    assert "(default: None)" not in text
 
 
 # ---------------------------------------------------------------------------

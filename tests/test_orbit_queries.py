@@ -310,3 +310,45 @@ def test_ray_queries_check_the_ball_at_every_horizon(horizon):
             query(SCHED, BASE, None, horizon, -1, 0.25)
         with pytest.raises(ValueError, match="upper half-plane"):
             query(SCHED, (Fraction(0), Fraction(-1)), None, horizon, 1, 0.25)
+
+
+def test_dirichlet_verdicts_do_not_depend_on_the_screen():
+    # the verdict comes from the nearest orbit point other than the
+    # basepoint; with the float screen off every point the scan reaches is
+    # evaluated exactly, and each verdict must stay the same
+    mp = explore._MP
+    queries = [((qx + explore._num(shift) * qy, qy / mp.mpf(2) ** bits), ball,
+                rel_tol)
+               for ball in (BALLS[1], BALLS[3])
+               for _, (qx, qy) in ball.points[:12]
+               for shift in (Fraction(0), Fraction(1, 3), Fraction(-5, 2))
+               for bits in (0, 1, 40)
+               for rel_tol in (0.0, 1e-9, 0.25, 3.0)]
+    p = default_basepoint(SCHED, 3)
+    apex = (Fraction(2114), Fraction(1, 2 ** 18))
+    queries += [(apex, OrbitBall.build(SCHED, p, 1, (3,)), rel_tol)
+                for rel_tol in (0.0, 1e-9)]
+    # z = (0, 1/2) is ln 2 from the basepoint (0, 1); the point beside z
+    # (height gap 0) is farther by excess and is visited before the point
+    # straight below z, which is nearer by excess
+    y = mp.mpf(1) / 2
+    for excess in (1e-3, 0.1, 0.5):
+        side = (y * mp.sqrt(2 * (mp.cosh(mp.log(2) + excess) - 1)), y)
+        below = (0, y * mp.exp(excess - mp.log(2)))
+        queries += [((0, y), hand_ball((0, 1), side, below), rel_tol)
+                    for rel_tol in (0.0, 1e-9)]
+    verdicts, evaluations = [], []
+    for screen in (True, False):
+        calls = []
+        cosh_arg = explore._cosh_arg
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(explore, "_cosh_arg",
+                          lambda *a: calls.append(1) or cosh_arg(*a))
+            if not screen:
+                patch.setattr(explore, "_screened_out", lambda *a: False)
+            verdicts.append([dirichlet_membership(z, ball, rel_tol)
+                             for z, ball, rel_tol in queries])
+        evaluations.append(len(calls))
+    assert verdicts[0] == verdicts[1]
+    assert {(True, False), (False, False), (True, True)} <= set(verdicts[0])
+    assert evaluations[0] < evaluations[1]  # the screen settled some points

@@ -140,3 +140,31 @@ def test_violations_are_reported_on_one_line():
     assert "\n" not in message
     assert message.startswith("inadmissible schedule: ")
     assert message.count("; ") == 2  # three violations
+
+
+def test_paper_label_takes_built_in_entries_only():
+    data = paper_schedule(9).to_json_dict()
+    # built-in entries of any indices: accepted as they are
+    subset = {**data, "entries": data["entries"][2:8]}
+    assert schedule_from_json(json.dumps(subset)) == \
+        GeneratorSchedule(paper_schedule(8).entries[2:], provenance="paper")
+    # an entry that is not the built-in one of its index, or of an index
+    # outside 1..100, is refused
+    wide = {**data["entries"][8], "r": "1/2"}
+    far = {"i": 101, "c": "1" + "0" * 3100, "r": "1/4"}
+    below = {"i": 0, "c": "-5", "r": "1/4"}
+    for stray, index in ((wide, 9), (far, 101), (below, 0)):
+        bad = {**data, "entries": data["entries"][:8] + [stray]}
+        with pytest.raises(ValueError, match=rf"entries \[{index}\] are not "
+                                             "the built-in ones"):
+            schedule_from_json(json.dumps(bad))
+        # the same disks as a user schedule are admissible
+        assert schedule_from_json(json.dumps({**bad, "provenance": "user"}))
+
+
+def test_zero_denominator_names_the_entry():
+    data = paper_schedule(2).to_json_dict()
+    data["entries"][1]["r"] = "1/0"
+    with pytest.raises(ValueError,
+                       match=r"^schedule entries\[1\]: zero denominator$"):
+        schedule_from_json(json.dumps(data))
