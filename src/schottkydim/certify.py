@@ -64,9 +64,24 @@ def worker_count(jobs: int, letters: int) -> int:
     return max(1, min(jobs, letters, _usable_cpus()))
 
 
+def _send_result(conn, func, args) -> None:
+    """A worker process's body: send (True, func(*args)), or (False, the
+    exception it raised), over the write end ``conn`` of a pipe."""
+    try:
+        message = (True, func(*args))
+    except Exception as exc:  # raised again in the parent
+        message = (False, exc)
+    conn.send(message)
+    conn.close()
+
+
 def _starmap(func, tasks: list) -> list:
     """[func(*task) for task in tasks]: in this process for one task, else
-    in a pool of one worker process per task."""
+    in one worker process per task, started by fork where the platform has
+    it and by spawn otherwise.  Each worker sends its result back over a
+    one-way pipe.  A worker's exception is raised again here, after the
+    other workers are terminated; every worker has been joined when this
+    returns or raises."""
     if len(tasks) == 1:
         return [func(*tasks[0])]
     import multiprocessing  # only here, so importing the package stays cheap
@@ -74,8 +89,38 @@ def _starmap(func, tasks: list) -> list:
     # are plain picklable values, so spawn works as well where fork is absent
     methods = multiprocessing.get_all_start_methods()
     mp = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with mp.Pool(len(tasks)) as pool:
-        return pool.starmap(func, tasks)
+    workers = []
+    try:
+        for task in tasks:
+            receiver, sender = mp.Pipe(duplex=False)
+            worker = mp.Process(target=_send_result,
+                                args=(sender, func, task))
+            workers.append((worker, receiver))
+            worker.start()
+            sender.close()  # the worker holds the only write end
+        results = []
+        for worker, receiver in workers:
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(f"a level-sum worker process exited "
+                                   f"with code {worker.exitcode} and no "
+                                   f"result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for worker, _ in workers:
+            if worker.is_alive():
+                worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            if worker.pid is not None:  # started
+                worker.join()
+            receiver.close()
 
 
 def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
@@ -97,9 +142,10 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     The words are split by their last letter: the letters are dealt
     round-robin into :func:`worker_count` groups, and each group's subtrees
     (the words ending in one of its letters) are built and summed on their
-    own, in this process for one group and in one worker process per group
-    otherwise.  No word is built twice, and the groups' exact sums are added
-    per level.
+    own, in this process for one group and otherwise in one worker process
+    per group (:func:`_starmap`), this process waiting.  No word is built
+    twice, and the groups' exact sums are added per level.  A worker's
+    exception is raised here, and no worker outlives this call.
     """
     alpha = Fraction(alpha)
     if alpha < 0:

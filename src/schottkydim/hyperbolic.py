@@ -197,6 +197,37 @@ def circle_invert_circle(circle: Circle, other: Circle) -> Circle:
 # lowest terms with a positive denominator.  An inversion maps each endpoint
 # on its own, and reduces it with one gcd against a constant of the mirror;
 # :func:`circle_invert_circle` stays the exact-Fraction oracle.
+#
+# Where one side of a gcd is a power of two 2^j, gcd(2^j, x) = min(2^j,
+# x & -x), the lowest set bit of x, and the division is a right shift; on
+# the built-in schedule every reduction but those of disk_ends takes this
+# path (see IntegerMirror).
+
+
+def _low_shift(v: int) -> int:
+    """The number of trailing zero bits of a nonzero integer."""
+    return (v & -v).bit_length() - 1
+
+
+def _reduce_by_gcd(t: int, num: int, den: int) -> Tuple[int, int]:
+    """num/den divided by gcd(t, num, den)."""
+    g = math.gcd(t, num, den)
+    return num // g, den // g
+
+
+def _reduce_by_shift(t: int, num: int, den: int) -> Tuple[int, int]:
+    """num/den divided by gcd(t, num, den) for a power of two t, the lowest
+    set bit of t | num | den; for num = 0 that is gcd(t, den)."""
+    shift = _low_shift(t | num | den)
+    return num >> shift, den >> shift
+
+
+def lowest_terms(s: int, t: int) -> Tuple[int, int]:
+    """s/t divided by gcd(s, t): by a shift when s is a power of two, by
+    :func:`math.gcd` otherwise."""
+    reduce = _reduce_by_shift if s > 0 and s & (s - 1) == 0 else _reduce_by_gcd
+    return reduce(s, s, t)
+
 
 def disk_ends(circle: Circle) -> Tuple[int, int, int, int]:
     """The integer endpoints of a disk with rational center and radius:
@@ -220,9 +251,7 @@ def ends_radius(ends) -> Tuple[int, int]:
     """The radius (x1 - x0)/2 of integer endpoints, as (s, t) in lowest
     terms."""
     _, d0, _, d1 = ends
-    s, t = ends_cross(ends), 2 * d0 * d1
-    g = math.gcd(s, t)
-    return s // g, t // g
+    return lowest_terms(ends_cross(ends), 2 * d0 * d1)
 
 
 def ends_circle(ends) -> Circle:
@@ -266,9 +295,19 @@ class IntegerMirror:
     The image of a disk is a disk exactly when both endpoints lie on one side
     of c, which is the condition u^2 > rho^2 of :func:`circle_invert_circle`;
     the same errors are raised otherwise.
+
+    On a schedule of integer centers (b = 1) and radii 1/2^j (e = 1), the
+    built-in one among them, T = f^2 is a power of two, and so is every
+    radius numerator: a generator disk's cross term (:func:`ends_cross`)
+    is 2 f, an inversion multiplies the unreduced cross term by
+    e^2 b^4 f^2 = f^2, and the reductions divide it by factors of T.  Each
+    reduction is then a shift by the lowest set bit
+    (:func:`_reduce_by_shift`, :func:`lowest_terms`), and :func:`math.gcd`
+    runs only for other schedules.
     """
 
-    __slots__ = ("a", "b", "af2", "bf2", "e2b2", "f2", "reducer", "ends")
+    __slots__ = ("a", "b", "af2", "bf2", "e2b2", "f2", "reducer", "reduce",
+                 "ends")
 
     def __init__(self, circle: Circle):
         center, radius = Fraction(circle.center), Fraction(circle.radius)
@@ -279,6 +318,9 @@ class IntegerMirror:
         self.af2, self.bf2 = a * self.f2, b * self.f2
         self.e2b2 = e * e * b * b
         self.reducer = (b * b * e * f) ** 2  # T
+        self.reduce = (_reduce_by_shift
+                       if self.reducer & (self.reducer - 1) == 0
+                       else _reduce_by_gcd)
         self.ends = disk_ends(circle)
 
     def _offsets(self, ends):
@@ -300,19 +342,17 @@ class IntegerMirror:
         af2, bf2, e2b2, t = self.af2, self.bf2, self.e2b2, self.reducer
         if D0 < 0:
             D0, D1, d0, d1 = -D0, -D1, -d0, -d1
-        num0, den0 = af2 * D1 + e2b2 * d1, bf2 * D1  # h(x1), the new left end
-        num1, den1 = af2 * D0 + e2b2 * d0, bf2 * D0  # h(x0), the new right end
-        g0, g1 = math.gcd(t, num0, den0), math.gcd(t, num1, den1)
-        return num0 // g0, den0 // g0, num1 // g1, den1 // g1
+        reduce = self.reduce
+        # h(x1), the new left end, and h(x0), the new right end
+        return (*reduce(t, af2 * D1 + e2b2 * d1, bf2 * D1),
+                *reduce(t, af2 * D0 + e2b2 * d0, bf2 * D0))
 
     def invert_radius(self, ends, cross: int) -> Tuple[int, int]:
         """The image's radius alone, as (s, t) in lowest terms, given
         ``cross`` = :func:`ends_cross` of ``ends``:
         r^2 rho / ((x0 - c)(x1 - c)) = e^2 b^2 cross / (2 f^2 D0 D1)."""
         D0, D1 = self._offsets(ends)
-        s, t = self.e2b2 * cross, 2 * self.f2 * D0 * D1
-        g = math.gcd(s, t)
-        return s // g, t // g
+        return lowest_terms(self.e2b2 * cross, 2 * self.f2 * D0 * D1)
 
 
 # ---------------------------------------------------------------------------

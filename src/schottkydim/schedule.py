@@ -32,6 +32,10 @@ class ScheduleEntry:
 
 @dataclass(frozen=True)
 class GeneratorSchedule:
+    """An indexed family of generator disks.  A schedule of the paper's
+    provenance must hold built-in entries only, since certify bounds its
+    tail by theirs; ValueError otherwise."""
+
     entries: Tuple[ScheduleEntry, ...]
     provenance: str = USER_PROVENANCE
 
@@ -41,6 +45,15 @@ class GeneratorSchedule:
             if e.index in seen:
                 raise ValueError(f"duplicate generator index {e.index}")
             seen.add(e.index)
+        if self.provenance == PAPER_PROVENANCE:
+            top = min(max(seen, default=1), MAX_PAPER_INDEX)
+            built_in = _built_in_entries(max(top, 1))
+            stray = [e.index for e in self.entries
+                     if not (1 <= e.index <= top
+                             and built_in[e.index - 1] == e)]
+            if stray:
+                raise ValueError(f"provenance {PAPER_PROVENANCE!r}, but "
+                                 f"entries {stray} are not the built-in ones")
 
     @property
     def is_paper(self) -> bool:
@@ -116,19 +129,28 @@ def paper_radius(i: int) -> Fraction:
     return Fraction(1, 2 ** (2 * i * i))
 
 
+# The built-in entries built so far, of indices 1..len: each is built once
+# per process and shared by every schedule that holds it.
+_BUILT_IN: List[ScheduleEntry] = []
+
+
+def _built_in_entries(count: int) -> Tuple[ScheduleEntry, ...]:
+    """The built-in entries of indices 1..count."""
+    for i in range(len(_BUILT_IN) + 1, count + 1):
+        c = Fraction(0) if i == 1 else \
+            _BUILT_IN[-1].center + 2 ** (i * i + 2) + 1
+        _BUILT_IN.append(ScheduleEntry(i, c, paper_radius(i)))
+    return tuple(_BUILT_IN[:count])
+
+
 def paper_schedule(count: int) -> GeneratorSchedule:
     """The built-in schedule for indices 1..count, 1 <= count <=
     MAX_PAPER_INDEX."""
     if not 1 <= count <= MAX_PAPER_INDEX:
         raise ValueError(f"the built-in schedule goes from index 1 to "
                          f"{MAX_PAPER_INDEX}; count {count} is out of range")
-    entries = []
-    c = Fraction(0)
-    for i in range(1, count + 1):
-        if i > 1:
-            c += 2 ** (i * i + 2) + 1
-        entries.append(ScheduleEntry(i, c, paper_radius(i)))
-    return GeneratorSchedule(tuple(entries), provenance=PAPER_PROVENANCE)
+    return GeneratorSchedule(_built_in_entries(count),
+                             provenance=PAPER_PROVENANCE)
 
 
 def validate_schedule(s: GeneratorSchedule) -> ValidationReport:
@@ -187,9 +209,9 @@ def _entry(e, where: str) -> ScheduleEntry:
 def schedule_from_json_dict(data: Dict) -> GeneratorSchedule:
     """The schedule of a JSON object as :meth:`GeneratorSchedule.to_json`
     writes it: "entries" is a list of objects, each with an integer "i" and
-    the strings "c" and "r".  A schedule of the paper's provenance must hold
-    built-in entries only, since certify bounds its tail by theirs.
-    Anything else raises ValueError."""
+    the strings "c" and "r", and the entries are checked as
+    :class:`GeneratorSchedule` checks them.  Anything else raises
+    ValueError."""
     _typed(data, dict, "file")
     if data.get("model") != "upper-half-plane":
         raise ValueError(f"unsupported model: {data.get('model')!r}")
@@ -198,13 +220,6 @@ def schedule_from_json_dict(data: Dict) -> GeneratorSchedule:
         raise ValueError(f"unknown provenance: {provenance!r}")
     entries = tuple(_entry(e, f"entries[{n}]") for n, e in
                     enumerate(_typed(data.get("entries"), list, "entries")))
-    if provenance == PAPER_PROVENANCE:
-        top = min(max((e.index for e in entries), default=1), MAX_PAPER_INDEX)
-        built_in = set(paper_schedule(max(top, 1)).entries)
-        stray = [e.index for e in entries if e not in built_in]
-        if stray:
-            raise ValueError(f"provenance {PAPER_PROVENANCE!r}, but entries "
-                             f"{stray} are not the built-in ones")
     schedule = GeneratorSchedule(entries, provenance=provenance)
     report = validate_schedule(schedule)
     if not report.ok:

@@ -32,6 +32,14 @@ class ReducedWord:
             if a == b:
                 raise ValueError(f"not reduced: repeated letter {a} in {self.indices}")
 
+    @classmethod
+    def _unchecked(cls, indices: Tuple[int, ...]) -> "ReducedWord":
+        """The word of ``indices`` that are reduced by construction, as the
+        word engine builds them, made without checking the letters again."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "indices", indices)
+        return word
+
     def __len__(self):
         return len(self.indices)
 
@@ -316,7 +324,8 @@ def disk_tree(schedule: GeneratorSchedule, k: int, m: int,
     the lexicographic order of its words.
 
     The levels are those of :func:`prepend_levels`, one integer inversion per
-    disk, so each disk equals :func:`word_disk` of its word.  The window's
+    disk, so each disk equals :func:`word_disk` of its word; the nodes'
+    words are reduced by construction and are not checked again.  The window's
     generator disks are checked pairwise disjoint with exact integer
     comparisons, and :class:`NestingError` is raised otherwise.  Disjoint
     generator disks make the tree nest at every depth: each inversion maps
@@ -329,6 +338,7 @@ def disk_tree(schedule: GeneratorSchedule, k: int, m: int,
             if not ends_disjoint(mirror_a.ends, mirror_b.ends):
                 raise NestingError(f"depth-1 disks {a} and {b} are not "
                                    f"disjoint")
-    levels = [[DiskNode(ReducedWord(word), ends) for word, ends in level]
+    levels = [[DiskNode(ReducedWord._unchecked(word), ends)
+               for word, ends in level]
               for level in labelled_levels(_ends_maps(mirrors), max(n, 1))]
     return DiskTree(k=k, m=m, depth=n, levels=levels)

@@ -13,7 +13,9 @@ import schottkydim
 from schottkydim.cli import main
 from schottkydim.render import svg_disk_tree
 from schottkydim.scalars import format_rational, parse_rational
-from schottkydim.schedule import paper_schedule, schedule_from_json
+from schottkydim.certify import certify_dimension_upper
+from schottkydim.schedule import (GeneratorSchedule, paper_schedule,
+                                  schedule_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +319,21 @@ def test_paper_label_requires_the_built_in_entries(tmp_path, capsys):
     sched.write_text(json.dumps(data))
     assert_clean_exit_2(argv, capsys)
     assert not (tmp_path / "c.json").exists()
+
+
+def test_paper_label_in_code_requires_the_built_in_entries():
+    data = doctored_paper_schedule()
+    entries = schedule_from_json(json.dumps({**data, "provenance": "user"})
+                                 ).entries
+    # built in code, the doctored entries cannot borrow the paper's tail
+    with pytest.raises(ValueError, match=r"entries \[3, 4, 5, 6, 7, 8\] "
+                                         "are not the built-in ones"):
+        GeneratorSchedule(entries, provenance="paper")
+    user = GeneratorSchedule(entries)
+    cert = certify_dimension_upper(user, 2, 6, 3, Fraction(1, 4))
+    assert not cert.certified
+    assert GeneratorSchedule(paper_schedule(8).entries,
+                             provenance="paper") == paper_schedule(8)
 
 
 def _schedule_with(entry=None, **fields):

@@ -103,6 +103,59 @@ def test_pool_runs_under_spawn(monkeypatch, many_cpus):
     assert level_sums(schedule, k, m, n, alpha, BITS, 2) == serial
 
 
+class GroupFailure(ValueError):
+    pass
+
+
+def failing_group(letter):
+    """A _root_sums whose group of ``letter`` raises GroupFailure, the other
+    groups summing as before."""
+    real = certify._root_sums
+
+    def root_sums(schedule, letters, roots, *args):
+        if letter in roots:
+            raise GroupFailure(f"group of letter {letter} failed")
+        return real(schedule, letters, roots, *args)
+    return root_sums
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_worker_exception_is_raised_again(monkeypatch, many_cpus, jobs):
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched _root_sums reaches the workers by fork only")
+    schedule, k, m, n, alpha = CASES[0]
+    # letters 3..6 dealt round-robin: at jobs 2 the second group fails, the
+    # first one sums on
+    monkeypatch.setattr(certify, "_root_sums", failing_group(6))
+    with pytest.raises(GroupFailure, match="group of letter 6 failed"):
+        level_sums(schedule, k, m, n, alpha, BITS, jobs)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_worker_exception_exits_2(monkeypatch, many_cpus, capsys, tmp_path,
+                                  jobs):
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched _root_sums reaches the workers by fork only")
+    monkeypatch.setattr(certify, "_root_sums", failing_group(4))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--k", "2", "--alpha", "1/4", "--m", "4",
+                 "--n", "3", "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: group of letter 4 failed\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_level_sums(many_cpus):
+    import multiprocessing
+    schedule, k, m, n, alpha = CASES[0]
+    serial = level_sums(schedule, k, m, n, alpha, BITS, 1)
+    assert level_sums(schedule, k, m, n, alpha, BITS, m) == serial
+    assert multiprocessing.active_children() == []
+
+
 def splits(letters):
     """Every split of ``letters`` into nonempty groups."""
     if not letters:

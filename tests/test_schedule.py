@@ -162,6 +162,24 @@ def test_paper_label_takes_built_in_entries_only():
         assert schedule_from_json(json.dumps({**bad, "provenance": "user"}))
 
 
+def test_paper_schedule_builds_each_entry_once(monkeypatch):
+    from schottkydim import schedule
+    monkeypatch.setattr(schedule, "_BUILT_IN", [])
+    built = []
+
+    def entry(*fields):
+        built.append(fields[0])
+        return ScheduleEntry(*fields)
+
+    monkeypatch.setattr(schedule, "ScheduleEntry", entry)
+    nine = paper_schedule(9)
+    # the provenance check reads the entries paper_schedule built
+    assert built == list(range(1, 10))
+    assert paper_schedule(5).entries == nine.entries[:5]
+    assert paper_schedule(11).entries[:9] == nine.entries
+    assert built == list(range(1, 12))
+
+
 def test_zero_denominator_names_the_entry():
     data = paper_schedule(2).to_json_dict()
     data["entries"][1]["r"] = "1/0"

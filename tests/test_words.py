@@ -184,3 +184,29 @@ def test_tree_rejects_overlapping_roots():
                                          Fraction(1, 2))))
     with pytest.raises(NestingError):
         disk_tree(s, 0, 2, 1)
+
+
+def test_tree_words_are_the_enumerated_words(monkeypatch):
+    checks = []
+    checked_init = ReducedWord.__post_init__
+
+    def counted(self):
+        checks.append(self.indices)
+        checked_init(self)
+
+    monkeypatch.setattr(ReducedWord, "__post_init__", counted)
+    tree = disk_tree(SCHED, 2, 4, 4)
+    # the nodes' words are built without the letter check
+    assert checks == []
+    for n, level in enumerate(tree.levels, start=1):
+        words = list(enumerate_words(2, 4, n))
+        assert [node.word for node in level] == words
+        for node, word in zip(level, words):
+            assert type(node.word) is ReducedWord
+            assert node.word == ReducedWord(word.indices)
+            assert hash(node.word) == hash(word)
+            assert node.word.indices == word.indices
+    # every other caller keeps the check
+    with pytest.raises(ValueError):
+        ReducedWord((3, 4, 4))
+    assert checks[-1] == (3, 4, 4)
