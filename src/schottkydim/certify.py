@@ -39,14 +39,47 @@ class TailBoundError(ValueError):
 
 def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
                roots: Sequence[int], n_max: int, alpha: Fraction,
-               bits: int) -> list:
-    """[exact sum of the enclosures of r_w^alpha over the level-n words w
-    over ``letters`` that end in a letter of ``roots``, for n = 1..n_max],
-    each a dyadic enclosure (lo, hi, E) of plain integers (see
-    :class:`~schottkydim.scalars.DyadicPower`)."""
+               bits: int, skip: bool = True) -> list:
+    """[(exact, bound) for n = 1..n_max]: the sums of the enclosures of
+    r_w^alpha over the level-n words w over ``letters`` that end in a letter
+    of ``roots``, as :meth:`~schottkydim.scalars.DyadicPower.sum_skipping`
+    gives them, each a dyadic enclosure (lo, hi, E) of plain integers.
+
+    With ``skip``, a word whose power is capped more than 2 ``bits`` bits
+    below the largest cap of the words summed exactly before it takes no
+    root: its cap goes into ``bound``.  Prepend order visits the words of
+    the small letters, the large disks, first.  Without ``skip`` every word
+    is summed exactly and ``bound`` is (0, 0, 0)."""
     power = DyadicPower(alpha, bits)
-    return [power.sum(radius for _, radii in level for radius in radii)
+    margin = 2 * bits if skip else None
+    return [power.sum_skipping((radius for _, radii in level
+                                for radius in radii), margin)
             for level in word_radius_levels(schedule, letters, n_max, roots)]
+
+
+def _same_value(x, y) -> bool:
+    """Whether two dyadic enclosures have the same ends, compared as
+    integers at their larger exponent."""
+    top = max(x[2], y[2])
+    return (x[0] << (top - x[2]) == y[0] << (top - y[2])
+            and x[1] << (top - x[2]) == y[1] << (top - y[2]))
+
+
+def _rounded_sums(groups, bits: int) -> Optional[list]:
+    """The groups' (exact, bound) pairs of :func:`_root_sums` added per level
+    and rounded outward to ``bits`` bits; None when the words left out
+    might move a rounded end, that is when ``exact`` and ``exact`` plus
+    ``bound`` at both ends do not round alike."""
+    sums = []
+    for level in zip(*groups):
+        exact = dyadic_sum(e for e, _ in level)
+        rounded = round_dyadic(exact, bits)
+        bound = dyadic_sum(b for _, b in level)
+        if bound[0] and not _same_value(
+                rounded, round_dyadic(dyadic_sum((exact, bound)), bits)):
+            return None
+        sums.append(rounded)
+    return sums
 
 
 def _usable_cpus() -> int:
@@ -139,23 +172,34 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     (:func:`~schottkydim.scalars.round_dyadic`), so each result is a dyadic
     enclosure (lo, hi, E) of the true window sum.
 
+    A word whose power is capped more than 2 ``bits`` bits below the
+    largest terms of its level takes no root; its cap is added to a bound
+    instead (:func:`_root_sums`).  The true sum lies between the exact sum
+    of the other words and that sum plus the bound, so where the two round
+    alike at both ends, that rounding is the one of summing every word.
+    Where they do not, the level sums are taken again with every root.
+    Either way the result is the same triple.
+
     The words are split by their last letter: the letters are dealt
     round-robin into :func:`worker_count` groups, and each group's subtrees
     (the words ending in one of its letters) are built and summed on their
     own, in this process for one group and otherwise in one worker process
     per group (:func:`_starmap`), this process waiting.  No word is built
-    twice, and the groups' exact sums are added per level.  A worker's
-    exception is raised here, and no worker outlives this call.
+    twice, and the groups' exact sums and bounds are added per level.  A
+    worker's exception is raised here, and no worker outlives this call.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     letters = schedule.window(k, m)
     workers = worker_count(jobs, len(letters))
-    groups = _starmap(_root_sums, [
-        (schedule, letters, letters[i::workers], n_max, alpha, bits)
-        for i in range(workers)])
-    return [round_dyadic(dyadic_sum(level), bits) for level in zip(*groups)]
+    tasks = [(schedule, letters, letters[i::workers], n_max, alpha, bits)
+             for i in range(workers)]
+    sums = _rounded_sums(_starmap(_root_sums, tasks), bits)
+    if sums is None:  # a word left out might move a rounded end
+        sums = _rounded_sums(_starmap(_root_sums, [
+            task + (False,) for task in tasks]), bits)
+    return sums
 
 
 def alpha_sum(schedule: GeneratorSchedule, k: int, m: int, n: int,

@@ -63,8 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="emit a generator schedule as JSON")
-    p.add_argument("--paper", action="store_true", default=True,
-                   help="use the built-in doubly-exponential schedule")
+    p.add_argument("--paper", action=argparse.BooleanOptionalAction,
+                   default=True,
+                   help="use the built-in doubly-exponential schedule, the "
+                        "only one this command emits")
     p.add_argument("--count", type=int, default=8, help="largest index")
     _add_common(p)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from mpmath import ctx_iv
 from mpmath.libmp import (fone, from_int, mpi_div, mpi_exp, mpi_log, mpi_mul,
@@ -138,6 +138,10 @@ class DyadicPower:
     a^p 2^(qE - pe) (:func:`_iroot`), and hi steps up from lo until hi^q
     reaches b^p 2^(qE - pe) rounded up, one step or none in practice.
     Enclosures of one exponent are added exactly by :meth:`sum`.
+
+    :meth:`cap_exponent` bounds hi 2^-E by a power of two and
+    :meth:`root_exponent` gives E, both from bit lengths alone, so a sum can
+    leave out a root too small to matter and still know what it left out.
     """
 
     GUARD_BITS = 32
@@ -147,9 +151,10 @@ class DyadicPower:
         if self.exponent < 0:
             raise ValueError("DyadicPower needs a nonnegative exponent")
         self.bits = bits
+        self._p, self._q = self.exponent.numerator, self.exponent.denominator
 
     def __call__(self, s: int, t: int) -> Tuple[int, int, int]:
-        p, q = self.exponent.numerator, self.exponent.denominator
+        p, q = self._p, self._q
         if p == 0 or s == t:
             return 1, 1, 0
         bits = self.bits
@@ -167,7 +172,7 @@ class DyadicPower:
             a, rem = divmod(s << e, t)
         else:
             a, rem = divmod(s, t << -e)
-        E = bits - (p * (guard - e)) // q
+        E = self.root_exponent(s, t)  # bits - floor(p (guard - e) / q)
         shift = q * E - p * e
         x_lo = a ** p
         x_hi = x_lo if rem == 0 else (a + 1) ** p
@@ -182,11 +187,59 @@ class DyadicPower:
             hi += 1
         return lo, hi, E
 
+    def cap_exponent(self, s: int, t: int) -> Optional[int]:
+        """c with hi 2^-E <= 2^c for (lo, hi, E) = self(s, t), from bit
+        lengths alone; None where self(s, t) takes no root (p = 0, q = 1 or
+        s = t).
+
+        With G = bits + GUARD_BITS, a < 2^(G+1), so x_hi <= 2^M for
+        M = max(0, p(G+1) + qE - pe), and hi <= 2^ceil(M/q).  As
+        qE >= q bits - p(G - e), M >= p + q bits > 0, so
+        c = ceil(M/q) - E = ceil(p(d+1)/q) for d = bl(s) - bl(t): the bound
+        s/t < 2^(d+1) raised to p/q, rounded up to an integer exponent."""
+        p, q = self._p, self._q
+        if p == 0 or q == 1 or s == t:
+            return None
+        return -(-p * (s.bit_length() - t.bit_length() + 1) // q)
+
+    def root_exponent(self, s: int, t: int) -> int:
+        """E of self(s, t) where it takes a root: bits - floor(p d/q) for
+        d = bl(s) - bl(t)."""
+        d = s.bit_length() - t.bit_length()
+        return self.bits - self._p * d // self._q
+
     def sum(self, bases) -> Tuple[int, int, int]:
         """The exact sum of the enclosures of r**exponent over (s, t) pairs,
         as one (lo, hi, E); it does not depend on the order of ``bases``."""
-        by_exponent = {}
+        return self.sum_skipping(bases)[0]
+
+    def sum_skipping(self, bases, margin: Optional[int] = None):
+        """(exact, bound): with ``margin``, the sum of :meth:`sum` with the
+        pairs left out whose :meth:`cap_exponent` c lies more than
+        ``margin`` below the largest c of the pairs summed before them.
+
+        ``exact`` is the exact sum of the others, at the exponent E that
+        :meth:`sum` of all the pairs takes, and ``bound`` = (b, b, F) with
+        b 2^-F the sum of 2^c over the pairs left out, so the sum of all
+        the pairs lies in ``exact`` + [0, ``bound``] at both ends.  The
+        pairs are read once, in order; none is stored.  Without ``margin``
+        no pair is left out and ``bound`` is (0, 0, 0).
+        """
+        by_exponent, capped = {}, {}  # E -> [lo, hi]; c -> pairs left out
+        floor = None  # margin below the largest c summed so far
+        top = None  # the largest E of the pairs left out
+        cap = None if margin is None else self.cap_exponent
         for s, t in bases:
+            c = None if cap is None else cap(s, t)
+            if c is not None:
+                if floor is not None and c < floor:
+                    capped[c] = capped.get(c, 0) + 1
+                    E = self.root_exponent(s, t)
+                    if top is None or E > top:
+                        top = E
+                    continue
+                if floor is None or c - margin > floor:
+                    floor = c - margin
             lo, hi, E = self(s, t)
             acc = by_exponent.get(E)
             if acc is None:
@@ -194,7 +247,14 @@ class DyadicPower:
             else:
                 acc[0] += lo
                 acc[1] += hi
-        return dyadic_sum((lo, hi, E) for E, (lo, hi) in by_exponent.items())
+        if top is not None and top not in by_exponent:
+            by_exponent[top] = [0, 0]  # the full sum's exponent
+        exact = dyadic_sum((lo, hi, E) for E, (lo, hi) in by_exponent.items())
+        if not capped:
+            return exact, (0, 0, 0)
+        F = -min(capped)
+        b = sum(count << (F + c) for c, count in capped.items())
+        return exact, (b, b, F)
 
 
 def dyadic_sum(terms) -> Tuple[int, int, int]:

@@ -32,14 +32,17 @@ class ScheduleEntry:
 
 @dataclass(frozen=True)
 class GeneratorSchedule:
-    """An indexed family of generator disks.  A schedule of the paper's
-    provenance must hold built-in entries only, since certify bounds its
-    tail by theirs; ValueError otherwise."""
+    """An indexed family of generator disks.  Its provenance is "paper" or
+    "user", and a schedule of the paper's provenance must hold built-in
+    entries only, since certify bounds its tail by theirs; ValueError
+    otherwise."""
 
     entries: Tuple[ScheduleEntry, ...]
     provenance: str = USER_PROVENANCE
 
     def __post_init__(self):
+        if self.provenance not in (PAPER_PROVENANCE, USER_PROVENANCE):
+            raise ValueError(f"unknown provenance: {self.provenance!r}")
         seen = set()
         for e in self.entries:
             if e.index in seen:
@@ -216,8 +219,6 @@ def schedule_from_json_dict(data: Dict) -> GeneratorSchedule:
     if data.get("model") != "upper-half-plane":
         raise ValueError(f"unsupported model: {data.get('model')!r}")
     provenance = data.get("provenance", USER_PROVENANCE)
-    if provenance not in (PAPER_PROVENANCE, USER_PROVENANCE):
-        raise ValueError(f"unknown provenance: {provenance!r}")
     entries = tuple(_entry(e, f"entries[{n}]") for n, e in
                     enumerate(_typed(data.get("entries"), list, "entries")))
     schedule = GeneratorSchedule(entries, provenance=provenance)

@@ -74,6 +74,21 @@ def test_schedule_single_entry(tmp_path):
     assert len(schedule_from_json(out.read_text()).entries) == 1
 
 
+def test_schedule_paper_switch(tmp_path, capsys):
+    # --paper is accepted and is the default; --no-paper is refused, as
+    # {"paper": false} in a config file is
+    outs = [tmp_path / name for name in ("flag.json", "default.json")]
+    assert main(["schedule", "--paper", "--count", "3",
+                 "--out", str(outs[0])]) == 0
+    assert main(["schedule", "--count", "3", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+    assert main(["schedule", "--no-paper", "--count", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: only the built-in schedule can be emitted; user schedules "
+        "are authored as JSON directly\n")
+
+
 def test_schedule_bad_count(tmp_path):
     assert main(["schedule", "--paper", "--count", "0"]) == 2
 

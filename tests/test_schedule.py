@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,4 +186,16 @@ def test_zero_denominator_names_the_entry():
     data["entries"][1]["r"] = "1/0"
     with pytest.raises(ValueError,
                        match=r"^schedule entries\[1\]: zero denominator$"):
+        schedule_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("provenance", ["Paper", "", None, ["paper"]])
+def test_unknown_provenance_is_refused_in_code_and_in_files(provenance):
+    # built in code, a mislabelled schedule would write a certificate whose
+    # schedule file is refused; both ways give the same error
+    message = rf"^unknown provenance: {re.escape(repr(provenance))}$"
+    with pytest.raises(ValueError, match=message):
+        GeneratorSchedule(paper_schedule(8).entries, provenance=provenance)
+    data = {**paper_schedule(8).to_json_dict(), "provenance": provenance}
+    with pytest.raises(ValueError, match=message):
         schedule_from_json(json.dumps(data))
