@@ -23,7 +23,7 @@ from .schedule import GeneratorSchedule
 from .scalars import (DEFAULT_PRECISION_BITS, DyadicPower, certainly_le,
                       decidable_le, dyadic_sum, format_rational, lower,
                       parse_rational, round_dyadic, upper)
-from .words import count_words, word_radius_levels
+from .words import contraction_table, count_words, word_radius_levels
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not certified"
@@ -37,6 +37,82 @@ class TailBoundError(ValueError):
 # level sums
 # ---------------------------------------------------------------------------
 
+# A word is left out of a level sum when its cap lies more than
+# bits + SKIP_GUARD_BITS below the largest cap of its group's level, and a
+# subtree when its bound lies that far below a term of each later level.
+# What is left out then adds at most (the number of words) 2^-(bits + 64)
+# of the sum, far below the rounding step 2^-bits, so the round-alike check
+# of _rounded_sums almost never fails.
+SKIP_GUARD_BITS = 64
+
+
+class _Subtrees:
+    """The subtree rule of :func:`_root_sums`: which words left out of a
+    level sum take their subtrees with them, and the caps that stand for
+    the subtrees' words in the later levels.
+
+    The :class:`~schottkydim.words.ContractionTable` is built the first
+    time a level below ``n_max`` has a word left out, so the level sums
+    that leave out none never build it."""
+
+    def __init__(self, schedule, letters, power, n_max: int, margin):
+        self.schedule, self.letters, self.power = schedule, letters, power
+        self.n_max, self.margin = n_max, margin
+        self.table, self.built = None, False
+        self.dropped = set()  # positions, in the last level, of the roots
+        self.capped = {}  # level -> {c: count} of the subtrees left out
+
+    def prune(self, level):
+        """``level`` without the words whose subtrees are left out: the
+        ``prune`` of :func:`~schottkydim.words.prepend_levels`."""
+        dropped, self.dropped = self.dropped, set()
+        if not dropped:
+            return level
+        kept, start = [], 0
+        for letter, items in level:
+            kept.append((letter, [item for position, item
+                                  in enumerate(items, start)
+                                  if position not in dropped]))
+            start += len(items)
+        return kept
+
+    def leave_out(self, j: int, level, left_out) -> None:
+        """Of the words of level j < n_max (radii ``level``) that the
+        per-word rule left out, at the ``left_out`` (position, cap c), drop
+        those whose subtrees stay negligible at every later level.
+
+        The top word of the level, the one of the largest
+        :meth:`~schottkydim.scalars.DyadicPower.floor_exponent` f (the
+        longest d), with first letter b, has a descendant at level j + i
+        of power at least 2^(f + chains[i][b]), the reference of that
+        level.  A word's subtree goes when c + 3 + i theta, the exponent of
+        its bound at level j + i, lies more than the margin below the
+        reference at every level up to n_max."""
+        if not self.built:
+            self.built = True
+            self.table = contraction_table(self.schedule, self.letters,
+                                           self.power, self.n_max - 1)
+        if self.table is None:
+            return
+        theta, chains = self.table.theta, self.table.chains
+        floor_exponent = self.power.floor_exponent
+        f, b = max((floor_exponent(s, t), first)
+                   for first, radii in level for s, t in radii)
+        depths = range(1, self.n_max - j + 1)
+        threshold = min(f + chains[i][b] - i * theta
+                        for i in depths) - self.margin - 3
+        counts = {}
+        for position, c in left_out:
+            if c < threshold:
+                self.dropped.add(position)
+                counts[c] = counts.get(c, 0) + 1
+        for c, count in counts.items():
+            for i in depths:
+                caps = self.capped.setdefault(j + i, {})
+                cap = c + 3 + i * theta
+                caps[cap] = caps.get(cap, 0) + count
+
+
 def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
                roots: Sequence[int], n_max: int, alpha: Fraction,
                bits: int, skip: bool = True) -> list:
@@ -45,16 +121,39 @@ def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
     of ``roots``, as :meth:`~schottkydim.scalars.DyadicPower.sum_skipping`
     gives them, each a dyadic enclosure (lo, hi, E) of plain integers.
 
-    With ``skip``, a word whose power is capped more than 2 ``bits`` bits
-    below the largest cap of the words summed exactly before it takes no
-    root: its cap goes into ``bound``.  Prepend order visits the words of
-    the small letters, the large disks, first.  Without ``skip`` every word
-    is summed exactly and ``bound`` is (0, 0, 0)."""
+    With ``skip``, the margin is ``bits`` + :data:`SKIP_GUARD_BITS`.  A
+    word whose power is capped more than the margin below the largest cap
+    of the words summed exactly before it takes no root: its cap goes into
+    ``bound``.  Prepend order visits the words of the small letters, the
+    large disks, first.  Of the words so left out at a level below n_max,
+    those whose subtrees cannot reach within the margin of the later
+    levels' references (:class:`_Subtrees`, by the
+    :class:`~schottkydim.words.ContractionTable` of the window) are
+    dropped before the next level is built: their descendants are never
+    built, and the caps 2^(c + 3 + i theta) stand for them in ``bound``.
+    Without ``skip`` every word is built and summed exactly and ``bound``
+    is (0, 0, 0).
+
+    ``exact`` may then lie at a smaller exponent than the full sum, the
+    dropped words' exponents being unknown.  Each root's lo has at least
+    ``bits`` bits at its own exponent (alpha < 1), so ``exact``'s lo has
+    as many, and :func:`~schottkydim.scalars.round_dyadic` of it gives the
+    same triple at any exponent: the triple depends on the values alone.
+    """
     power = DyadicPower(alpha, bits)
-    margin = 2 * bits if skip else None
-    return [power.sum_skipping((radius for _, radii in level
-                                for radius in radii), margin)
-            for level in word_radius_levels(schedule, letters, n_max, roots)]
+    margin = bits + SKIP_GUARD_BITS if skip else None
+    subtrees = _Subtrees(schedule, letters, power, n_max, margin)
+    sums = []
+    levels = word_radius_levels(schedule, letters, n_max, roots,
+                                subtrees.prune)
+    for j, level in enumerate(levels, 1):
+        left_out = [] if j < n_max else None
+        sums.append(power.sum_skipping(
+            (radius for _, radii in level for radius in radii), margin,
+            left_out, subtrees.capped.pop(j, None)))
+        if left_out:
+            subtrees.leave_out(j, level, left_out)
+    return sums
 
 
 def _same_value(x, y) -> bool:
@@ -172,13 +271,19 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     (:func:`~schottkydim.scalars.round_dyadic`), so each result is a dyadic
     enclosure (lo, hi, E) of the true window sum.
 
-    A word whose power is capped more than 2 ``bits`` bits below the
-    largest terms of its level takes no root; its cap is added to a bound
-    instead (:func:`_root_sums`).  The true sum lies between the exact sum
-    of the other words and that sum plus the bound, so where the two round
-    alike at both ends, that rounding is the one of summing every word.
-    Where they do not, the level sums are taken again with every root.
-    Either way the result is the same triple.
+    A word whose power is capped more than ``bits`` +
+    :data:`SKIP_GUARD_BITS` bits below the largest terms of its level takes
+    no root; its cap is added to a bound instead.  Below the last level,
+    such a word also takes its subtree out of the sum when the contraction
+    table of the window (:class:`~schottkydim.words.ContractionTable`)
+    bounds the subtree's words at every later level that far below a
+    reference term of the level: the words are never built, and the
+    table's bound 2^(c + 3 + i theta) stands for those at depth i
+    (:func:`_root_sums`).  The true sum lies between the exact sum of the
+    other words and that sum plus the bound, so where the two round alike
+    at both ends, that rounding is the one of summing every word.  Where
+    they do not, the level sums are taken again with every word built and
+    every root taken.  Either way the result is the same triple.
 
     The words are split by their last letter: the letters are dealt
     round-robin into :func:`worker_count` groups, and each group's subtrees

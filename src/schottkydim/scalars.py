@@ -202,6 +202,11 @@ class DyadicPower:
             return None
         return -(-p * (s.bit_length() - t.bit_length() + 1) // q)
 
+    def floor_exponent(self, s: int, t: int) -> int:
+        """f with 2^f <= (s/t)**exponent, from bit lengths alone:
+        floor(p(d - 1)/q) for d = bl(s) - bl(t), as s/t > 2^(d-1)."""
+        return self._p * (s.bit_length() - t.bit_length() - 1) // self._q
+
     def root_exponent(self, s: int, t: int) -> int:
         """E of self(s, t) where it takes a root: bits - floor(p d/q) for
         d = bl(s) - bl(t)."""
@@ -213,7 +218,8 @@ class DyadicPower:
         as one (lo, hi, E); it does not depend on the order of ``bases``."""
         return self.sum_skipping(bases)[0]
 
-    def sum_skipping(self, bases, margin: Optional[int] = None):
+    def sum_skipping(self, bases, margin: Optional[int] = None,
+                     left_out: Optional[list] = None, capped=None):
         """(exact, bound): with ``margin``, the sum of :meth:`sum` with the
         pairs left out whose :meth:`cap_exponent` c lies more than
         ``margin`` below the largest c of the pairs summed before them.
@@ -224,16 +230,24 @@ class DyadicPower:
         the pairs lies in ``exact`` + [0, ``bound``] at both ends.  The
         pairs are read once, in order; none is stored.  Without ``margin``
         no pair is left out and ``bound`` is (0, 0, 0).
+
+        ``left_out``, a list, receives (position, c) for each pair left
+        out, its position counted from 0 in ``bases``.  ``capped``, a dict
+        {c: count} of caps of terms left out elsewhere, is added to
+        ``bound`` (and updated in place).
         """
-        by_exponent, capped = {}, {}  # E -> [lo, hi]; c -> pairs left out
+        by_exponent = {}  # E -> [lo, hi]
+        capped = {} if capped is None else capped  # c -> pairs left out
         floor = None  # margin below the largest c summed so far
         top = None  # the largest E of the pairs left out
         cap = None if margin is None else self.cap_exponent
-        for s, t in bases:
+        for position, (s, t) in enumerate(bases):
             c = None if cap is None else cap(s, t)
             if c is not None:
                 if floor is not None and c < floor:
                     capped[c] = capped.get(c, 0) + 1
+                    if left_out is not None:
+                        left_out.append((position, c))
                     E = self.root_exponent(s, t)
                     if top is None or E > top:
                         top = E

@@ -114,7 +114,7 @@ def count_words(m: int, n: int, cap: int) -> int:
     return total
 
 
-def prepend_levels(maps, n: int, roots=None):
+def prepend_levels(maps, n: int, roots=None, prune=None):
     """The one word recursion: levels 1..n of an item per reduced word.
 
     ``maps`` lists (letter, item, image) triples: ``item`` belongs to the
@@ -129,11 +129,17 @@ def prepend_levels(maps, n: int, roots=None):
     the roots' items, so the levels hold the words that end in a root: the
     subtrees of those roots.  Deeper levels prepend every letter of ``maps``
     as before, and the subtrees of disjoint roots share no word.
+
+    With ``prune``, level j is built from prune(level j-1), called when
+    level j is asked for: the words that it drops from a level have no
+    descendants in the levels after it.
     """
     level = [(letter, [item]) for letter, item, _ in maps
              if roots is None or letter in roots]
     for depth in range(1, n + 1):
         if depth > 1:
+            if prune is not None:
+                level = prune(level)
             level = [(letter, [image(item) for first, items in level
                                if first != letter for item in items])
                      for letter, _, image in maps]
@@ -178,11 +184,12 @@ def _radius_images(mirror: IntegerMirror, letter: int,
 
 def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
                 n_max: int, radius_last: bool = False,
-                roots=None) -> Iterator[list]:
+                roots=None, prune=None) -> Iterator[list]:
     """Levels 1..n_max of the integer endpoint disks of the reduced words over
     ``letters``, in the layout of :func:`prepend_levels`; each disk equals
     :func:`word_disk` of its word.  With ``roots``, only the words that end
-    in a root letter (see :func:`prepend_levels`).
+    in a root letter, and with ``prune``, only the words whose suffixes it
+    keeps (see :func:`prepend_levels`).
 
     With ``radius_last``, level n_max holds the radii alone, as pairs (s, t)
     of integers in lowest terms for the radius s/t, computed lazily: the
@@ -195,7 +202,7 @@ def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
     maps = _ends_maps(mirrors)
     level = None
     stored = n_max - 1 if radius_last else n_max
-    for level in prepend_levels(maps, stored, roots):
+    for level in prepend_levels(maps, stored, roots, prune):
         yield level
     if not radius_last:
         return
@@ -203,6 +210,8 @@ def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
         yield [(letter, [ends_radius(disk) for disk in disks])
                for letter, disks in next(prepend_levels(maps, 1, roots))]
         return
+    if prune is not None:
+        level = prune(level)
     crossed = [(first, [(disk, ends_cross(disk)) for disk in disks])
                for first, disks in level]
     yield [(letter, _radius_images(mirror, letter, crossed))
@@ -210,11 +219,12 @@ def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
 
 
 def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
-                       n_max: int, roots=None) -> Iterator[list]:
+                       n_max: int, roots=None, prune=None) -> Iterator[list]:
     """The radii of the disks of :func:`disk_levels`, as pairs (s, t) of
     integers in lowest terms, level n_max computed radius-only and
-    lazily."""
-    levels = disk_levels(schedule, letters, n_max, True, roots)
+    lazily.  ``prune`` is called on the disk levels, which have the
+    layout of the radius levels."""
+    levels = disk_levels(schedule, letters, n_max, True, roots, prune)
     for n, level in enumerate(levels, 1):
         if n == n_max:
             yield level
@@ -256,6 +266,99 @@ def beardon_check(schedule: GeneratorSchedule, word: ReducedWord,
         report.weak_rhs = mu * mu * r_suffix
         report.weak_holds = lhs <= report.weak_rhs
     return report
+
+
+class ContractionTable:
+    """How one inversion scales the disks of a window of pairwise disjoint
+    generator disks, and what that bounds for the alpha-powers of radii.
+
+    For letters a != b and every disk D inside D_b,
+
+        lower[a, b] r(D) <= r(h_a D) <= upper[a, b] r(D),
+        upper[a, b] = (r_a / (|c_a - c_b| - r_b))^2,
+        lower[a, b] = (r_a / (|c_a - c_b| + r_b))^2,
+
+    since r(h_a D) = r_a^2 r(D) / ((u - r(D))(u + r(D))) for the distance u
+    from c_a to the center of D, and |c_a - c_b| - r_b <= u - r(D) and
+    u + r(D) <= |c_a - c_b| + r_b.  This is the contraction of
+    :func:`beardon_check` with the radii kept.  The disk of a word lies in
+    the disk of its first letter (each inversion maps the closed exterior
+    of its circle into its open interior), so the factors hold for r(a w)
+    against r(w), b being the first letter of w.  Each factor is a pair
+    (s, t) of integers for s/t, not in lowest terms.
+
+    ``theta`` is an integer with 2^theta >= max_b sum_{a != b} 2^cap(a, b),
+    cap(a, b) the :meth:`~schottkydim.scalars.DyadicPower.cap_exponent` of
+    upper[a, b] at the table's exponent alpha < 1.  So the words u w with
+    u of length i have alpha-powers summing to at most
+    r_w^alpha 2^(i theta), and caps, each below 8 r^alpha, summing to at
+    most 2^(c_w + 3 + i theta), c_w being the cap of w.
+
+    ``chains[i][b]`` is the largest sum of the
+    :meth:`~schottkydim.scalars.DyadicPower.floor_exponent` of
+    lower[a, b] along i letters prepended to a word with first letter b:
+    one of the words u w with u of length i has
+    r^alpha >= r_w^alpha 2^chains[i][b].
+    """
+
+    # A plain class, not a dataclass: a dataclass compiles its generated
+    # methods at import, which raised the peak memory of a process run
+    # without a bytecode cache by about 0.2 MB (Python 3.11).
+    def __init__(self, upper, lower, theta, chains):
+        self.upper, self.lower = upper, lower
+        self.theta, self.chains = theta, chains
+
+
+def contraction_table(schedule: GeneratorSchedule, letters: Sequence[int],
+                      power, depth: int) -> Optional[ContractionTable]:
+    """The :class:`ContractionTable` of the window ``letters`` at the
+    exponent of ``power``, a :class:`~schottkydim.scalars.DyadicPower`,
+    with chains of up to ``depth`` letters, in integers and from bit
+    lengths alone (no root, no gcd).  None where the table bounds nothing:
+    fewer than two letters, an exponent outside (0, 1), two window disks
+    that are not disjoint, or theta >= 0."""
+    if len(letters) < 2 or not 0 < power.exponent < 1:
+        return None
+    disks = {}  # letter -> (p, q, e, f) for the center p/q and radius e/f
+    for a in letters:
+        entry = schedule.entry(a)
+        center, radius = Fraction(entry.center), Fraction(entry.radius)
+        disks[a] = (center.numerator, center.denominator,
+                    radius.numerator, radius.denominator)
+    upper, lower, caps, floors = {}, {}, {}, {}
+    for b in letters:
+        pb, qb, eb, fb = disks[b]
+        for a in letters:
+            if a == b:
+                continue
+            p, q, e, f = disks[a]
+            # |c_a - c_b| -+ r_b, times the common denominator q qb fb
+            distance = abs(p * qb - pb * q) * fb
+            near, far = distance - eb * q * qb, distance + eb * q * qb
+            ra = e * q * qb * fb  # r_a times f q qb fb
+            if near * f <= ra:  # |c_a - c_b| <= r_a + r_b
+                return None
+            up = upper[a, b] = (ra * ra, (near * f) ** 2)
+            low = lower[a, b] = (ra * ra, (far * f) ** 2)
+            caps[a, b] = power.cap_exponent(*up)
+            floors[a, b] = power.floor_exponent(*low)
+    bounds = []  # the least t with 2^t >= sum_{a != b} 2^cap(a, b), per b
+    for b in letters:
+        exponents = [caps[a, b] for a in letters if a != b]
+        least = min(exponents)
+        total = sum(1 << (c - least) for c in exponents)
+        bounds.append(least + (total - 1).bit_length())
+    theta = max(bounds)
+    if theta >= 0:
+        return None
+    chains = [{b: 0 for b in letters}]
+    for _ in range(depth):
+        last = chains[-1]
+        chains.append({b: max(floors[a, b] + last[a]
+                               for a in letters if a != b)
+                       for b in letters})
+    return ContractionTable(upper=upper, lower=lower, theta=theta,
+                            chains=chains)
 
 
 def mu_constant(schedule: GeneratorSchedule,
