@@ -10,14 +10,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "scalars": (
         "IntervalContext", "certainly_le", "certainly_lt", "contains",
-        "default_context", "error_radius", "lower", "midpoint",
-        "parse_rational", "upper"),
+        "default_context", "lower", "midpoint", "parse_rational", "upper"),
     "hyperbolic": (
         "BoundaryPoint", "Circle", "DegenerateInversionError", "DiskPoint",
         "ExteriorImageError", "HPoint", "boundary_gromov_product",
-        "chain_metric", "circle_invert_circle", "circle_invert_point",
-        "cosh_distance", "disk_from_half_plane", "gromov_product",
-        "hyp_distance"),
+        "circle_invert_circle", "circle_invert_point", "cosh_distance",
+        "disk_from_half_plane", "gromov_product", "hyp_distance"),
     "schedule": (
         "GeneratorSchedule", "ScheduleEntry", "ValidationReport",
         "load_schedule", "paper_schedule", "schedule_from_json",
@@ -25,15 +23,15 @@ _EXPORTS = {
     "words": (
         "BeardonReport", "DiskNode", "DiskTree", "NestingError",
         "ReducedWord", "beardon_check", "disk_tree", "enumerate_words",
-        "mu_constant", "word_disk"),
+        "word_disk"),
     "certify": (
         "Certificate", "CheckRecord", "TailBoundError", "alpha_sum",
         "center_control", "certificate_from_json", "certify_dimension_upper",
         "level_sums", "paper_center_bound", "paper_radii_bound",
         "radii_tail_bound", "reverify"),
     "estimators": (
-        "BisectResult", "BoxCountResult", "BracketError", "PoincareSummary",
-        "box_count", "level_dimension_bisect", "poincare_partial"),
+        "BisectResult", "BoxCountResult", "BracketError", "box_count",
+        "level_dimension_bisect"),
     "explore": (
         "DELTA_0", "ESCAPING", "RECURRENT", "JorgensenResult", "OrbitBall",
         "RayProfile", "WordPath", "beta_depth", "conicality_profile",

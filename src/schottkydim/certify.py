@@ -134,8 +134,8 @@ def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
     Without ``skip`` every word is built and summed exactly and ``bound``
     is (0, 0, 0).
 
-    ``exact`` may then lie at a smaller exponent than the full sum, the
-    dropped words' exponents being unknown.  Each root's lo has at least
+    ``exact`` may then lie at a smaller exponent than the full sum, as no
+    exponent of a word left out is taken.  Each root's lo has at least
     ``bits`` bits at its own exponent (alpha < 1), so ``exact``'s lo has
     as many, and :func:`~schottkydim.scalars.round_dyadic` of it gives the
     same triple at any exponent: the triple depends on the values alone.

@@ -1,21 +1,20 @@
 """Independent, non-certifying dimension estimators.
 
 These corroborate the certificates: a pressure-style bisection solving
-S_n(alpha) = 1 on one word level, one-dimensional box counting of boundary
-samples, and partial orbital series sums.  All of them run in ordinary float
-arithmetic and carry no rigor claims.
+S_n(alpha) = 1 on one word level, and one-dimensional box counting of
+boundary samples.  Both run in ordinary float arithmetic and carry no rigor
+claims.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .hyperbolic import HPoint, ends_radius, hyp_distance_float
+from .hyperbolic import ends_radius
 from .schedule import GeneratorSchedule
-from .words import count_words, disk_levels, prepend_levels, word_radius_levels
+from .words import count_words, disk_levels
 
 
 # Limits of the word levels an estimate builds, checked by _check_levels
@@ -67,20 +66,6 @@ def _log_ratio(p: int, q: int) -> float:
     return (math.log2(p) - math.log2(q)) * math.log(2.0)
 
 
-def _log_fraction(q: Fraction) -> float:
-    return _log_ratio(q.numerator, q.denominator)
-
-
-def level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
-                    n_max: int) -> Iterator[List[float]]:
-    """The log radii of the window's words of each length 1..n_max, one
-    list per level, from one pass of the level engine.  Levels beyond the
-    limits of :func:`_check_levels` raise ValueError before any is built."""
-    _check_levels(k, m, n_max, n_max)
-    for level in word_radius_levels(schedule, schedule.window(k, m), n_max):
-        yield _log_radii(level)
-
-
 def _log_radii(level) -> List[float]:
     return [_log_ratio(s, t) for _, radii in level for s, t in radii]
 
@@ -92,7 +77,7 @@ def estimate_levels(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     n = 1..max(n_max, depth), the pair (log radii, endpoints) of the
     window's words of length n, in word order.
 
-    The log radii are those of :func:`level_log_radii`, and None past
+    The log radii are the natural logs of the words' radii, and None past
     n_max.  The endpoints are the integer endpoint disks, and None for a
     level n_max beyond ``depth``: that level is computed radius-only and
     lazily.  Levels beyond the limits of :func:`_check_levels` raise
@@ -111,13 +96,6 @@ def estimate_levels(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
                if n <= n_max else None), ends
 
 
-def _level_log_radii(schedule: GeneratorSchedule, k: int, m: int,
-                     n: int) -> List[float]:
-    for log_radii in level_log_radii(schedule, k, m, n):
-        pass
-    return log_radii
-
-
 @dataclass
 class BisectResult:
     n: int
@@ -134,12 +112,13 @@ def level_dimension_bisect(schedule: GeneratorSchedule, k: int, m: int, n: int,
     S_n is continuous and strictly decreasing in alpha because every word
     radius is below 1.  With a single word the sum stays below 1 for every
     positive alpha and no root exists; this is reported as a bracket error.
-    A caller that has the level's log radii from :func:`level_log_radii`
-    passes them as ``log_radii``; otherwise levels 1..n are built here,
-    within the limits of :func:`level_log_radii`.
+    A caller that has the level's log radii from :func:`estimate_levels`
+    passes them as ``log_radii``; otherwise levels 1..n are built here by
+    :func:`estimate_levels`, within its limits.
     """
     if log_radii is None:
-        log_radii = _level_log_radii(schedule, k, m, n)
+        for log_radii, _ in estimate_levels(schedule, k, m, n, 0):
+            pass
     if any(lr >= 0 for lr in log_radii):
         raise BracketError("a word radius is >= 1; level sum does not decay")
 
@@ -199,56 +178,3 @@ def box_count(points: Sequence[float], scales: Sequence[float],
         raise ValueError("degenerate scale set; slope undefined")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     return BoxCountResult(scales=scales, counts=counts, slope=sxy / sxx)
-
-
-# ---------------------------------------------------------------------------
-# orbital series partial sums
-# ---------------------------------------------------------------------------
-
-def _float_mirror(schedule: GeneratorSchedule, letter: int):
-    """The inversion h_letter on complex points, in floats."""
-    entry = schedule.entry(letter)
-    center, radius = float(entry.center), float(entry.radius)
-    r2 = radius * radius
-    return lambda z: center + r2 / (z - center).conjugate()
-
-
-@dataclass
-class PoincareSummary:
-    exponent: float
-    shell_sums: List[float]
-    shell_ratios: List[float]
-
-    @property
-    def partial_sum(self) -> float:
-        return math.fsum(self.shell_sums)
-
-
-def poincare_partial(schedule: GeneratorSchedule, k: int, m: int, p: HPoint,
-                     n: int, exponent: float) -> PoincareSummary:
-    """Partial orbital sums per word-length shell: sum over words of length j
-    of exp(-s d(p, w(p))), j = 0..n; the shell decay ratio indicates
-    convergence or divergence at the probed exponent.
-
-    The orbit points come from :func:`~schottkydim.words.prepend_levels`,
-    one float inversion per point, w(p) = h_a(v(p)) for w = a v; each shell
-    is summed in the order of :func:`~schottkydim.words.enumerate_words`.
-    """
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    base = p.as_complex()
-    shells = [1.0]  # identity
-    maps = []
-    for letter in schedule.window(k, m):
-        mirror = _float_mirror(schedule, letter)
-        maps.append((letter, mirror(base), mirror))
-    for level in prepend_levels(maps, n):
-        total = 0.0
-        for _, images in level:
-            for image in images:
-                total += math.exp(-exponent * hyp_distance_float(base, image))
-        shells.append(total)
-    ratios = [shells[j] / shells[j - 1] if shells[j - 1] > 0 else math.inf
-              for j in range(1, len(shells))]
-    return PoincareSummary(exponent=exponent, shell_sums=shells,
-                           shell_ratios=ratios)

@@ -475,6 +475,28 @@ def _check_sampling(horizon: float, step: float):
                          f"than {MAX_RAY_SAMPLES} ray samples")
 
 
+def _sampled_ray(schedule: GeneratorSchedule, p, target, horizon: float,
+                 ball_radius: int, step: float,
+                 alphabet: Optional[Sequence[int]]):
+    """The orbit ball of the ray from p to ``target``, and a generator of
+    its samples (t, ray point) at t = 0, step, 2 step, ... up to the
+    horizon.  The sampling is checked and the ball built, and so checked,
+    for every horizon; horizon <= 0 takes no samples."""
+    _check_sampling(horizon, step)
+    ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
+    return ball, _ray_samples(ball.basepoint, target, horizon, step)
+
+
+def _ray_samples(basepoint, target, horizon: float, step: float):
+    if horizon <= 0:
+        return
+    ray = _Ray(basepoint, target)
+    t = 0.0
+    while t <= horizon + 1e-12:
+        yield t, ray.point(t)
+        t += step
+
+
 @dataclass
 class RayProfile:
     basepoint: Tuple[object, object]
@@ -529,17 +551,14 @@ def conicality_profile(schedule: GeneratorSchedule, p, target,
     :meth:`OrbitBall.build`, for every horizon; horizon <= 0 takes no
     samples.
     """
-    _check_sampling(horizon, step)
-    ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
+    ball, samples = _sampled_ray(schedule, p, target, horizon, ball_radius,
+                                 step, alphabet)
     profile = RayProfile(basepoint=ball.basepoint, horizon=horizon,
-                         ball_radius=ball_radius, step=step)
-    if horizon <= 0:
+                         ball_radius=ball_radius, step=step,
+                         samples=[(t, orbit_distance(z, ball))
+                                  for t, z in samples])
+    if profile.empty:
         return profile
-    ray = _Ray(ball.basepoint, target)
-    t = 0.0
-    while t <= horizon + 1e-12:
-        profile.samples.append((t, orbit_distance(ray.point(t), ball)))
-        t += step
     threshold = profile.threshold
     last_half = [d for t, d in profile.samples if t >= 0.5 * horizon]
     if last_half and min(last_half) <= threshold:
@@ -621,16 +640,11 @@ def jorgensen_check(schedule: GeneratorSchedule, p, target, horizon: float,
     The ball is built, and so checked, for every horizon; horizon <= 0
     gives a vacuous result.
     """
-    _check_sampling(horizon, step)
-    ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
-    if horizon <= 0:
-        return JorgensenResult(consistent=True, vacuous=True)
-    ray = _Ray(ball.basepoint, target)
-    t = 0.0
-    while t <= horizon + 1e-12:
-        inside, _ = dirichlet_membership(ray.point(t), ball)
+    ball, samples = _sampled_ray(schedule, p, target, horizon, ball_radius,
+                                 step, alphabet)
+    for t, z in samples:
+        inside, _ = dirichlet_membership(z, ball)
         if not inside:
             return JorgensenResult(consistent=False, vacuous=False,
                                    first_failure_t=t)
-        t += step
-    return JorgensenResult(consistent=True, vacuous=False)
+    return JorgensenResult(consistent=True, vacuous=horizon <= 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .scalars import IntervalContext, default_context, lower, midpoint
 
@@ -411,34 +411,3 @@ def boundary_gromov_product(a: BoundaryPoint, b: BoundaryPoint, o: HPoint,
                                 if isinstance(chord_sq, (int, Fraction))
                                 else chord_sq / 4)) / 2
 
-
-def chain_metric(sample: Sequence[BoundaryPoint], o: HPoint, eps: float):
-    """Chain-infimum boundary metric on a finite sample.
-
-    On a finite sample the infimum over chains through sample points is a
-    shortest path in the complete graph with edge weights
-    e^{-eps (x_i|x_j)_o} = (chord/2)^eps; solved exactly by Floyd-Warshall.
-    Returns a dense table of floats (the table is a diagnostic object, not a
-    certification quantity).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n = len(sample)
-    dist = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            chord_sq = boundary_chord_sq(sample[i], sample[j], o)
-            if not isinstance(chord_sq, float):
-                chord_sq = float(midpoint(chord_sq))
-            w = chord_sq ** (eps / 2.0) / (2.0 ** eps) if chord_sq else 0.0
-            dist[i][j] = dist[j][i] = w
-    for k in range(n):
-        row_k = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            row_i = dist[i]
-            for j in range(n):
-                alt = dik + row_k[j]
-                if alt < row_i[j]:
-                    row_i[j] = alt
-    return dist

@@ -224,10 +224,11 @@ class DyadicPower:
         pairs left out whose :meth:`cap_exponent` c lies more than
         ``margin`` below the largest c of the pairs summed before them.
 
-        ``exact`` is the exact sum of the others, at the exponent E that
-        :meth:`sum` of all the pairs takes, and ``bound`` = (b, b, F) with
-        b 2^-F the sum of 2^c over the pairs left out, so the sum of all
-        the pairs lies in ``exact`` + [0, ``bound``] at both ends.  The
+        ``exact`` is the exact sum of the others, at the largest exponent
+        E of their enclosures, which may be smaller than the one :meth:`sum`
+        of all the pairs takes.  ``bound`` = (b, b, F) with b 2^-F the sum
+        of 2^c over the pairs left out, so the sum of all the pairs lies in
+        ``exact`` + [0, ``bound``] at both ends.  The
         pairs are read once, in order; none is stored.  Without ``margin``
         no pair is left out and ``bound`` is (0, 0, 0).
 
@@ -239,7 +240,6 @@ class DyadicPower:
         by_exponent = {}  # E -> [lo, hi]
         capped = {} if capped is None else capped  # c -> pairs left out
         floor = None  # margin below the largest c summed so far
-        top = None  # the largest E of the pairs left out
         cap = None if margin is None else self.cap_exponent
         for position, (s, t) in enumerate(bases):
             c = None if cap is None else cap(s, t)
@@ -248,9 +248,6 @@ class DyadicPower:
                     capped[c] = capped.get(c, 0) + 1
                     if left_out is not None:
                         left_out.append((position, c))
-                    E = self.root_exponent(s, t)
-                    if top is None or E > top:
-                        top = E
                     continue
                 if floor is None or c - margin > floor:
                     floor = c - margin
@@ -261,8 +258,6 @@ class DyadicPower:
             else:
                 acc[0] += lo
                 acc[1] += hi
-        if top is not None and top not in by_exponent:
-            by_exponent[top] = [0, 0]  # the full sum's exponent
         exact = dyadic_sum((lo, hi, E) for E, (lo, hi) in by_exponent.items())
         if not capped:
             return exact, (0, 0, 0)
@@ -389,11 +384,6 @@ def upper(x) -> Fraction:
 
 def midpoint(x) -> Fraction:
     return (lower(x) + upper(x)) / 2
-
-
-def error_radius(x) -> Fraction:
-    """Half-width of the enclosure; identically zero on the exact backend."""
-    return (upper(x) - lower(x)) / 2
 
 
 def contains(x, value: Rational) -> bool:

@@ -236,19 +236,17 @@ def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
 @dataclass
 class BeardonReport:
     """One instance of the contraction recursion
-    r_w <= r_suffix / (|c_{i1} - c_{i2}| - 1)^2 <= mu^2 r_suffix."""
+    r_w <= r_suffix / (|c_{i1} - c_{i2}| - 1)^2."""
 
     word: ReducedWord
     lhs: Fraction
     rhs: Fraction
     holds: bool
     ratio: Fraction
-    weak_rhs: Optional[Fraction] = None
-    weak_holds: Optional[bool] = None
 
 
-def beardon_check(schedule: GeneratorSchedule, word: ReducedWord,
-                  mu: Optional[Fraction] = None) -> BeardonReport:
+def beardon_check(schedule: GeneratorSchedule,
+                  word: ReducedWord) -> BeardonReport:
     """Exact verification of the radius recursion for one word of length >= 2."""
     if len(word) < 2:
         raise ValueError("the recursion relates a word to its length-(n-1) suffix")
@@ -260,12 +258,8 @@ def beardon_check(schedule: GeneratorSchedule, word: ReducedWord,
     lhs = word_disk(schedule, word).radius
     r_suffix = word_disk(schedule, word.suffix).radius
     rhs = r_suffix / (gap * gap)
-    report = BeardonReport(word=word, lhs=lhs, rhs=rhs,
-                           holds=lhs <= rhs, ratio=lhs / rhs)
-    if mu is not None:
-        report.weak_rhs = mu * mu * r_suffix
-        report.weak_holds = lhs <= report.weak_rhs
-    return report
+    return BeardonReport(word=word, lhs=lhs, rhs=rhs,
+                         holds=lhs <= rhs, ratio=lhs / rhs)
 
 
 class ContractionTable:
@@ -359,29 +353,6 @@ def contraction_table(schedule: GeneratorSchedule, letters: Sequence[int],
                        for b in letters})
     return ContractionTable(upper=upper, lower=lower, theta=theta,
                             chains=chains)
-
-
-def mu_constant(schedule: GeneratorSchedule,
-                window: Sequence[int]) -> Fraction:
-    """max over index pairs in the window of 1/(|c_i - c_j| - 1).
-
-    Finite truncation of the supremum over the whole family; for the built-in
-    schedule the closest pair in any prefix window dominates.
-    """
-    window = tuple(window)
-    if len(window) < 2:
-        raise ValueError("need at least two window indices")
-    best = None
-    for a_pos, i in enumerate(window):
-        ci = schedule.entry(i).center
-        for j in window[a_pos + 1:]:
-            gap = abs(ci - schedule.entry(j).center) - 1
-            if gap <= 0:
-                raise ValueError(f"|c_{i} - c_{j}| <= 1; constant undefined")
-            val = Fraction(1) / gap
-            if best is None or val > best:
-                best = val
-    return best
 
 
 @dataclass(slots=True)

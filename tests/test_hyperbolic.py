@@ -8,7 +8,7 @@ from schottkydim.hyperbolic import (BoundaryPoint, Circle,
                                     DegenerateInversionError,
                                     ExteriorImageError, HPoint,
                                     boundary_chord_sq,
-                                    boundary_gromov_product, chain_metric,
+                                    boundary_gromov_product,
                                     circle_invert_circle, circle_invert_point,
                                     cosh_distance, disk_from_half_plane,
                                     gromov_product, hyp_distance,
@@ -194,68 +194,6 @@ def test_boundary_product_basepoint_conjugation():
     assert isinstance(chord_sq, Fraction)
     # points symmetric about x=3 at Euclidean distance 2 from o's foot
     assert chord_sq == 4  # antipodal after conjugation: (1-3)/2=-1, (5-3)/2=1
-
-
-# ---------------------------------------------------------------------------
-# chain metric
-# ---------------------------------------------------------------------------
-
-def test_chain_metric_pair_is_single_edge():
-    a, b = BoundaryPoint.at(Fraction(0)), BoundaryPoint.infinity()
-    table = chain_metric([a, b], I, eps=0.05)
-    direct = math.exp(-0.05 * as_float(boundary_gromov_product(a, b, I)))
-    assert abs(table[0][1] - direct) < 1e-12
-    assert table[0][0] == 0.0
-
-
-def test_chain_metric_triangle_inequality_and_symmetry():
-    sample = [BoundaryPoint.at(Fraction(v)) for v in (-2, 0, 1)] + \
-        [BoundaryPoint.infinity()]
-    t = chain_metric(sample, I, eps=0.5)
-    n = len(sample)
-    for i in range(n):
-        for j in range(n):
-            assert abs(t[i][j] - t[j][i]) < 1e-15
-            for k in range(n):
-                assert t[i][j] <= t[i][k] + t[k][j] + 1e-15
-
-
-def test_chain_metric_relay_can_beat_direct_edge():
-    # cluster two nearby points with a relay between them at large eps:
-    # chain infimum equals min(direct, relayed) by exhaustive chain check
-    sample = [BoundaryPoint.at(Fraction(0)), BoundaryPoint.at(Fraction(1, 100)),
-              BoundaryPoint.at(Fraction(1, 50))]
-    eps = 2.0
-    t = chain_metric(sample, I, eps)
-
-    def edge(i, j):
-        c = float(boundary_chord_sq(sample[i], sample[j], I))
-        return c ** (eps / 2) / 2 ** eps
-
-    direct = edge(0, 2)
-    relayed = edge(0, 1) + edge(1, 2)
-    assert abs(t[0][2] - min(direct, relayed)) < 1e-15
-
-
-def test_chain_metric_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        chain_metric([BoundaryPoint.at(Fraction(0))], I, eps=0.0)
-
-
-def test_visual_sandwich_on_sample():
-    # (1/2) e^{-eps (a|b)} <= chain <= e^{-eps (a|b)} at small eps
-    eps = 0.05
-    sample = [BoundaryPoint.at(Fraction(v, 7)) for v in range(-3, 4)] + \
-        [BoundaryPoint.infinity()]
-    t = chain_metric(sample, I, eps)
-    for i in range(len(sample)):
-        for j in range(len(sample)):
-            if i == j:
-                continue
-            direct = math.exp(-eps * as_float(
-                boundary_gromov_product(sample[i], sample[j], I)))
-            assert t[i][j] <= direct + 1e-12
-            assert t[i][j] >= 0.5 * direct - 1e-12
 
 
 def test_circle_image_exterior_rejected():

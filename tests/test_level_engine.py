@@ -18,7 +18,7 @@ from schottkydim import certify
 from schottkydim.certify import (alpha_sum, certify_dimension_upper,
                                  level_sums, worker_count)
 from schottkydim.cli import main
-from schottkydim.estimators import _level_log_radii, _log_fraction
+from schottkydim.estimators import _log_ratio, estimate_levels
 from schottkydim.hyperbolic import (ExteriorImageError, IntegerMirror,
                                     ends_circle)
 from schottkydim.scalars import IntervalContext, contains, lower, upper
@@ -237,10 +237,15 @@ def test_engine_disks_are_the_word_disks():
             assert disk == word_disk(SCHED, word)
 
 
+def _log_fraction(q: Fraction) -> float:
+    return _log_ratio(q.numerator, q.denominator)
+
+
 def test_estimator_log_radii_match_word_disks():
-    expected = [_log_fraction(word_disk(SCHED, w).radius)
-                for w in enumerate_words(2, 4, 3)]
-    assert _level_log_radii(SCHED, 2, 4, 3) == expected
+    levels = estimate_levels(SCHED, 2, 4, 3, 0)  # level 3 radius-only
+    for n, (log_radii, _) in enumerate(levels, start=1):
+        assert log_radii == [_log_fraction(word_disk(SCHED, w).radius)
+                             for w in enumerate_words(2, 4, n)]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "4"])

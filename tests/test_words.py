@@ -5,8 +5,7 @@ import pytest
 from schottkydim.hyperbolic import circle_invert_circle
 from schottkydim.schedule import paper_schedule
 from schottkydim.words import (NestingError, ReducedWord, beardon_check,
-                               disk_tree, enumerate_words, mu_constant,
-                               word_disk)
+                               disk_tree, enumerate_words, word_disk)
 
 SCHED = paper_schedule(8)
 
@@ -116,10 +115,9 @@ def test_recursion_instance_two_one():
 
 
 def test_recursion_exhaustive_small_window():
-    mu = mu_constant(SCHED, SCHED.window(2, 4))
     for word in enumerate_words(2, 4, 3):
-        rep = beardon_check(SCHED, word, mu=mu)
-        assert rep.holds and rep.weak_holds
+        rep = beardon_check(SCHED, word)
+        assert rep.holds
         assert 0 < rep.ratio <= 1
 
 
@@ -128,18 +126,12 @@ def test_recursion_needs_length_two():
         beardon_check(SCHED, ReducedWord((1,)))
 
 
-def test_mu_constant_windows():
-    assert mu_constant(SCHED, (1, 2)) == Fraction(1, 64)
-    assert mu_constant(SCHED, (1, 2, 3)) == Fraction(1, 64)
-    assert mu_constant(SCHED, (2, 3)) == Fraction(1, 2 ** 11)
-
-
 def test_radius_decay_along_branch():
     radii = [word_disk(SCHED, ReducedWord((1, 2, 1, 2)[:n])).radius
              for n in range(1, 5)]
     assert all(a > b for a, b in zip(radii, radii[1:]))
     # iterated weak bound r_w <= mu^{2(n-1)} r_{last}
-    mu = mu_constant(SCHED, (1, 2))
+    mu = 1 / (abs(SCHED.entry(1).center - SCHED.entry(2).center) - 1)
     assert radii[-1] <= mu ** 6 * Fraction(1, 2 ** 8)
 
 
