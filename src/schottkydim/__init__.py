@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "scalars": (
-        "IntervalContext", "certainly_le", "certainly_lt", "contains",
-        "default_context", "lower", "midpoint", "parse_rational", "upper"),
+        "IntervalContext", "certainly_le", "contains", "default_context",
+        "lower", "midpoint", "parse_rational", "upper"),
     "hyperbolic": (
         "BoundaryPoint", "Circle", "DegenerateInversionError", "DiskPoint",
         "ExteriorImageError", "HPoint", "boundary_gromov_product",

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -46,10 +47,10 @@ class TailBoundError(ValueError):
 SKIP_GUARD_BITS = 64
 
 
-class _Subtrees:
-    """The subtree rule of :func:`_root_sums`: which words left out of a
-    level sum take their subtrees with them, and the caps that stand for
-    the subtrees' words in the later levels.
+class _Children:
+    """The ``keep`` of :func:`~schottkydim.words.prepend_levels` in
+    :func:`_root_sums`: which children of a level's words are built, and the
+    caps that stand for the others' subtrees in the later levels.
 
     The :class:`~schottkydim.words.ContractionTable` is built the first
     time a level below ``n_max`` has a word left out, so the level sums
@@ -59,58 +60,60 @@ class _Subtrees:
         self.schedule, self.letters, self.power = schedule, letters, power
         self.n_max, self.margin = n_max, margin
         self.table, self.built = None, False
-        self.dropped = set()  # positions, in the last level, of the roots
-        self.capped = {}  # level -> {c: count} of the subtrees left out
+        # a w is built when c_w + caps[a, b] >= threshold; caps by group
+        self.threshold = self.caps = self.below = None
+        self.capped = {}  # level -> {c: count} of the children left out
 
-    def prune(self, level):
-        """``level`` without the words whose subtrees are left out: the
-        ``prune`` of :func:`~schottkydim.words.prepend_levels`."""
-        dropped, self.dropped = self.dropped, set()
-        if not dropped:
-            return level
-        kept, start = [], 0
-        for letter, items in level:
-            kept.append((letter, [item for position, item
-                                  in enumerate(items, start)
-                                  if position not in dropped]))
-            start += len(items)
-        return kept
+    def level(self, j: int, level, left_out: bool) -> None:
+        """Set the rule for the children of level j < n_max, of radii
+        ``level``, whose sum left a word out if ``left_out``.
 
-    def leave_out(self, j: int, level, left_out) -> None:
-        """Of the words of level j < n_max (radii ``level``) that the
-        per-word rule left out, at the ``left_out`` (position, cap c), drop
-        those whose subtrees stay negligible at every later level.
-
-        The top word of the level, the one of the largest
-        :meth:`~schottkydim.scalars.DyadicPower.floor_exponent` f (the
-        longest d), with first letter b, has a descendant at level j + i
-        of power at least 2^(f + chains[i][b]), the reference of that
-        level.  A word's subtree goes when c + 3 + i theta, the exponent of
-        its bound at level j + i, lies more than the margin below the
-        reference at every level up to n_max."""
-        if not self.built:
+        The level's top word, of the largest
+        :meth:`~schottkydim.scalars.DyadicPower.floor_exponent` f and first
+        letter b, has a descendant at level j + 1 + i of power at least
+        2^(f + chains[1 + i][b]), the level's reference.  The child a w of a
+        word w of cap c_w and first letter b' is not built when its
+        subtree's bound at depth i, 2^(c_w + caps[a, b'] + 3 + i theta),
+        lies more than the margin below the reference at every level up to
+        n_max."""
+        if left_out and not self.built:
             self.built = True
             self.table = contraction_table(self.schedule, self.letters,
                                            self.power, self.n_max - 1)
+        self.threshold = None
         if self.table is None:
             return
-        theta, chains = self.table.theta, self.table.chains
-        floor_exponent = self.power.floor_exponent
-        f, b = max((floor_exponent(s, t), first)
-                   for first, radii in level for s, t in radii)
-        depths = range(1, self.n_max - j + 1)
-        threshold = min(f + chains[i][b] - i * theta
-                        for i in depths) - self.margin - 3
-        counts = {}
-        for position, c in left_out:
-            if c < threshold:
-                self.dropped.add(position)
-                counts[c] = counts.get(c, 0) + 1
-        for c, count in counts.items():
-            for i in depths:
-                caps = self.capped.setdefault(j + i, {})
-                cap = c + 3 + i * theta
-                caps[cap] = caps.get(cap, 0) + count
+        chains, theta = self.table.chains, self.table.theta
+        cap, floor_exponent = self.power.cap_exponent, self.power.floor_exponent
+        top = max(((floor_exponent(s, t), first)
+                   for first, radii in level for s, t in radii), default=None)
+        if top is None:  # every child of the level above was left out
+            return
+        f, b = top
+        self.threshold = min(f + chains[i + 1][b] - i * theta
+                             for i in range(self.n_max - j)) - self.margin - 3
+        # a radius of 1 takes no root and has no cap: its children are built
+        self.caps = {first: [math.inf if s == t else cap(s, t)
+                             for s, t in radii] for first, radii in level}
+        self.below = range(j + 1, self.n_max + 1)
+
+    def __call__(self, a: int, b: int, items):
+        """The items of group b whose children a w are built; the caps of
+        the others' subtrees go into ``capped``."""
+        if self.threshold is None:
+            return items
+        shift = self.table.caps[a, b]
+        limit = self.threshold - shift
+        dropped = Counter(c for c in self.caps[b] if c < limit)
+        if not dropped:
+            return items
+        theta = self.table.theta
+        for i, level in enumerate(self.below):
+            caps = self.capped.setdefault(level, {})
+            for c, n in dropped.items():
+                cap = c + shift + 3 + i * theta
+                caps[cap] = caps.get(cap, 0) + n
+        return [item for item, c in zip(items, self.caps[b]) if c >= limit]
 
 
 def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
@@ -125,14 +128,11 @@ def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
     word whose power is capped more than the margin below the largest cap
     of the words summed exactly before it takes no root: its cap goes into
     ``bound``.  Prepend order visits the words of the small letters, the
-    large disks, first.  Of the words so left out at a level below n_max,
-    those whose subtrees cannot reach within the margin of the later
-    levels' references (:class:`_Subtrees`, by the
-    :class:`~schottkydim.words.ContractionTable` of the window) are
-    dropped before the next level is built: their descendants are never
-    built, and the caps 2^(c + 3 + i theta) stand for them in ``bound``.
-    Without ``skip`` every word is built and summed exactly and ``bound``
-    is (0, 0, 0).
+    large disks, first.  The caps of each level below n_max go to
+    :class:`_Children`, which decides which children of the level's
+    words, summed or left out, are built; the bounds of the others' subtrees
+    go into ``bound``.  Without ``skip`` every word is built and summed
+    exactly and ``bound`` is (0, 0, 0).
 
     ``exact`` may then lie at a smaller exponent than the full sum, as no
     exponent of a word left out is taken.  Each root's lo has at least
@@ -142,17 +142,16 @@ def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
     """
     power = DyadicPower(alpha, bits)
     margin = bits + SKIP_GUARD_BITS if skip else None
-    subtrees = _Subtrees(schedule, letters, power, n_max, margin)
+    children = _Children(schedule, letters, power, n_max, margin)
     sums = []
-    levels = word_radius_levels(schedule, letters, n_max, roots,
-                                subtrees.prune)
+    levels = word_radius_levels(schedule, letters, n_max, roots, children)
     for j, level in enumerate(levels, 1):
-        left_out = [] if j < n_max else None
-        sums.append(power.sum_skipping(
+        exact, bound = power.sum_skipping(
             (radius for _, radii in level for radius in radii), margin,
-            left_out, subtrees.capped.pop(j, None)))
-        if left_out:
-            subtrees.leave_out(j, level, left_out)
+            children.capped.setdefault(j, {}))
+        sums.append((exact, bound))
+        if j < n_max:
+            children.level(j, level, bound[0] != 0)
     return sums
 
 
@@ -273,13 +272,12 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
 
     A word whose power is capped more than ``bits`` +
     :data:`SKIP_GUARD_BITS` bits below the largest terms of its level takes
-    no root; its cap is added to a bound instead.  Below the last level,
-    such a word also takes its subtree out of the sum when the contraction
-    table of the window (:class:`~schottkydim.words.ContractionTable`)
-    bounds the subtree's words at every later level that far below a
-    reference term of the level: the words are never built, and the
-    table's bound 2^(c + 3 + i theta) stands for those at depth i
-    (:func:`_root_sums`).  The true sum lies between the exact sum of the
+    no root; its cap is added to a bound instead.  A child a w is not even
+    built when the contraction table of the window
+    (:class:`~schottkydim.words.ContractionTable`) bounds, from the cap of
+    w, its subtree's words at every later level that far below a reference
+    term of the level; the table's bounds stand for them
+    (:class:`_Children`).  The true sum lies between the exact sum of the
     other words and that sum plus the bound, so where the two round alike
     at both ends, that rounding is the one of summing every word.  Where
     they do not, the level sums are taken again with every word built and

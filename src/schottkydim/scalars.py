@@ -15,8 +15,8 @@ All geometric quantities in this package are one of four scalar kinds:
 
 Every enclosure's endpoints convert exactly to rationals (:func:`lower`,
 :func:`upper`), and inequalities are *verified* only through
-:func:`certainly_le` / :func:`certainly_lt`, which demand separated
-enclosures (or exact rationals).  An undecidable comparison is reported as
+:func:`certainly_le`, which demands separated enclosures (or exact
+rationals).  An undecidable comparison is reported as
 such instead of being guessed.
 
 The powers r^alpha of certification come from :class:`DyadicPower`, which
@@ -218,8 +218,7 @@ class DyadicPower:
         as one (lo, hi, E); it does not depend on the order of ``bases``."""
         return self.sum_skipping(bases)[0]
 
-    def sum_skipping(self, bases, margin: Optional[int] = None,
-                     left_out: Optional[list] = None, capped=None):
+    def sum_skipping(self, bases, margin: Optional[int] = None, capped=None):
         """(exact, bound): with ``margin``, the sum of :meth:`sum` with the
         pairs left out whose :meth:`cap_exponent` c lies more than
         ``margin`` below the largest c of the pairs summed before them.
@@ -232,22 +231,19 @@ class DyadicPower:
         pairs are read once, in order; none is stored.  Without ``margin``
         no pair is left out and ``bound`` is (0, 0, 0).
 
-        ``left_out``, a list, receives (position, c) for each pair left
-        out, its position counted from 0 in ``bases``.  ``capped``, a dict
-        {c: count} of caps of terms left out elsewhere, is added to
-        ``bound`` (and updated in place).
+        ``capped``, a dict {c: count} of caps of terms left out elsewhere,
+        is added to ``bound`` and updated in place with the pairs left
+        out here.
         """
         by_exponent = {}  # E -> [lo, hi]
         capped = {} if capped is None else capped  # c -> pairs left out
         floor = None  # margin below the largest c summed so far
         cap = None if margin is None else self.cap_exponent
-        for position, (s, t) in enumerate(bases):
+        for s, t in bases:
             c = None if cap is None else cap(s, t)
             if c is not None:
                 if floor is not None and c < floor:
                     capped[c] = capped.get(c, 0) + 1
-                    if left_out is not None:
-                        left_out.append((position, c))
                     continue
                 if floor is None or c - margin > floor:
                     floor = c - margin
@@ -395,10 +391,6 @@ def contains(x, value: Rational) -> bool:
 def certainly_le(a, b) -> bool:
     """True only when a <= b holds for every pair of represented values."""
     return upper(a) <= lower(b)
-
-
-def certainly_lt(a, b) -> bool:
-    return upper(a) < lower(b)
 
 
 def decidable_le(a, b) -> bool:

@@ -114,7 +114,7 @@ def count_words(m: int, n: int, cap: int) -> int:
     return total
 
 
-def prepend_levels(maps, n: int, roots=None, prune=None):
+def prepend_levels(maps, n: int, roots=None, keep=None):
     """The one word recursion: levels 1..n of an item per reduced word.
 
     ``maps`` lists (letter, item, image) triples: ``item`` belongs to the
@@ -130,18 +130,18 @@ def prepend_levels(maps, n: int, roots=None, prune=None):
     subtrees of those roots.  Deeper levels prepend every letter of ``maps``
     as before, and the subtrees of disjoint roots share no word.
 
-    With ``prune``, level j is built from prune(level j-1), called when
-    level j is asked for: the words that it drops from a level have no
-    descendants in the levels after it.
+    With ``keep``, level j holds the child a w of a word w of a group
+    (b, items) of level j-1 only where keep(a, b, items), called when level
+    j is asked for, returns the item of w: the others are never built.
     """
     level = [(letter, [item]) for letter, item, _ in maps
              if roots is None or letter in roots]
     for depth in range(1, n + 1):
         if depth > 1:
-            if prune is not None:
-                level = prune(level)
             level = [(letter, [image(item) for first, items in level
-                               if first != letter for item in items])
+                               if first != letter for item in
+                               (items if keep is None
+                                else keep(letter, first, items))])
                      for letter, _, image in maps]
         yield level
 
@@ -173,28 +173,30 @@ def _ends_maps(mirrors):
     return [(letter, mirror.ends, mirror.invert) for letter, mirror in mirrors]
 
 
-def _radius_images(mirror: IntegerMirror, letter: int,
-                   level) -> Iterator[Tuple[int, int]]:
+def _radius_images(mirror: IntegerMirror, letter: int, level,
+                   keep) -> Iterator[Tuple[int, int]]:
     invert_radius = mirror.invert_radius
     for first, disks in level:
         if first != letter:
-            for disk, cross in disks:
+            for disk, cross in (disks if keep is None
+                                else keep(letter, first, disks)):
                 yield invert_radius(disk, cross)
 
 
 def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
                 n_max: int, radius_last: bool = False,
-                roots=None, prune=None) -> Iterator[list]:
+                roots=None, keep=None) -> Iterator[list]:
     """Levels 1..n_max of the integer endpoint disks of the reduced words over
     ``letters``, in the layout of :func:`prepend_levels`; each disk equals
     :func:`word_disk` of its word.  With ``roots``, only the words that end
-    in a root letter, and with ``prune``, only the words whose suffixes it
-    keeps (see :func:`prepend_levels`).
+    in a root letter, and with ``keep``, only the children that it keeps
+    (see :func:`prepend_levels`).
 
     With ``radius_last``, level n_max holds the radii alone, as pairs (s, t)
     of integers in lowest terms for the radius s/t, computed lazily: the
     last level is the largest, and neither its disks nor its radii are ever
-    stored.
+    stored; its ``keep`` is called as the radii are read, on items
+    (disk, :func:`ends_cross` of the disk).
     """
     if n_max < 1:
         raise ValueError("word length must be >= 1")
@@ -202,7 +204,7 @@ def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
     maps = _ends_maps(mirrors)
     level = None
     stored = n_max - 1 if radius_last else n_max
-    for level in prepend_levels(maps, stored, roots, prune):
+    for level in prepend_levels(maps, stored, roots, keep):
         yield level
     if not radius_last:
         return
@@ -210,21 +212,19 @@ def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
         yield [(letter, [ends_radius(disk) for disk in disks])
                for letter, disks in next(prepend_levels(maps, 1, roots))]
         return
-    if prune is not None:
-        level = prune(level)
     crossed = [(first, [(disk, ends_cross(disk)) for disk in disks])
                for first, disks in level]
-    yield [(letter, _radius_images(mirror, letter, crossed))
+    yield [(letter, _radius_images(mirror, letter, crossed, keep))
            for letter, mirror in mirrors]
 
 
 def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
-                       n_max: int, roots=None, prune=None) -> Iterator[list]:
+                       n_max: int, roots=None, keep=None) -> Iterator[list]:
     """The radii of the disks of :func:`disk_levels`, as pairs (s, t) of
     integers in lowest terms, level n_max computed radius-only and
-    lazily.  ``prune`` is called on the disk levels, which have the
-    layout of the radius levels."""
-    levels = disk_levels(schedule, letters, n_max, True, roots, prune)
+    lazily.  The radius levels have the layout of the disk levels, so
+    ``keep`` may read a word's radius at the position of its disk."""
+    levels = disk_levels(schedule, letters, n_max, True, roots, keep)
     for n, level in enumerate(levels, 1):
         if n == n_max:
             yield level
@@ -281,12 +281,13 @@ class ContractionTable:
     against r(w), b being the first letter of w.  Each factor is a pair
     (s, t) of integers for s/t, not in lowest terms.
 
-    ``theta`` is an integer with 2^theta >= max_b sum_{a != b} 2^cap(a, b),
-    cap(a, b) the :meth:`~schottkydim.scalars.DyadicPower.cap_exponent` of
-    upper[a, b] at the table's exponent alpha < 1.  So the words u w with
-    u of length i have alpha-powers summing to at most
+    ``caps[a, b]`` is the :meth:`~schottkydim.scalars.DyadicPower.cap_exponent`
+    of upper[a, b] at the table's exponent alpha < 1, so
+    r(a w)^alpha <= 2^(c_w + caps[a, b]) where r_w^alpha <= 2^c_w, and
+    ``theta`` is an integer with 2^theta >= max_b sum_{a != b} 2^caps[a, b].
+    So the words u w with u of length i have alpha-powers summing to at most
     r_w^alpha 2^(i theta), and caps, each below 8 r^alpha, summing to at
-    most 2^(c_w + 3 + i theta), c_w being the cap of w.
+    most 2^(c_w + 3 + i theta).
 
     ``chains[i][b]`` is the largest sum of the
     :meth:`~schottkydim.scalars.DyadicPower.floor_exponent` of
@@ -298,8 +299,8 @@ class ContractionTable:
     # A plain class, not a dataclass: a dataclass compiles its generated
     # methods at import, which raised the peak memory of a process run
     # without a bytecode cache by about 0.2 MB (Python 3.11).
-    def __init__(self, upper, lower, theta, chains):
-        self.upper, self.lower = upper, lower
+    def __init__(self, upper, lower, caps, theta, chains):
+        self.upper, self.lower, self.caps = upper, lower, caps
         self.theta, self.chains = theta, chains
 
 
@@ -351,8 +352,8 @@ def contraction_table(schedule: GeneratorSchedule, letters: Sequence[int],
         chains.append({b: max(floors[a, b] + last[a]
                                for a in letters if a != b)
                        for b in letters})
-    return ContractionTable(upper=upper, lower=lower, theta=theta,
-                            chains=chains)
+    return ContractionTable(upper=upper, lower=lower, caps=caps,
+                            theta=theta, chains=chains)
 
 
 @dataclass(slots=True)

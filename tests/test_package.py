@@ -1,7 +1,6 @@
 """The package's public names, imported from their modules on first use."""
 
 import ast
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ def test_importing_the_package_loads_no_module():
 
 def test_every_public_name_is_its_modules_object():
     import importlib
-    assert len(schottkydim.__all__) == 70
+    assert len(schottkydim.__all__) == 69
     for name in schottkydim.__all__:
         value = getattr(schottkydim, name)
         assert any(getattr(importlib.import_module(f"schottkydim.{module}"),
@@ -68,25 +67,42 @@ def _definitions(tree):
     return spans
 
 
+def _uses(tree):
+    """(name, line) of each use of a name in a parsed module's code: the
+    names it loads, the attributes it reads, the names it imports by
+    ``from``, and the strings that are a bare name, as ``getattr`` takes
+    them (the benchmark's tracer wraps functions so).  Docstrings and
+    comments are not code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
 def test_every_public_name_has_a_caller():
     """A public name that only its own tests reach is dead code.  Each must
-    be named in the package outside its own definition, in the benchmark
-    (its tracer names the functions it wraps in strings), or in the
-    acceptance tests.  Nothing is imported or run from bench/."""
-    others = "\n".join(path.read_text(encoding="utf-8") for path in
-                       [*(ROOT / "bench").glob("*.py"),
-                        ROOT / "tests" / "test_acceptance.py"])
-    texts = {name: [others] for name in schottkydim.__all__}
+    be used in the code of the package outside its own definition, of the
+    benchmark or of the acceptance tests; a mention in a docstring or a
+    comment does not count.  Nothing is imported or run from bench/."""
+    used = set()
+    for path in [*(ROOT / "bench").glob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        used.update(name for name, _ in
+                    _uses(ast.parse(path.read_text(encoding="utf-8"))))
     for path in (SRC / "schottkydim").glob("*.py"):
         if path.name == "__init__.py":  # the export list itself
             continue
-        source = path.read_text(encoding="utf-8")
-        lines = source.splitlines()
-        spans = _definitions(ast.parse(source))
-        for name in texts:  # without the name's own definition
-            own = spans.get(name, ())
-            texts[name].append("\n".join(
-                line for i, line in enumerate(lines) if i not in own))
-    unused = [name for name, found in texts.items()
-              if not any(re.search(rf"\b{name}\b", text) for text in found)]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spans = _definitions(tree)
+        used.update(name for name, line in _uses(tree)
+                    if line - 1 not in spans.get(name, ()))
+    unused = sorted(set(schottkydim.__all__) - used)
     assert not unused, f"public names with no caller: {unused}"

@@ -1,13 +1,15 @@
-"""Level sums that leave out whole subtrees of negligible words.
+"""Level sums that never build the negligible children of a level's words.
 
-A word left out of its level sum takes its subtree with it when the
-contraction table bounds every later level of that subtree far below the
-level's reference.  The table's factors must enclose the exact one-step
-ratio of the Fraction disks, its theta must bound every subtree's caps, the
-level sums must be the triples of summing every word, and a failed check
-must fall back to building every word.
+A child a w is not built when the contraction table bounds its whole
+subtree, from the cap of w and the factor of the pair (a, b), far below each
+later level's reference.  The table's factors must enclose the exact
+one-step ratio of the Fraction disks, a child and its subtree must lie
+within the bound drawn from its parent, the level sums must be the triples
+of summing every word, and a failed check must fall back to building every
+word.
 """
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -51,6 +53,13 @@ def word_radii(schedule, letters, n):
     return {word: disk.radius for word, disk in disks.items()}
 
 
+@functools.lru_cache(maxsize=None)
+def deep_radii(k, m):
+    """word_radii of the words of lengths 1..5 over a deep window."""
+    schedule = paper_schedule(k + m)
+    return word_radii(schedule, schedule.window(k, m), 5)
+
+
 def assert_table_encloses(schedule, letters, radii, table):
     for word, radius in radii.items():
         if len(word) < 2:
@@ -80,11 +89,44 @@ def assert_subtrees_within_theta(radii, table, power):
         assert total <= 1 << (c + 3 + i * table.theta + top), (word, i)
 
 
+def assert_children_within_bound(radii, table, power):
+    """Each child a w of a word w of cap c_w, b the first letter of w, has
+    its enclosure's hi within 2^e, e = c_w + caps[a, b], and the caps of
+    its descendants at depth i (the child itself at depth 0) summing to at
+    most 2^(e + 3 + i theta): the bound of the per-child rule."""
+    n = max(map(len, radii))
+    caps = {w: power.cap_exponent(r.numerator, r.denominator)
+            for w, r in radii.items()}
+    least = min(c for c in caps.values() if c is not None)
+    sums = {}  # (v, i) -> sum of 2^(cap(u) - least) over u with u[i:] = v
+    for u, c in caps.items():
+        if c is not None:  # a radius of 1, of a one-letter word alone
+            for i in range(len(u)):
+                sums[u[i:], i] = sums.get((u[i:], i), 0) + (1 << (c - least))
+    letters = sorted(w[0] for w in radii if len(w) == 1)
+    checked = 0
+    for w, c_w in caps.items():
+        if len(w) == n or c_w is None:  # the rule builds every child
+            continue
+        for a in letters:
+            if a == w[0]:
+                continue
+            child, e = (a,) + w, c_w + table.caps[a, w[0]]
+            radius = radii[child]
+            _, hi, E = power(radius.numerator, radius.denominator)
+            assert hi << max(0, -(e + E)) <= 1 << max(0, e + E), child
+            for i in range(n - len(child) + 1):
+                shift = e + 3 + i * table.theta - least
+                assert shift >= 0 and sums[child, i] <= 1 << shift, (child, i)
+                checked += 1
+    assert checked
+
+
 @pytest.mark.parametrize("k,m", [(3, 6), (2, 8)])
 def test_table_encloses_every_step_of_the_deep_windows(k, m):
     schedule = paper_schedule(k + m)
     letters = schedule.window(k, m)
-    radii = word_radii(schedule, letters, 5)
+    radii = deep_radii(k, m)
     for alpha in (Fraction(1, 2 * k), Fraction(1, 3), Fraction(5, 11)):
         power = DyadicPower(alpha, 64)
         table = contraction_table(schedule, letters, power, 4)
@@ -92,6 +134,17 @@ def test_table_encloses_every_step_of_the_deep_windows(k, m):
         assert table.theta < 0
         assert_table_encloses(schedule, letters, radii, table)
         assert_subtrees_within_theta(radii, table, power)
+
+
+@pytest.mark.parametrize("k,m", [(3, 6), (2, 8)])
+def test_children_of_the_deep_windows_lie_within_their_bound(k, m):
+    # every word of length <= 4 as a parent, its subtree down to length 5
+    schedule = paper_schedule(k + m)
+    letters = schedule.window(k, m)
+    for alpha in (Fraction(1, 2 * k), Fraction(1, 3), Fraction(5, 11)):
+        power = DyadicPower(alpha, 64)
+        table = contraction_table(schedule, letters, power, 4)
+        assert_children_within_bound(deep_radii(k, m), table, power)
 
 
 @pytest.mark.parametrize("k,m,alpha", [(3, 6, Fraction(1, 3)),
@@ -140,6 +193,20 @@ def test_table_encloses_every_step_of_user_windows(schedule, alpha):
         return
     assert_table_encloses(schedule, letters, radii, table)
     assert_subtrees_within_theta(radii, table, power)
+
+
+@settings(max_examples=25, deadline=None)
+@given(schedule=disjoint_disks(),
+       alpha=st.fractions(Fraction(1, 12), Fraction(11, 12),
+                          max_denominator=12))
+def test_children_of_user_windows_lie_within_their_bound(schedule, alpha):
+    letters = schedule.window(0, len(schedule.indices))
+    power = DyadicPower(alpha, 64)
+    table = contraction_table(schedule, letters, power, 4)
+    if table is None:  # the caps' sum is not below 1: no child is skipped
+        return
+    assert_children_within_bound(word_radii(schedule, letters, 5), table,
+                                 power)
 
 
 def test_chains_bound_a_descendant_from_below():
@@ -214,19 +281,25 @@ def test_no_table_at_integer_exponents(alpha):
 
 
 def test_prune_drops_the_subtrees_of_the_dropped_words():
+    # keep builds neither the child 2,1 nor any child of the word 3
     letters = (1, 2, 3)
     maps = [(a, (a,), lambda w, a=a: (a,) + w) for a in letters]
+    asked = []
 
-    def prune(level):  # drop the word 2,1 and the one-letter word 3
-        return [(first, [w for w in words if w not in ((2, 1), (3,))])
-                for first, words in level]
+    def keep(a, b, words):
+        asked.append((a, b))
+        return [w for w in words if (a,) + w != (2, 1) and w != (3,)]
     levels = [[w for _, words in level for w in words]
-              for level in prepend_levels(maps, 3, prune=prune)]
+              for level in prepend_levels(maps, 3, keep=keep)]
     full = [[w.indices for w in enumerate_words(0, 3, n)] for n in (1, 2, 3)]
     assert levels[0] == full[0]
-    assert levels[1] == [w for w in full[1] if w[-1] != 3]
+    assert levels[1] == [w for w in full[1]
+                         if w[-1] != 3 and w != (2, 1)]
     assert levels[2] == [w for w in full[2]
                          if w[-1] != 3 and w[-2:] != (2, 1)]
+    # once per letter and group, as each of levels 2 and 3 is built
+    pairs = [(a, b) for a in letters for b in letters if a != b]
+    assert asked == pairs + pairs
 
 
 @pytest.fixture
@@ -250,11 +323,12 @@ def inversions(monkeypatch):
 
 
 def test_most_deep_words_are_never_built(inversions):
-    # (3, 6, 6) at alpha = 1/3 and 64 bits builds 3,941 of its words
+    # (3, 6, 6) at alpha = 1/3 and 64 bits builds 1,457 of its words; it
+    # built 3,941 when a word had to be built before its subtree was dropped
     words = count_words(6, 6, 10 ** 6)
     assert words == 23_436
     level_sums(paper_schedule(9), 3, 6, 6, Fraction(1, 3), 64)
-    assert len(inversions) < words // 4
+    assert len(inversions) < 2000
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(0)], ids=["1", "0"])
@@ -336,16 +410,35 @@ def test_a_dropped_subtree_is_bounded_at_every_later_level():
     schedule = paper_schedule(9)
     letters = schedule.window(3, 6)
     power = DyadicPower(Fraction(1, 3), 64)
-    subtrees = certify._Subtrees(schedule, letters, power, 4, 128)
+    children = certify._Children(schedule, letters, power, 4, 128)
     level = [(4, [(1, 2 ** 32)]), (5, [(1, 2 ** 50), (1, 2 ** 2000)])]
-    c = power.cap_exponent(1, 2 ** 2000)
-    subtrees.leave_out(1, level, [(2, c)])
-    theta = subtrees.table.theta
-    assert subtrees.dropped == {2}
-    assert subtrees.capped == {1 + i: {c + 3 + i * theta: 1}
-                               for i in (1, 2, 3)}
-    assert subtrees.prune([(4, ["a"]), (5, ["b", "c"])]) == \
-        [(4, ["a"]), (5, ["b"])]
+    children.level(1, level, True)
+    table = children.table
+    theta, chains = table.theta, table.chains
+    # the reference of level 2 + i hangs below the top word, 1/2^32
+    f = power.floor_exponent(1, 2 ** 32)
+    threshold = min(f + chains[1 + i][4] - i * theta
+                    for i in (0, 1, 2)) - 128 - 3
+    capped = {}
+    for a in letters:
+        if a != 4:  # the top word's children are always built
+            assert children(a, 4, ["top"]) == ["top"]
+        if a == 5:
+            continue
+        kept = []
+        for word, (s, t) in zip(("near", "far"), level[1][1]):
+            e = power.cap_exponent(s, t) + table.caps[a, 5]
+            if e < threshold:
+                for i in (0, 1, 2):
+                    caps = capped.setdefault(2 + i, {})
+                    caps[e + 3 + i * theta] = caps.get(e + 3 + i * theta,
+                                                       0) + 1
+            else:
+                kept.append(word)
+        assert children(a, 5, ["near", "far"]) == kept
+        assert "far" not in kept
+    assert children.capped == capped
+    assert set(capped) == {2, 3, 4}
 
 
 def near_schedule(gap):
@@ -363,6 +456,42 @@ def test_nearly_touching_disks_sum_as_before(gap, jobs, two_cpus):
     for bits in (64, 256):
         assert level_sums(schedule, 0, 3, 5, alpha, bits, jobs) == \
             exact_sums(schedule, 0, 3, 5, alpha, bits)
+
+
+def recorded_tables(monkeypatch):
+    """The contraction tables that level sums build, in this process."""
+    real, tables = certify.contraction_table, []
+
+    def table(*args):
+        tables.append(real(*args))
+        return tables[-1]
+    monkeypatch.setattr(certify, "contraction_table", table)
+    return tables
+
+
+@pytest.mark.parametrize("gap", [Fraction(1, 1000), Fraction(1, 10 ** 12)])
+def test_nearly_touching_disks_build_every_child(gap, inversions,
+                                                 monkeypatch):
+    tables = recorded_tables(monkeypatch)
+    schedule, alpha = near_schedule(gap), Fraction(1, 3)
+    for bits in (64, 256):
+        inversions.clear()
+        assert level_sums(schedule, 0, 3, 5, alpha, bits) == \
+            exact_sums(schedule, 0, 3, 5, alpha, bits)
+        # both sums build every word: three generators, then an inversion
+        assert len(inversions) == 2 * (count_words(3, 5, 10 ** 6) - 3)
+    assert all(table is None for table in tables)
+
+
+def test_overlapping_disks_raise_before_any_table(monkeypatch):
+    tables = recorded_tables(monkeypatch)
+    overlapping = GeneratorSchedule((
+        ScheduleEntry(1, Fraction(0), Fraction(1)),
+        ScheduleEntry(2, Fraction(5), Fraction(1)),
+        ScheduleEntry(3, Fraction(23, 4), Fraction(1))))
+    with pytest.raises(ExteriorImageError):
+        level_sums(overlapping, 0, 3, 4, Fraction(1, 3), 64)
+    assert all(table is None for table in tables)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -394,13 +523,44 @@ def test_overlapping_schedule_file_exits_2(jobs, tmp_path, capsys):
 def test_sum_skipping_reports_what_it_leaves_out():
     power = DyadicPower(Fraction(1, 3), 64)
     bases = [(1, 2 ** 8), (1, 2 ** 800), (3, 7), (1, 2 ** 900)]
-    left_out = []
-    exact, bound = power.sum_skipping(bases, 128, left_out, {-500: 2})
-    assert left_out == [(1, power.cap_exponent(1, 2 ** 800)),
-                        (3, power.cap_exponent(1, 2 ** 900))]
+    capped = {-500: 2}
+    exact, bound = power.sum_skipping(bases, 128, capped)
+    left_out = [power.cap_exponent(1, 2 ** 800),
+                power.cap_exponent(1, 2 ** 900)]
+    assert capped == {-500: 2, left_out[0]: 1, left_out[1]: 1}
     alone, (b, _, F) = power.sum_skipping(bases, 128)
     assert exact == alone
-    caps = [c for _, c in left_out] + [-500, -500]
+    caps = left_out + [-500, -500]
     assert Fraction(bound[0], 2 ** bound[2]) == sum(
         Fraction(2) ** c for c in caps)
-    assert Fraction(b, 2 ** F) == sum(Fraction(2) ** c for c in caps[:2])
+    assert Fraction(b, 2 ** F) == sum(Fraction(2) ** c for c in left_out)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the level sums whose round-alike check failed."""
+    real, failed = certify._rounded_sums, []
+
+    def rounded(groups, bits):
+        sums = real(groups, bits)
+        if sums is None:
+            failed.append(bits)
+        return sums
+    monkeypatch.setattr(certify, "_rounded_sums", rounded)
+    return failed
+
+
+# the smallest and the largest alpha of the certify-deep benchmark per shape
+FULL_DEPTH_CASES = [(2, 8, 5, Fraction(1, 4)), (2, 8, 5, Fraction(1, 2)),
+                    (3, 6, 6, Fraction(1, 6)), (3, 6, 6, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("k,m,n,alpha", FULL_DEPTH_CASES)
+def test_full_depth_sums_equal_the_sums_of_every_word(k, m, n, alpha, bits,
+                                                      two_cpus, fallbacks):
+    schedule = paper_schedule(k + m)
+    expected = exact_sums(schedule, k, m, n, alpha, bits)
+    for jobs in (1, 2):
+        assert level_sums(schedule, k, m, n, alpha, bits, jobs) == expected
+    assert not fallbacks
