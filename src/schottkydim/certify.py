@@ -38,13 +38,18 @@ class TailBoundError(ValueError):
 # level sums
 # ---------------------------------------------------------------------------
 
-# A word is left out of a level sum when its cap lies more than
-# bits + SKIP_GUARD_BITS below the largest cap of its group's level, and a
-# subtree when its bound lies that far below a term of each later level.
-# What is left out then adds at most (the number of words) 2^-(bits + 64)
-# of the sum, far below the rounding step 2^-bits, so the round-alike check
-# of _rounded_sums almost never fails.
-SKIP_GUARD_BITS = 64
+# The skip margin of a level sum is bits + SKIP_GUARD_BITS = bits + G, for
+# both rules.  A word left out by DyadicPower.sum_skipping has a cap c below
+# (the largest cap summed) - margin, and a cap overshoots its term by less
+# than 2^3 (cap_exponent - log2 r^alpha < 2p/q + 1 <= 3).  A child dropped
+# by _Children has a subtree bound below 2^(reference - margin) at each
+# later level, and the reference is a lower bound on a term of that level.
+# So a level of sum S and N <= MAX_CERTIFY_WORDS < 2^18 words has a bound
+# below N 2^3 S 2^-(bits + G), while round_dyadic's unit is above
+# S 2^-bits: at G = 32 the bound is below 2^-11 of a rounding step for
+# every request check_arguments admits, and the round-alike check of
+# _rounded_sums almost never fails.
+SKIP_GUARD_BITS = 32
 
 
 class _Children:
@@ -124,15 +129,15 @@ def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
     of ``roots``, as :meth:`~schottkydim.scalars.DyadicPower.sum_skipping`
     gives them, each a dyadic enclosure (lo, hi, E) of plain integers.
 
-    With ``skip``, the margin is ``bits`` + :data:`SKIP_GUARD_BITS`.  A
-    word whose power is capped more than the margin below the largest cap
-    of the words summed exactly before it takes no root: its cap goes into
-    ``bound``.  Prepend order visits the words of the small letters, the
-    large disks, first.  The caps of each level below n_max go to
-    :class:`_Children`, which decides which children of the level's
-    words, summed or left out, are built; the bounds of the others' subtrees
-    go into ``bound``.  Without ``skip`` every word is built and summed
-    exactly and ``bound`` is (0, 0, 0).
+    With ``skip``, both rules use the margin ``bits`` +
+    :data:`SKIP_GUARD_BITS`.  A word capped more than the margin below the
+    largest cap of the words summed exactly before it takes no root: its
+    cap goes into ``bound``.  Prepend order visits the words of the small
+    letters, the large disks, first.  The caps of each level below n_max go
+    to :class:`_Children`, which decides which children of the level's
+    words, summed or left out, are built; the bounds of the others'
+    subtrees go into ``bound``.  Without ``skip`` every word is built and
+    summed exactly and ``bound`` is (0, 0, 0).
 
     ``exact`` may then lie at a smaller exponent than the full sum, as no
     exponent of a word left out is taken.  Each root's lo has at least
@@ -270,16 +275,16 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     (:func:`~schottkydim.scalars.round_dyadic`), so each result is a dyadic
     enclosure (lo, hi, E) of the true window sum.
 
-    A word whose power is capped more than ``bits`` +
-    :data:`SKIP_GUARD_BITS` bits below the largest terms of its level takes
-    no root; its cap is added to a bound instead.  A child a w is not even
-    built when the contraction table of the window
-    (:class:`~schottkydim.words.ContractionTable`) bounds, from the cap of
-    w, its subtree's words at every later level that far below a reference
-    term of the level; the table's bounds stand for them
-    (:class:`_Children`).  The true sum lies between the exact sum of the
-    other words and that sum plus the bound, so where the two round alike
-    at both ends, that rounding is the one of summing every word.  Where
+    A word capped more than ``bits`` + :data:`SKIP_GUARD_BITS` bits below
+    the largest terms of its level takes no root; its cap is added to a
+    bound instead.  A child a w is not even built when the contraction
+    table of the window (:class:`~schottkydim.words.ContractionTable`)
+    bounds, from the cap of w, its subtree's words at every later level
+    that far below a reference term of the level; the table's bounds stand
+    for them (:class:`_Children`).  The true sum lies between the exact sum
+    of the other words and that sum plus the bound, below 2^-11 of a
+    rounding step, so where the two round alike at both ends, as they
+    almost always do, that rounding is the one of summing every word.  Where
     they do not, the level sums are taken again with every word built and
     every root taken.  Either way the result is the same triple.
 

@@ -92,10 +92,11 @@ def exact_sums(schedule, k, m, n, alpha, bits):
     return _rounded_sums(groups, bits)
 
 
-# Every alpha the certify-deep benchmark deals, at its two window shapes,
-# one level short of its depth so that the 180 sums stay within seconds.
-DEEP_CASES = [(k, m, n - 1, alpha) for k, m, n in WORKLOADS.DEEP_SHAPES
-              for alpha in WORKLOADS.deep_alphas(k)]
+# Every alpha the certify-deep benchmark deals, at its two window shapes:
+# at its depth, and one level short so that the 180 sums stay within seconds.
+DEEP_CASES_FULL_DEPTH = [(k, m, n, alpha) for k, m, n in WORKLOADS.DEEP_SHAPES
+                         for alpha in WORKLOADS.deep_alphas(k)]
+DEEP_CASES = [(k, m, n - 1, alpha) for k, m, n, alpha in DEEP_CASES_FULL_DEPTH]
 
 
 @pytest.fixture
@@ -176,3 +177,48 @@ def test_most_deep_words_take_no_root(monkeypatch):
     assert words == 23_436
     level_sums(paper_schedule(9), 3, 6, 6, Fraction(1, 3), 64)
     assert len(calls) < words // 2
+
+
+def test_guard_covers_every_admissible_level():
+    # a level's bound is below N 2^3 2^-G of a rounding step, N <= the word
+    # cap: raising the cap without widening the guard fails here
+    assert certify.SKIP_GUARD_BITS >= \
+        certify.MAX_CERTIFY_WORDS.bit_length() + 3 + 11
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_deep_bounds_lie_far_below_a_rounding_step(bits):
+    # every level of the 30 certify-deep cases, with the letter groups of
+    # jobs 2: the words left out add less than 2^-11 of the rounded sum's
+    # unit, as the guard's argument promises
+    for k, m, n, alpha in DEEP_CASES_FULL_DEPTH:
+        schedule = paper_schedule(k + m)
+        letters = schedule.window(k, m)
+        groups = [_root_sums(schedule, letters, letters[i::2], n, alpha, bits)
+                  for i in range(2)]
+        for j, level in enumerate(zip(*groups), 1):
+            exact = scalars.dyadic_sum(e for e, _ in level)
+            b, _, F = scalars.dyadic_sum(bound for _, bound in level)
+            unit = Fraction(2) ** -scalars.round_dyadic(exact, bits)[2]
+            assert Fraction(b) / Fraction(2) ** F < unit / 2 ** 11, \
+                (k, m, n, alpha, j)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_narrow_guard_falls_back_to_exact_sums(jobs, two_cpus, monkeypatch):
+    import multiprocessing
+    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched guard reaches the workers by fork only")
+    schedule, alpha = paper_schedule(9), Fraction(1, 6)
+    expected = exact_sums(schedule, 3, 6, 6, alpha, 64)
+    monkeypatch.setattr(certify, "SKIP_GUARD_BITS", 8)
+    passes = []
+    real = certify._rounded_sums
+
+    def rounded(groups, bits):
+        sums = real(groups, bits)
+        passes.append(sums is not None)
+        return sums
+    monkeypatch.setattr(certify, "_rounded_sums", rounded)
+    assert level_sums(schedule, 3, 6, 6, alpha, 64, jobs) == expected
+    assert passes == [False, True]  # the check failed, then no skip
