@@ -24,7 +24,8 @@ from .schedule import GeneratorSchedule
 from .scalars import (DEFAULT_PRECISION_BITS, DyadicPower, certainly_le,
                       decidable_le, dyadic_sum, format_rational, lower,
                       parse_rational, round_dyadic, upper)
-from .words import contraction_table, count_words, word_radius_levels
+from .words import (contraction_table, count_words, disk_levels,
+                    radius_level)
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not certified"
@@ -54,7 +55,7 @@ SKIP_GUARD_BITS = 32
 
 class _Children:
     """The ``keep`` of :func:`~schottkydim.words.prepend_levels` in
-    :func:`_root_sums`: which children of a level's words are built, and the
+    :func:`_window_sums`: which children of a level's words are built, and the
     caps that stand for the others' subtrees in the later levels.
 
     The :class:`~schottkydim.words.ContractionTable` is built the first
@@ -120,14 +121,30 @@ class _Children:
                 caps[cap] = caps.get(cap, 0) + n
         return [item for item, c in zip(items, self.caps[b]) if c >= limit]
 
+    def kept(self, level) -> int:
+        """The children of the words of ``level``, the level of the last
+        :meth:`level` call, that :meth:`__call__` will keep: the words of
+        the next level, counted before any is built."""
+        if self.threshold is None:
+            others = len(self.letters) - 1
+            return others * sum(len(radii) for _, radii in level)
+        kept = 0
+        for b, caps in self.caps.items():
+            for a in self.letters:
+                if a != b:
+                    limit = self.threshold - self.table.caps[a, b]
+                    kept += sum(c >= limit for c in caps)
+        return kept
 
-def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
-               roots: Sequence[int], n_max: int, alpha: Fraction,
-               bits: int, skip: bool = True) -> list:
+
+def _window_sums(schedule: GeneratorSchedule, letters: Sequence[int],
+                 n_max: int, alpha: Fraction, bits: int, skip: bool = True,
+                 jobs: int = 1) -> list:
     """[(exact, bound) for n = 1..n_max]: the sums of the enclosures of
-    r_w^alpha over the level-n words w over ``letters`` that end in a letter
-    of ``roots``, as :meth:`~schottkydim.scalars.DyadicPower.sum_skipping`
-    gives them, each a dyadic enclosure (lo, hi, E) of plain integers.
+    r_w^alpha over the level-n words w over ``letters``, as
+    :meth:`~schottkydim.scalars.DyadicPower.sum_skipping` gives them, each
+    a dyadic enclosure (lo, hi, E) of plain integers (see
+    :func:`_descendant_sums`).
 
     With ``skip``, both rules use the margin ``bits`` +
     :data:`SKIP_GUARD_BITS`.  A word capped more than the margin below the
@@ -148,15 +165,48 @@ def _root_sums(schedule: GeneratorSchedule, letters: Sequence[int],
     power = DyadicPower(alpha, bits)
     margin = bits + SKIP_GUARD_BITS if skip else None
     children = _Children(schedule, letters, power, n_max, margin)
+    return _descendant_sums(children, jobs=jobs)
+
+
+def _descendant_sums(children: _Children, start=(0, None),
+                     jobs: int = 1) -> list:
+    """[(exact, bound) for n = j+1..n_max] of :func:`_window_sums` over the
+    descendants of the words of ``start`` = (j, level), a level j of disks
+    or a share of one, whose children ``children`` rules; the whole window
+    from level 1 by default.
+
+    Each level is built and summed in this process.  With ``jobs`` above 1,
+    once the words left to build, the next level's
+    (:meth:`_Children.kept`) times the levels left, reach
+    :func:`split_words`, this level's words are dealt into
+    :func:`worker_count` shares and each share's descendants are summed on
+    their own, one share in this process and each other one in a worker
+    process (:func:`~schottkydim.shares.share_sums`)."""
+    power, margin, n_max = children.power, children.margin, children.n_max
     sums = []
-    levels = word_radius_levels(schedule, letters, n_max, roots, children)
-    for j, level in enumerate(levels, 1):
-        exact, bound = power.sum_skipping(
-            (radius for _, radii in level for radius in radii), margin,
-            children.capped.setdefault(j, {}))
-        sums.append((exact, bound))
-        if j < n_max:
-            children.level(j, level, bound[0] != 0)
+    levels = disk_levels(children.schedule, children.letters, n_max, True,
+                         children, start)
+    for j, level in enumerate(levels, start[0] + 1):
+        radii = level if j == n_max else radius_level(level)
+        sums.append(power.sum_skipping(
+            (radius for _, group in radii for radius in group), margin,
+            children.capped.setdefault(j, {})))
+        if j == n_max:
+            break
+        children.level(j, radii, sums[-1][1][0] != 0)
+        if jobs == 1:
+            continue
+        # the words left, estimated as the next level's times the levels
+        # left; (m - 1) children per word bound them without a count
+        words, left = sum(len(disks) for _, disks in level), n_max - j
+        processes, split = worker_count(jobs, words), split_words(power.bits)
+        if processes > 1 and \
+                (len(children.letters) - 1) * words * left >= split and \
+                children.kept(radii) * left >= split:
+            levels.close()
+            from . import shares  # only here: most level sums never split
+            return sums + shares.share_sums(_descendant_sums, children,
+                                            (j, level), processes)
     return sums
 
 
@@ -168,21 +218,19 @@ def _same_value(x, y) -> bool:
             and x[1] << (top - x[2]) == y[1] << (top - y[2]))
 
 
-def _rounded_sums(groups, bits: int) -> Optional[list]:
-    """The groups' (exact, bound) pairs of :func:`_root_sums` added per level
-    and rounded outward to ``bits`` bits; None when the words left out
-    might move a rounded end, that is when ``exact`` and ``exact`` plus
-    ``bound`` at both ends do not round alike."""
-    sums = []
-    for level in zip(*groups):
-        exact = dyadic_sum(e for e, _ in level)
-        rounded = round_dyadic(exact, bits)
-        bound = dyadic_sum(b for _, b in level)
+def _rounded_sums(sums, bits: int) -> Optional[list]:
+    """The (exact, bound) pairs of :func:`_window_sums` rounded outward to
+    ``bits`` bits; None when the words left out might move a rounded end,
+    that is when ``exact`` and ``exact`` plus ``bound`` at both ends do not
+    round alike."""
+    rounded = []
+    for exact, bound in sums:
+        ends = round_dyadic(exact, bits)
         if bound[0] and not _same_value(
-                rounded, round_dyadic(dyadic_sum((exact, bound)), bits)):
+                ends, round_dyadic(dyadic_sum((exact, bound)), bits)):
             return None
-        sums.append(rounded)
-    return sums
+        rounded.append(ends)
+    return rounded
 
 
 def _usable_cpus() -> int:
@@ -192,71 +240,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count(jobs: int, letters: int) -> int:
-    """Worker processes started for ``jobs``: never more than the window's
-    letters or the CPUs this process may run on."""
+def worker_count(jobs: int, words: int) -> int:
+    """Processes that share a level's ``words`` for ``jobs``, the calling
+    one among them: never more than the words or the CPUs this process may
+    run on."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    return max(1, min(jobs, letters, _usable_cpus()))
+    return max(1, min(jobs, words, _usable_cpus()))
 
 
-def _send_result(conn, func, args) -> None:
-    """A worker process's body: send (True, func(*args)), or (False, the
-    exception it raised), over the write end ``conn`` of a pipe."""
-    try:
-        message = (True, func(*args))
-    except Exception as exc:  # raised again in the parent
-        message = (False, exc)
-    conn.send(message)
-    conn.close()
+# A level's descendants are handed to worker processes when the words
+# left to build, counted as the next level's kept children times the
+# levels left, reach split_words(bits) = SPLIT_WORDS 128 / (bits + 64).
+# Measured with Python 3.11.7 on a 2-vCPU host: a worker's start, pipe and
+# join take 5-10 ms (F); a built word takes 5-14 us at 64 bits (c; 13.7 us
+# at (k, m, n) = (5, 4, 8), alpha = 1/10) and about 9 times as long at
+# 1,024 bits (9.5 and 82 us at (3, 6, 6), alpha = 1/6; (1024 + 64)/128 =
+# 8.5); and two processes side by side each run about 1.5 times slower
+# than one alone.  Sharing W words in two then saves about W c / 4 - F,
+# which is positive from W = 4 F / c: 4,000 words at F = 10 ms and
+# c = 10 us.  The certify-deep shapes count at most 2,936 ((3, 6, 6) at
+# alpha = 1/6, where a split saves a few ms at best) and never split; the
+# heavy windows split at the levels tests/test_level_split.py pins.
+SPLIT_WORDS = 4000
 
 
-def _starmap(func, tasks: list) -> list:
-    """[func(*task) for task in tasks]: in this process for one task, else
-    in one worker process per task, started by fork where the platform has
-    it and by spawn otherwise.  Each worker sends its result back over a
-    one-way pipe.  A worker's exception is raised again here, after the
-    other workers are terminated; every worker has been joined when this
-    returns or raises."""
-    if len(tasks) == 1:
-        return [func(*tasks[0])]
-    import multiprocessing  # only here, so importing the package stays cheap
-    # fork starts a worker without re-importing the package; the arguments
-    # are plain picklable values, so spawn works as well where fork is absent
-    methods = multiprocessing.get_all_start_methods()
-    mp = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    workers = []
-    try:
-        for task in tasks:
-            receiver, sender = mp.Pipe(duplex=False)
-            worker = mp.Process(target=_send_result,
-                                args=(sender, func, task))
-            workers.append((worker, receiver))
-            worker.start()
-            sender.close()  # the worker holds the only write end
-        results = []
-        for worker, receiver in workers:
-            try:
-                ok, value = receiver.recv()
-            except EOFError:
-                worker.join()
-                raise RuntimeError(f"a level-sum worker process exited "
-                                   f"with code {worker.exitcode} and no "
-                                   f"result") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    except BaseException:
-        for worker, _ in workers:
-            if worker.is_alive():
-                worker.terminate()
-        raise
-    finally:
-        for worker, receiver in workers:
-            if worker.pid is not None:  # started
-                worker.join()
-            receiver.close()
+def split_words(bits: int) -> int:
+    """The fewest words left to build, counted as in
+    :func:`_descendant_sums`, that it hands to worker processes at
+    ``bits`` bits: :data:`SPLIT_WORDS` at 64 bits and fewer at more bits,
+    as a word then costs more."""
+    return SPLIT_WORDS * 128 // (bits + 64)
 
 
 def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
@@ -267,7 +281,7 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     {k+1, ..., k+m}.
 
     Radii are exact rationals, one integer inversion per word (see
-    :func:`~schottkydim.words.word_radius_levels`).  Each power is a dyadic
+    :func:`~schottkydim.words.disk_levels`).  Each power is a dyadic
     enclosure in plain integers at ``bits`` bits
     (:class:`~schottkydim.scalars.DyadicPower`), and the enclosures are added
     exactly, so a level's sum does not depend on the order of its words nor
@@ -288,25 +302,27 @@ def level_sums(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     they do not, the level sums are taken again with every word built and
     every root taken.  Either way the result is the same triple.
 
-    The words are split by their last letter: the letters are dealt
-    round-robin into :func:`worker_count` groups, and each group's subtrees
-    (the words ending in one of its letters) are built and summed on their
-    own, in this process for one group and otherwise in one worker process
-    per group (:func:`_starmap`), this process waiting.  No word is built
-    twice, and the groups' exact sums and bounds are added per level.  A
+    The levels are built and summed in this process, as one group.  With
+    ``jobs`` above 1, the first level with at least :func:`split_words`
+    words left below it, counted from its kept children before any is
+    built, is dealt into :func:`worker_count` shares, and the descendants
+    of each share are built and summed on their own, one share in this
+    process and each other one in a worker process
+    (:func:`_descendant_sums`).  The count does not depend on ``jobs`` nor
+    on timing, so a request always takes the same path.  No word is built
+    twice, and the shares' exact sums and bounds are added per level.  A
     worker's exception is raised here, and no worker outlives this call.
     """
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    worker_count(jobs, m)  # refuses jobs < 1
     letters = schedule.window(k, m)
-    workers = worker_count(jobs, len(letters))
-    tasks = [(schedule, letters, letters[i::workers], n_max, alpha, bits)
-             for i in range(workers)]
-    sums = _rounded_sums(_starmap(_root_sums, tasks), bits)
+    sums = _rounded_sums(
+        _window_sums(schedule, letters, n_max, alpha, bits, True, jobs), bits)
     if sums is None:  # a word left out might move a rounded end
-        sums = _rounded_sums(_starmap(_root_sums, [
-            task + (False,) for task in tasks]), bits)
+        sums = _rounded_sums(_window_sums(schedule, letters, n_max, alpha,
+                                          bits, False, jobs), bits)
     return sums
 
 

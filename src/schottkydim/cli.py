@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "starts the enclosures at 64 bits and doubles the "
                         "bits while a check is undecided)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the level sums, capped by the "
-                        "window size and the usable CPUs (output is "
-                        "identical for any value)")
+                   help="processes that may share the level sums, this one "
+                        "among them, capped by the usable CPUs; only a level "
+                        "sum with many words left to build starts workers "
+                        "(output is identical for any value)")
     _add_common(p, "certificate.json", "certificate path, - for stdout")
 
     p = sub.add_parser("estimate", help="level-sum bisection and box counting")

@@ -114,7 +114,7 @@ def count_words(m: int, n: int, cap: int) -> int:
     return total
 
 
-def prepend_levels(maps, n: int, roots=None, keep=None):
+def prepend_levels(maps, n: int, keep=None, start=(0, None)):
     """The one word recursion: levels 1..n of an item per reduced word.
 
     ``maps`` lists (letter, item, image) triples: ``item`` belongs to the
@@ -125,19 +125,21 @@ def prepend_levels(maps, n: int, roots=None, keep=None):
     alphabet in increasing order.  Level j is built from level j-1 with one
     image per word, item(a w) = h_a(item(w)).
 
-    With ``roots``, a collection of letters of ``maps``, level 1 holds only
-    the roots' items, so the levels hold the words that end in a root: the
-    subtrees of those roots.  Deeper levels prepend every letter of ``maps``
-    as before, and the subtrees of disjoint roots share no word.
+    With ``start`` = (j, level), a level j in this layout or any part of
+    its groups' items (a share), the recursion starts from that level and
+    yields levels j+1..n: the descendants of the share's words.  Every word
+    of a deeper level has exactly one suffix of length j, so the descendants
+    of disjoint shares share no word.
 
     With ``keep``, level j holds the child a w of a word w of a group
     (b, items) of level j-1 only where keep(a, b, items), called when level
     j is asked for, returns the item of w: the others are never built.
     """
-    level = [(letter, [item]) for letter, item, _ in maps
-             if roots is None or letter in roots]
-    for depth in range(1, n + 1):
-        if depth > 1:
+    depth, level = start
+    for depth in range(depth + 1, n + 1):
+        if depth == 1:
+            level = [(letter, [item]) for letter, item, _ in maps]
+        else:
             level = [(letter, [image(item) for first, items in level
                                if first != letter for item in
                                (items if keep is None
@@ -184,53 +186,47 @@ def _radius_images(mirror: IntegerMirror, letter: int, level,
 
 
 def disk_levels(schedule: GeneratorSchedule, letters: Sequence[int],
-                n_max: int, radius_last: bool = False,
-                roots=None, keep=None) -> Iterator[list]:
+                n_max: int, radius_last: bool = False, keep=None,
+                start=(0, None)) -> Iterator[list]:
     """Levels 1..n_max of the integer endpoint disks of the reduced words over
     ``letters``, in the layout of :func:`prepend_levels`; each disk equals
-    :func:`word_disk` of its word.  With ``roots``, only the words that end
-    in a root letter, and with ``keep``, only the children that it keeps
-    (see :func:`prepend_levels`).
+    :func:`word_disk` of its word.  With ``keep``, only the children that it
+    keeps, and with ``start`` = (j, level), levels j+1..n_max of the
+    descendants of that level's disks (see :func:`prepend_levels`).
 
     With ``radius_last``, level n_max holds the radii alone, as pairs (s, t)
     of integers in lowest terms for the radius s/t, computed lazily: the
     last level is the largest, and neither its disks nor its radii are ever
     stored; its ``keep`` is called as the radii are read, on items
-    (disk, :func:`ends_cross` of the disk).
+    (disk, :func:`ends_cross` of the disk).  Level n_max - 1 is then held
+    only as those items while the last level is read.
     """
     if n_max < 1:
         raise ValueError("word length must be >= 1")
     mirrors = _mirrors(schedule, letters)
     maps = _ends_maps(mirrors)
-    level = None
+    depth, level = start
     stored = n_max - 1 if radius_last else n_max
-    for level in prepend_levels(maps, stored, roots, keep):
+    for depth, level in enumerate(prepend_levels(maps, stored, keep, start),
+                                  depth + 1):
         yield level
     if not radius_last:
         return
-    if level is None:  # n_max = 1: the generator disks' radii
-        yield [(letter, [ends_radius(disk) for disk in disks])
-               for letter, disks in next(prepend_levels(maps, 1, roots))]
+    if depth == 0:  # n_max = 1: the generator disks' radii
+        yield radius_level(next(prepend_levels(maps, 1)))
         return
     crossed = [(first, [(disk, ends_cross(disk)) for disk in disks])
                for first, disks in level]
+    del level  # the caller's start aside, level n_max - 1 lives in crossed
     yield [(letter, _radius_images(mirror, letter, crossed, keep))
            for letter, mirror in mirrors]
 
 
-def word_radius_levels(schedule: GeneratorSchedule, letters: Sequence[int],
-                       n_max: int, roots=None, keep=None) -> Iterator[list]:
-    """The radii of the disks of :func:`disk_levels`, as pairs (s, t) of
-    integers in lowest terms, level n_max computed radius-only and
-    lazily.  The radius levels have the layout of the disk levels, so
-    ``keep`` may read a word's radius at the position of its disk."""
-    levels = disk_levels(schedule, letters, n_max, True, roots, keep)
-    for n, level in enumerate(levels, 1):
-        if n == n_max:
-            yield level
-        else:
-            yield [(letter, [ends_radius(disk) for disk in disks])
-                   for letter, disks in level]
+def radius_level(level) -> list:
+    """A level of disks of :func:`disk_levels` as the radii of its disks,
+    pairs (s, t) of integers in lowest terms, in the same layout."""
+    return [(letter, [ends_radius(disk) for disk in disks])
+            for letter, disks in level]
 
 
 @dataclass

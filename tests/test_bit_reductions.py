@@ -21,8 +21,8 @@ from schottkydim.hyperbolic import (IntegerMirror, _reduce_by_gcd,
                                     _reduce_by_shift, lowest_terms)
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule, validate_schedule)
-from schottkydim.words import (disk_levels, enumerate_words, word_disk,
-                               word_radius_levels)
+from schottkydim.words import (disk_levels, enumerate_words, radius_level,
+                               word_disk)
 
 # integers of up to about 2,500 bits, the size of the radius pairs of the
 # deepest benchmark windows
@@ -107,7 +107,8 @@ def test_engine_levels_are_the_word_disks(schedule, uses_shift):
     assert (reducers == {_reduce_by_shift}) == uses_shift
     n_max = 4
     disks = list(disk_levels(schedule, letters, n_max))
-    radii = list(word_radius_levels(schedule, letters, n_max))
+    radii = [level if n == n_max else radius_level(level) for n, level in
+             enumerate(disk_levels(schedule, letters, n_max, True), 1)]
     for n in range(1, n_max + 1):
         oracle = [word_disk(schedule, w) for w in enumerate_words(0, 5, n)]
         got = [hyperbolic.ends_circle(d) for _, ds in disks[n - 1] for d in ds]

@@ -23,8 +23,8 @@ from schottkydim.scalars import IntervalContext, PowerEnclosure
 from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule)
 from schottkydim.words import (NestingError, ReducedWord, count_words,
-                               disk_tree, enumerate_words, word_disk,
-                               word_radius_levels)
+                               disk_levels, disk_tree, enumerate_words,
+                               radius_level, word_disk)
 
 # ---------------------------------------------------------------------------
 # the inversion kernel
@@ -119,12 +119,15 @@ def user_schedule():
                          ids=["paper", "user"])
 def test_radius_levels_are_the_word_disk_radii(schedule, k, m, n):
     letters = schedule.window(k, m)
-    radius_levels = list(word_radius_levels(schedule, letters, n))
-    disk_levels = disk_tree(schedule, k, m, n).levels
+    # the radii as the level sums read them, the last level radius-only
+    radius_levels = [level if depth == n else radius_level(level)
+                     for depth, level in enumerate(
+                         disk_levels(schedule, letters, n, True), 1)]
+    tree_levels = disk_tree(schedule, k, m, n).levels
     for depth in range(1, n + 1):
         words = list(enumerate_words(k, m, depth))
         radii = [r for _, group in radius_levels[depth - 1] for r in group]
-        disks = [node.disk for node in disk_levels[depth - 1]]
+        disks = [node.disk for node in tree_levels[depth - 1]]
         assert len(radii) == len(disks) == len(words)
         for word, (s, t), disk in zip(words, radii, disks):
             expected = word_disk(schedule, word)
@@ -135,11 +138,11 @@ def test_radius_levels_are_the_word_disk_radii(schedule, k, m, n):
 
 def test_one_level_only():
     sched = paper_schedule(5)
-    (level,) = word_radius_levels(sched, (2, 3), 1)
+    (level,) = disk_levels(sched, (2, 3), 1, True)
     assert [(letter, list(group)) for letter, group in level] == [
         (i, [(1, sched.entry(i).radius.denominator)]) for i in (2, 3)]
     with pytest.raises(ValueError):
-        list(word_radius_levels(sched, (2, 3), 0))
+        list(disk_levels(sched, (2, 3), 0, True))
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,20 @@ The oracle recomputes every word disk from scratch with ``word_disk`` and
 sums ``pow_rational`` of the radii in ``enumerate_words`` order, one partial
 per first letter, the partials added in letter order.  The engine's exact
 dyadic sums must overlap the oracle's enclosures at every level, and give
-the same dyadic enclosures for every job count.  The engine splits the words
-by their last letter; every split of the window letters into root groups
-must share out each level, with one inversion per word.
+the same dyadic enclosures for every job count and wherever the levels are
+handed to worker processes.  The engine deals a level's words into shares
+for the workers; every split of a level's words into shares must share out
+each deeper level, with one inversion per word.
 """
 
 import hashlib
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from schottkydim import certify
+from schottkydim import certify, shares
 from schottkydim.certify import (alpha_sum, certify_dimension_upper,
                                  level_sums, worker_count)
 from schottkydim.cli import main
@@ -26,7 +29,7 @@ from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
                                   paper_schedule, validate_schedule)
 from schottkydim.words import (ReducedWord, count_words, disk_levels,
                                disk_tree, enumerate_words, prepend_levels,
-                               word_disk, word_radius_levels)
+                               word_disk)
 
 SCHED = paper_schedule(10)
 BITS = 256
@@ -72,9 +75,33 @@ def assert_overlap(got, expected):
 
 @pytest.fixture
 def many_cpus(monkeypatch):
-    """Lets ``jobs`` start as many workers as it asks for (up to the window
-    size) on a machine with fewer CPUs, so every pool split is exercised."""
+    """Lets ``jobs`` start as many workers as it asks for (up to the words
+    dealt) on a machine with fewer CPUs, so every split is exercised."""
     monkeypatch.setattr(certify, "_usable_cpus", lambda: 8)
+
+
+@pytest.fixture
+def small_split(monkeypatch):
+    """Makes level_sums at jobs > 1 hand the descendants of level 1 to
+    worker processes, so that the workers really start."""
+    monkeypatch.setattr(certify, "SPLIT_WORDS", 0)
+
+
+def split_at(monkeypatch, level):
+    """Makes level_sums at jobs > 1 hand the descendants of ``level`` to
+    worker processes, in each of its passes."""
+    asked = []
+    real = certify._window_sums
+
+    def window_sums(*args):
+        asked.clear()
+        return real(*args)
+
+    def split_words(bits):  # asked once per level below n_max
+        asked.append(bits)
+        return 0 if len(asked) == level else 10 ** 9
+    monkeypatch.setattr(certify, "_window_sums", window_sums)
+    monkeypatch.setattr(certify, "split_words", split_words)
 
 
 CASES = [(SCHED, 2, 4, 3, Fraction(1, 4)),
@@ -84,9 +111,10 @@ CASES = [(SCHED, 2, 4, 3, Fraction(1, 4)),
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, "m"])
 @pytest.mark.parametrize("case", CASES, ids=["2,4,3", "3,5,4", "user"])
-def test_level_sums_match_per_word_oracle(case, jobs, many_cpus):
+def test_level_sums_match_per_word_oracle(case, jobs, many_cpus,
+                                          small_split):
     schedule, k, m, n, alpha = case
-    jobs = m if jobs == "m" else jobs  # one root letter per worker
+    jobs = m if jobs == "m" else jobs  # one level-1 word per process
     got = level_sums(schedule, k, m, n, alpha, BITS, jobs)
     assert_overlap(got, oracle_level_sums(schedule, k, m, n, alpha, CTX))
     serial = level_sums(schedule, k, m, n, alpha, BITS, 1)
@@ -94,7 +122,28 @@ def test_level_sums_match_per_word_oracle(case, jobs, many_cpus):
     assert alpha_sum(schedule, k, m, n, alpha, CTX, jobs) == serial[-1]
 
 
-def test_pool_runs_under_spawn(monkeypatch, many_cpus):
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("case", CASES, ids=["2,4,3", "3,5,4", "user"])
+def test_level_sums_split_at_each_level(case, jobs, many_cpus, monkeypatch):
+    import multiprocessing
+    schedule, k, m, n, alpha = case
+    serial = level_sums(schedule, k, m, n, alpha, BITS, 1)
+    started = []
+    real = shares.starmap
+
+    def starmap(func, tasks):
+        started.append(len(tasks))
+        return real(func, tasks)
+    monkeypatch.setattr(shares, "starmap", starmap)
+    for level in range(1, n):
+        split_at(monkeypatch, level)
+        started.clear()
+        assert level_sums(schedule, k, m, n, alpha, BITS, jobs) == serial
+        assert started == [jobs]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_runs_under_spawn(monkeypatch, many_cpus, small_split):
     import multiprocessing
     schedule, k, m, n, alpha = CASES[0]
     serial = level_sums(schedule, k, m, n, alpha, BITS, 1)
@@ -103,52 +152,55 @@ def test_pool_runs_under_spawn(monkeypatch, many_cpus):
     assert level_sums(schedule, k, m, n, alpha, BITS, 2) == serial
 
 
-class GroupFailure(ValueError):
+class ShareFailure(ValueError):
     pass
 
 
-def failing_group(letter):
-    """A _root_sums whose group of ``letter`` raises GroupFailure, the other
-    groups summing as before."""
-    real = certify._root_sums
+def failing_shares():
+    """A _descendant_sums that raises ShareFailure in every worker process,
+    and in this process for the whole window at jobs 1, where no worker
+    starts; this process's own share sums as before."""
+    real, this_process = certify._descendant_sums, os.getpid()
 
-    def root_sums(schedule, letters, roots, *args):
-        if letter in roots:
-            raise GroupFailure(f"group of letter {letter} failed")
-        return real(schedule, letters, roots, *args)
-    return root_sums
+    def descendant_sums(children, start=(0, None), jobs=1):
+        if os.getpid() != this_process or (start[0] == 0 and jobs == 1):
+            raise ShareFailure("a share of the level sums failed")
+        return real(children, start, jobs)
+    return descendant_sums
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_worker_exception_is_raised_again(monkeypatch, many_cpus, jobs):
+def test_worker_exception_is_raised_again(monkeypatch, many_cpus,
+                                          small_split, jobs):
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the patched _root_sums reaches the workers by fork only")
+        pytest.skip("the patched _descendant_sums reaches the workers by "
+                    "fork only")
     schedule, k, m, n, alpha = CASES[0]
-    # letters 3..6 dealt round-robin: at jobs 2 the second group fails, the
-    # first one sums on
-    monkeypatch.setattr(certify, "_root_sums", failing_group(6))
-    with pytest.raises(GroupFailure, match="group of letter 6 failed"):
+    monkeypatch.setattr(certify, "_descendant_sums", failing_shares())
+    with pytest.raises(ShareFailure, match="a share of the level sums"):
         level_sums(schedule, k, m, n, alpha, BITS, jobs)
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_worker_exception_exits_2(monkeypatch, many_cpus, capsys, tmp_path,
-                                  jobs):
+def test_worker_exception_exits_2(monkeypatch, many_cpus, small_split,
+                                  capsys, tmp_path, jobs):
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the patched _root_sums reaches the workers by fork only")
-    monkeypatch.setattr(certify, "_root_sums", failing_group(4))
+        pytest.skip("the patched _descendant_sums reaches the workers by "
+                    "fork only")
+    monkeypatch.setattr(certify, "_descendant_sums", failing_shares())
     out = tmp_path / "cert.json"
     assert main(["certify", "--k", "2", "--alpha", "1/4", "--m", "4",
                  "--n", "3", "--jobs", jobs, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: group of letter 4 failed\n"
+    assert capsys.readouterr().err == \
+        "error: a share of the level sums failed\n"
     assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
-def test_no_worker_outlives_level_sums(many_cpus):
+def test_no_worker_outlives_level_sums(many_cpus, small_split):
     import multiprocessing
     schedule, k, m, n, alpha = CASES[0]
     serial = level_sums(schedule, k, m, n, alpha, BITS, 1)
@@ -168,39 +220,82 @@ def splits(letters):
             yield split[:pos] + [(first,) + split[pos]] + split[pos + 1:]
 
 
-SUBTREE_CASES = [(SCHED, 2, 4, 3), (user_schedule(), 0, 5, 3)]
+def level_splits(letters, j, words):
+    """Splits of the ``words`` words of level j into shares, each as
+    (shares, owner) with owner(i) the share of the i-th word: every split
+    at level 1, and deals and seeded random splits deeper."""
+    if j == 1:
+        for split in splits(letters):
+            yield len(split), lambda i, split=split: next(
+                pos for pos, group in enumerate(split)
+                if letters[i] in group)
+        return
+    for shares in range(1, 5):
+        yield shares, lambda i, shares=shares: i % shares
+    rng = random.Random(j)
+    for _ in range(10):
+        owners = [rng.randrange(3) for _ in range(words)]
+        yield 3, owners.__getitem__
 
 
-def root_words(letters, n, roots):
-    maps = [(letter, (letter,), lambda w, a=letter: (a,) + w)
+def split_level(level, shares, owner):
+    """``level``'s items, in the layout of prepend_levels, split into
+    ``shares`` levels of the same layout, the i-th word going to share
+    owner(i)."""
+    parts, i = [[] for _ in range(shares)], 0
+    for first, items in level:
+        groups = [[] for _ in range(shares)]
+        for item in items:
+            groups[owner(i)].append(item)
+            i += 1
+        for part, group in zip(parts, groups):
+            part.append((first, group))
+    return parts
+
+
+def word_maps(letters):
+    return [(letter, (letter,), lambda w, a=letter: (a,) + w)
             for letter in letters]
-    return [[word for _, words in level for word in words]
-            for level in prepend_levels(maps, n, roots)]
+
+
+SUBTREE_CASES = [(SCHED, 2, 4, 3), (user_schedule(), 0, 5, 3)]
 
 
 @pytest.mark.parametrize("schedule,k,m,n", SUBTREE_CASES,
                          ids=["2,4,3", "user"])
 def test_root_subtrees_split_every_level(schedule, k, m, n):
+    # the subtrees rooted at the words of a share of level j: the words of
+    # the deeper levels that end in one of them
     letters = schedule.window(k, m)
-    all_splits = list(splits(letters))
-    assert len(all_splits) == {4: 15, 5: 52}[m]  # the Bell numbers
-    for split in all_splits:
-        groups = [root_words(letters, n, roots) for roots in split]
-        disks = [list(disk_levels(schedule, letters, n, roots=roots))
-                 for roots in split]
-        for depth in range(1, n + 1):
-            words = [w.indices for w in enumerate_words(k, m, depth)]
-            shares = [group[depth - 1] for group in groups]
-            # disjoint, and together the whole level
-            assert sum(map(len, shares)) == len(words)
-            assert sorted(w for share in shares for w in share) == words
-            for roots, share in zip(split, shares):
-                assert all(word[-1] in roots for word in share)
-            # each group's disks are its words' disks, in the same layout
-            for share, levels in zip(shares, disks):
-                ends = [d for _, level in levels[depth - 1] for d in level]
-                assert [ends_circle(d) for d in ends] == \
-                    [word_disk(schedule, ReducedWord(w)) for w in share]
+    assert len(list(splits(letters))) == {4: 15, 5: 52}[m]  # Bell numbers
+    maps = word_maps(letters)
+    for j in range(1, n):
+        *_, word_level = prepend_levels(maps, j)
+        *_, disk_level = disk_levels(schedule, letters, j)
+        words_j = m * (m - 1) ** (j - 1)
+        for shares, owner in level_splits(letters, j, words_j):
+            word_shares = split_level(word_level, shares, owner)
+            disk_shares = split_level(disk_level, shares, owner)
+            groups = [list(prepend_levels(maps, n, start=(j, share)))
+                      for share in word_shares]
+            disks = [list(disk_levels(schedule, letters, n,
+                                      start=(j, share)))
+                     for share in disk_shares]
+            for depth in range(j + 1, n + 1):
+                words = [w.indices for w in enumerate_words(k, m, depth)]
+                level = [[w for _, ws in group[depth - j - 1] for w in ws]
+                         for group in groups]
+                # disjoint, and together the whole level
+                assert sum(map(len, level)) == len(words)
+                assert sorted(w for share in level for w in share) == words
+                for roots, share in zip(word_shares, level):
+                    roots = {w for _, ws in roots for w in ws}
+                    assert all(word[-j:] in roots for word in share)
+                # each share's disks are its words' disks, in its layout
+                for share, levels in zip(level, disks):
+                    ends = [d for _, ds in levels[depth - j - 1] for d in ds]
+                    assert [ends_circle(d) for d in ends] == \
+                        [word_disk(schedule, ReducedWord(w)) for w in share]
 
 
 @pytest.mark.parametrize("schedule,k,m,n", SUBTREE_CASES,
@@ -214,17 +309,41 @@ def test_root_subtrees_invert_each_word_once(schedule, k, m, n, monkeypatch):
         monkeypatch.setattr(IntegerMirror, name, counted)
     letters = schedule.window(k, m)
     for n_max in range(1, n + 1):
-        for split in splits(letters):
-            calls.clear()
-            sizes = [0] * n_max
-            for roots in split:
-                levels = word_radius_levels(schedule, letters, n_max, roots)
-                for depth, level in enumerate(levels):
-                    sizes[depth] += sum(len(list(radii)) for _, radii in level)
-            assert sizes == [m * (m - 1) ** j for j in range(n_max)]
-            # one inversion per word of levels 2..n_max, the generator disks
-            # of level 1 taking none
-            assert len(calls) == count_words(m, n_max, 10 ** 6) - m
+        calls.clear()
+        levels = list(disk_levels(schedule, letters, n_max, True))
+        assert [sum(len(list(items)) for _, items in level)
+                for level in levels] == [m * (m - 1) ** j
+                                         for j in range(n_max)]
+        # one inversion per word of levels 2..n_max, the generator disks
+        # of level 1 taking none
+        assert len(calls) == count_words(m, n_max, 10 ** 6) - m
+        for j in range(1, n_max):
+            *_, level = disk_levels(schedule, letters, j)
+            words_j = m * (m - 1) ** (j - 1)
+            for shares, owner in level_splits(letters, j, words_j):
+                calls.clear()
+                sizes = [0] * (n_max - j)
+                for share in split_level(level, shares, owner):
+                    deeper = disk_levels(schedule, letters, n_max, True,
+                                         start=(j, share))
+                    for depth, part in enumerate(deeper):
+                        sizes[depth] += sum(len(list(items))
+                                            for _, items in part)
+                assert sizes == [m * (m - 1) ** d for d in range(j, n_max)]
+                # one inversion per word of levels j+1..n_max
+                assert len(calls) == sum(sizes)
+
+
+def test_last_level_is_read_without_level_n_minus_1():
+    # while the radius-only last level is read, disk_levels holds level
+    # n - 1 only as the (disk, cross) items the radii are taken from
+    letters = SCHED.window(2, 4)
+    levels = disk_levels(SCHED, letters, 3, True)
+    _, second = next(levels), next(levels)
+    last = next(levels)
+    assert all(value is not second
+               for value in levels.gi_frame.f_locals.values())
+    assert [len(list(radii)) for _, radii in last] == [9, 9, 9, 9]
 
 
 def test_engine_disks_are_the_word_disks():
@@ -285,7 +404,7 @@ def test_certify_needs_two_levels(n_max):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_exterior_image_raises_in_workers_too(jobs, many_cpus):
+def test_exterior_image_raises_in_workers_too(jobs, many_cpus, small_split):
     # overlapping disks: the center of disk 1 lies inside disk 2
     overlapping = GeneratorSchedule((
         ScheduleEntry(1, Fraction(0), Fraction(1)),
@@ -298,7 +417,7 @@ def test_exterior_image_raises_in_workers_too(jobs, many_cpus):
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(0)], ids=["1", "0"])
 @pytest.mark.parametrize("case", CASES, ids=["2,4,3", "3,5,4", "user"])
 def test_level_sums_at_integer_alpha_match_oracle(case, alpha, jobs,
-                                                  many_cpus):
+                                                  many_cpus, small_split):
     # alpha = 1 takes the exact-power path of the power routine, alpha = 0
     # the constant one: both sums are rationals, which the enclosures hold
     schedule, k, m, n, _ = case

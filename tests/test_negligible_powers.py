@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schottkydim import certify, scalars
-from schottkydim.certify import _root_sums, _rounded_sums, level_sums
+from schottkydim import certify, scalars, shares
+from schottkydim.certify import _rounded_sums, _window_sums, level_sums
 from schottkydim.scalars import DyadicPower
 from schottkydim.schedule import paper_schedule
 from schottkydim.words import count_words
@@ -85,11 +85,11 @@ def test_nothing_left_out_without_a_margin():
 
 
 def exact_sums(schedule, k, m, n, alpha, bits):
-    """The level sums with every word's root taken: one group, no skip."""
+    """The level sums with every word's root taken: no skip."""
     letters = schedule.window(k, m)
-    groups = [_root_sums(schedule, letters, letters, n, alpha, bits, False)]
-    assert all(bound == (0, 0, 0) for _, bound in groups[0])
-    return _rounded_sums(groups, bits)
+    sums = _window_sums(schedule, letters, n, alpha, bits, False)
+    assert all(bound == (0, 0, 0) for _, bound in sums)
+    return _rounded_sums(sums, bits)
 
 
 # Every alpha the certify-deep benchmark deals, at its two window shapes:
@@ -116,23 +116,32 @@ def test_deep_level_sums_equal_the_exact_sums(bits, two_cpus):
 
 
 def inflated_bounds(monkeypatch):
-    """Makes every group's bound of a skipping _root_sums far larger than
-    its sum, so that the check fails at every level; returns, per call of
-    _starmap, whether each of its groups was to skip words."""
-    real_root_sums, real_starmap = certify._root_sums, certify._starmap
+    """Makes every bound of a skipping _descendant_sums, in this process
+    and in the workers, far larger than its sum, so that the check fails at
+    every level; returns the passes of the level sums, whether each was to
+    skip words, and the processes that shared each split level."""
+    real_sums, real_starmap = certify._descendant_sums, shares.starmap
+    real_window_sums = certify._window_sums
     calls = []
 
-    def root_sums(*args):
-        sums = real_root_sums(*args)
-        if args[6:] == (False,):
+    def descendant_sums(children, start=(0, None), jobs=1):
+        sums = real_sums(children, start, jobs)
+        if children.margin is None:  # the pass without skip
             return sums
         return [(exact, (1 << 4000, 1 << 4000, 0)) for exact, _ in sums]
 
+    def window_sums(schedule, letters, n_max, alpha, bits, skip=True,
+                    jobs=1):
+        calls.append(("skip", skip))
+        return real_window_sums(schedule, letters, n_max, alpha, bits, skip,
+                                jobs)
+
     def starmap(func, tasks):
-        calls.append([task[6:] != (False,) for task in tasks])
+        calls.append(("shares", len(tasks)))
         return real_starmap(func, tasks)
-    monkeypatch.setattr(certify, "_root_sums", root_sums)
-    monkeypatch.setattr(certify, "_starmap", starmap)
+    monkeypatch.setattr(certify, "_descendant_sums", descendant_sums)
+    monkeypatch.setattr(certify, "_window_sums", window_sums)
+    monkeypatch.setattr(shares, "starmap", starmap)
     return calls
 
 
@@ -140,13 +149,16 @@ def inflated_bounds(monkeypatch):
 def test_failed_check_falls_back_to_exact_sums(jobs, two_cpus, monkeypatch):
     import multiprocessing
     if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the patched _root_sums reaches the workers by fork only")
+        pytest.skip("the patched _descendant_sums reaches the workers by "
+                    "fork only")
     schedule, alpha = paper_schedule(9), Fraction(1, 3)
     expected = exact_sums(schedule, 3, 6, 4, alpha, 64)
+    monkeypatch.setattr(certify, "SPLIT_WORDS", 0)  # workers at jobs 2
     calls = inflated_bounds(monkeypatch)
     assert level_sums(schedule, 3, 6, 4, alpha, 64, jobs) == expected
-    # the groups with skipping, then the same groups again without
-    assert calls == [[True] * jobs, [False] * jobs]
+    # the pass with skipping, then the same again without
+    shares = [("shares", jobs)] if jobs > 1 else []
+    assert calls == [("skip", True), *shares, ("skip", False), *shares]
 
 
 def test_check_passes_through_when_bounds_are_small(monkeypatch):
@@ -154,8 +166,8 @@ def test_check_passes_through_when_bounds_are_small(monkeypatch):
     calls = []
     real = certify._rounded_sums
 
-    def rounded(groups, bits):
-        sums = real(groups, bits)
+    def rounded(sums, bits):
+        sums = real(sums, bits)
         calls.append(sums is not None)
         return sums
     monkeypatch.setattr(certify, "_rounded_sums", rounded)
@@ -187,21 +199,22 @@ def test_guard_covers_every_admissible_level():
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256])
-def test_deep_bounds_lie_far_below_a_rounding_step(bits):
-    # every level of the 30 certify-deep cases, with the letter groups of
-    # jobs 2: the words left out add less than 2^-11 of the rounded sum's
-    # unit, as the guard's argument promises
+def test_deep_bounds_lie_far_below_a_rounding_step(bits, two_cpus,
+                                                   monkeypatch):
+    # every level of the 30 certify-deep cases, summed in one process and
+    # with the descendants of level 1 shared out at jobs 2, as the letter
+    # groups were: the words left out add less than 2^-11 of the rounded
+    # sum's unit, as the guard's argument promises
+    monkeypatch.setattr(certify, "SPLIT_WORDS", 0)
     for k, m, n, alpha in DEEP_CASES_FULL_DEPTH:
         schedule = paper_schedule(k + m)
         letters = schedule.window(k, m)
-        groups = [_root_sums(schedule, letters, letters[i::2], n, alpha, bits)
-                  for i in range(2)]
-        for j, level in enumerate(zip(*groups), 1):
-            exact = scalars.dyadic_sum(e for e, _ in level)
-            b, _, F = scalars.dyadic_sum(bound for _, bound in level)
-            unit = Fraction(2) ** -scalars.round_dyadic(exact, bits)[2]
-            assert Fraction(b) / Fraction(2) ** F < unit / 2 ** 11, \
-                (k, m, n, alpha, j)
+        for jobs in (1, 2):
+            sums = _window_sums(schedule, letters, n, alpha, bits, True, jobs)
+            for j, (exact, (b, _, F)) in enumerate(sums, 1):
+                unit = Fraction(2) ** -scalars.round_dyadic(exact, bits)[2]
+                assert Fraction(b) / Fraction(2) ** F < unit / 2 ** 11, \
+                    (k, m, n, alpha, jobs, j)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -212,11 +225,12 @@ def test_narrow_guard_falls_back_to_exact_sums(jobs, two_cpus, monkeypatch):
     schedule, alpha = paper_schedule(9), Fraction(1, 6)
     expected = exact_sums(schedule, 3, 6, 6, alpha, 64)
     monkeypatch.setattr(certify, "SKIP_GUARD_BITS", 8)
+    monkeypatch.setattr(certify, "SPLIT_WORDS", 0)  # workers at jobs 2
     passes = []
     real = certify._rounded_sums
 
-    def rounded(groups, bits):
-        sums = real(groups, bits)
+    def rounded(sums, bits):
+        sums = real(sums, bits)
         passes.append(sums is not None)
         return sums
     monkeypatch.setattr(certify, "_rounded_sums", rounded)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schottkydim import certify, hyperbolic
+from schottkydim import certify, hyperbolic, shares
 from schottkydim.certify import level_sums
 from schottkydim.cli import main
 from schottkydim.hyperbolic import ExteriorImageError, circle_invert_circle
@@ -32,8 +32,8 @@ from schottkydim.words import (ContractionTable, contraction_table,
 def exact_sums(schedule, k, m, n, alpha, bits):
     """The level sums with every word built and its root taken."""
     letters = schedule.window(k, m)
-    return certify._rounded_sums([certify._root_sums(
-        schedule, letters, letters, n, alpha, bits, False)], bits)
+    return certify._rounded_sums(certify._window_sums(
+        schedule, letters, n, alpha, bits, False), bits)
 
 
 def word_radii(schedule, letters, n):
@@ -352,9 +352,11 @@ def two_cpus(monkeypatch):
 def inflated_table(monkeypatch):
     """Makes the contraction table's theta far too large, with its chain
     sums raised as much so that subtrees are still left out: their bounds
-    then dwarf the sums and the check fails at the deep levels.  Returns,
-    per call of _starmap, whether each of its groups was to skip words."""
-    real_table, real_starmap = certify.contraction_table, certify._starmap
+    then dwarf the sums and the check fails at the deep levels.  Returns
+    the passes of the level sums, whether each was to skip words, and the
+    processes that shared each split level."""
+    real_table, real_starmap = certify.contraction_table, shares.starmap
+    real_window_sums = certify._window_sums
     calls = []
 
     def table(*args):
@@ -364,11 +366,18 @@ def inflated_table(monkeypatch):
                         for i, chain in enumerate(found.chains)]
         return found
 
+    def window_sums(schedule, letters, n_max, alpha, bits, skip=True,
+                    jobs=1):
+        calls.append(("skip", skip))
+        return real_window_sums(schedule, letters, n_max, alpha, bits, skip,
+                                jobs)
+
     def starmap(func, tasks):
-        calls.append([task[6:] != (False,) for task in tasks])
+        calls.append(("shares", len(tasks)))
         return real_starmap(func, tasks)
     monkeypatch.setattr(certify, "contraction_table", table)
-    monkeypatch.setattr(certify, "_starmap", starmap)
+    monkeypatch.setattr(certify, "_window_sums", window_sums)
+    monkeypatch.setattr(shares, "starmap", starmap)
     return calls
 
 
@@ -380,10 +389,12 @@ def test_inflated_theta_falls_back_to_exact_sums(jobs, two_cpus,
         pytest.skip("the patched table reaches the workers by fork only")
     schedule, alpha = paper_schedule(9), Fraction(1, 3)
     expected = exact_sums(schedule, 3, 6, 5, alpha, 64)
+    monkeypatch.setattr(certify, "SPLIT_WORDS", 0)  # workers at jobs 2
     calls = inflated_table(monkeypatch)
     assert level_sums(schedule, 3, 6, 5, alpha, 64, jobs) == expected
-    # the groups with skipping, then the same groups again without
-    assert calls == [[True] * jobs, [False] * jobs]
+    # the pass with skipping, then the same again without
+    shares = [("shares", jobs)] if jobs > 1 else []
+    assert calls == [("skip", True), *shares, ("skip", False), *shares]
 
 
 def test_inflated_theta_leaves_out_subtrees(monkeypatch):
@@ -391,9 +402,8 @@ def test_inflated_theta_leaves_out_subtrees(monkeypatch):
     # subtrees are left out and their bounds make the check fail
     inflated_table(monkeypatch)
     schedule, letters = paper_schedule(9), paper_schedule(9).window(3, 6)
-    groups = [certify._root_sums(schedule, letters, letters, 5,
-                                 Fraction(1, 3), 64)]
-    assert certify._rounded_sums(groups, 64) is None
+    sums = certify._window_sums(schedule, letters, 5, Fraction(1, 3), 64)
+    assert certify._rounded_sums(sums, 64) is None
 
 
 @pytest.mark.parametrize("bits", [64, 128])
@@ -402,9 +412,8 @@ def test_left_out_subtrees_lie_within_the_bound(bits):
     # subtrees' words in the full sum and their caps in the bound
     schedule, alpha = paper_schedule(9), Fraction(1, 3)
     letters = schedule.window(3, 6)
-    full = certify._root_sums(schedule, letters, letters, 6, alpha, bits,
-                              False)
-    skipping = certify._root_sums(schedule, letters, letters, 6, alpha, bits)
+    full = certify._window_sums(schedule, letters, 6, alpha, bits, False)
+    skipping = certify._window_sums(schedule, letters, 6, alpha, bits)
     for (whole, _), ((lo, hi, E), (b, _, F)) in zip(full, skipping):
         top = max(whole[2], E, F)
         for end, part in ((whole[0], lo), (whole[1], hi)):
@@ -548,8 +557,8 @@ def fallbacks(monkeypatch):
     """Counts the level sums whose round-alike check failed."""
     real, failed = certify._rounded_sums, []
 
-    def rounded(groups, bits):
-        sums = real(groups, bits)
+    def rounded(sums, bits):
+        sums = real(sums, bits)
         if sums is None:
             failed.append(bits)
         return sums
