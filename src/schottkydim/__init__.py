@@ -15,7 +15,7 @@ _EXPORTS = {
         "BoundaryPoint", "Circle", "DegenerateInversionError", "DiskPoint",
         "ExteriorImageError", "HPoint", "boundary_gromov_product",
         "circle_invert_circle", "circle_invert_point", "cosh_distance",
-        "disk_from_half_plane", "gromov_product", "hyp_distance"),
+        "disk_from_half_plane"),
     "schedule": (
         "GeneratorSchedule", "ScheduleEntry", "ValidationReport",
         "load_schedule", "paper_schedule", "schedule_from_json",

@@ -789,8 +789,7 @@ def _certify_at(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
     return cert, decided
 
 
-def reverify(certificate: Certificate, schedule: GeneratorSchedule,
-             jobs: int = 1) -> bool:
+def reverify(certificate: Certificate, schedule: GeneratorSchedule) -> bool:
     """Recompute the certificate at its recorded precision and compare every
     field, each check's note and tail flag among them, exactly; False as
     well when ``schedule`` is not the schedule it was computed on."""
@@ -798,5 +797,5 @@ def reverify(certificate: Certificate, schedule: GeneratorSchedule,
         return False
     fresh = certify_dimension_upper(schedule, certificate.k, certificate.m,
                                     certificate.n_max, certificate.alpha,
-                                    certificate.backend_bits, jobs=jobs)
+                                    certificate.backend_bits)
     return fresh == certificate

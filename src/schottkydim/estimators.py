@@ -96,15 +96,17 @@ def estimate_levels(schedule: GeneratorSchedule, k: int, m: int, n_max: int,
                if n <= n_max else None), ends
 
 
+BISECT_TOL = 1e-9  # width of the last bracket
+BISECT_MAX_ITER = 200
+
+
 @dataclass
 class BisectResult:
-    n: int
     alpha: float
     residual: float
 
 
 def level_dimension_bisect(schedule: GeneratorSchedule, k: int, m: int, n: int,
-                           tol: float = 1e-9, max_iter: int = 200,
                            log_radii: Optional[List[float]] = None
                            ) -> BisectResult:
     """Solve S_n(alpha) = 1 for the level-n window sum by bisection.
@@ -133,8 +135,8 @@ def level_dimension_bisect(schedule: GeneratorSchedule, k: int, m: int, n: int,
         hi *= 2.0
         if hi > 1e6:
             raise BracketError("no upper bracket found")
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
         if level_sum(mid) >= 1.0:
@@ -142,20 +144,23 @@ def level_dimension_bisect(schedule: GeneratorSchedule, k: int, m: int, n: int,
         else:
             hi = mid
     alpha = 0.5 * (lo + hi)
-    return BisectResult(n=n, alpha=alpha, residual=level_sum(alpha) - 1.0)
+    return BisectResult(alpha=alpha, residual=level_sum(alpha) - 1.0)
+
+
+BOX_FIT_SCALES = 3
 
 
 @dataclass
 class BoxCountResult:
-    scales: List[float]
     counts: List[int]
     slope: float
 
 
-def box_count(points: Sequence[float], scales: Sequence[float],
-              fit_scales: int = 3) -> BoxCountResult:
+def box_count(points: Sequence[float],
+              scales: Sequence[float]) -> BoxCountResult:
     """Occupied 1-d grid cells (grid anchored at 0) per scale, and the
-    least-squares slope of log N against log(1/scale) over the finest scales."""
+    least-squares slope of log N against log(1/scale) over the
+    BOX_FIT_SCALES finest scales."""
     if len(scales) < 2:
         raise ValueError("need at least two scales")
     if any(s <= 0 for s in scales):
@@ -167,7 +172,7 @@ def box_count(points: Sequence[float], scales: Sequence[float],
     for s in scales:
         cells = {math.floor(p / s) for p in points}
         counts.append(len(cells))
-    finest = min(fit_scales, len(scales))
+    finest = min(BOX_FIT_SCALES, len(scales))
     xs = [math.log(1.0 / s) for s in scales[-finest:]]
     ys = [math.log(c) for c in counts[-finest:]]
     n = len(xs)
@@ -177,4 +182,4 @@ def box_count(points: Sequence[float], scales: Sequence[float],
     if sxx == 0:
         raise ValueError("degenerate scale set; slope undefined")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return BoxCountResult(scales=scales, counts=counts, slope=sxy / sxx)
+    return BoxCountResult(counts=counts, slope=sxy / sxx)

@@ -329,7 +329,6 @@ class OrbitBall:
     """
 
     basepoint: Tuple[object, object]
-    radius: int
     points: List[Tuple[Tuple[int, ...], Tuple[object, object]]] = \
         field(default_factory=list)
     _log_heights: List[float] = field(init=False, repr=False, compare=False)
@@ -370,7 +369,7 @@ class OrbitBall:
         pts = [((), base)]
         for level in labelled_levels(maps, radius):
             pts.extend(level)
-        return OrbitBall(basepoint=base, radius=radius, points=pts)
+        return OrbitBall(basepoint=base, points=pts)
 
     def __len__(self):
         return len(self.points)
@@ -499,7 +498,6 @@ def _ray_samples(basepoint, target, horizon: float, step: float):
 
 @dataclass
 class RayProfile:
-    basepoint: Tuple[object, object]
     horizon: float
     ball_radius: int
     step: float
@@ -553,8 +551,7 @@ def conicality_profile(schedule: GeneratorSchedule, p, target,
     """
     ball, samples = _sampled_ray(schedule, p, target, horizon, ball_radius,
                                  step, alphabet)
-    profile = RayProfile(basepoint=ball.basepoint, horizon=horizon,
-                         ball_radius=ball_radius, step=step,
+    profile = RayProfile(horizon=horizon, ball_radius=ball_radius, step=step,
                          samples=[(t, orbit_distance(z, ball))
                                   for t, z in samples])
     if profile.empty:
@@ -569,12 +566,12 @@ def conicality_profile(schedule: GeneratorSchedule, p, target,
     return profile
 
 
-def beta_depth(profile: RayProfile, tail_fraction: float = 0.5) -> float:
+def beta_depth(profile: RayProfile) -> float:
     """Finite-horizon proxy for the linear escape rate: the minimum of
-    D(t)/t over the sampled tail, clamped to [0, 1]."""
+    D(t)/t over the last half of the horizon, clamped to [0, 1]."""
     if profile.empty:
         raise ValueError("profile has no samples")
-    cutoff = (1.0 - tail_fraction) * profile.horizon
+    cutoff = 0.5 * profile.horizon
     ratios = [d / t for t, d in profile.samples if t > max(cutoff, 0.0)]
     if not ratios:
         ratios = [d / t for t, d in profile.samples if t > 0]

@@ -1,11 +1,11 @@
 """Upper half-plane geometry: points, boundary-centered circles, inversions,
-Gromov products and the disk-model transfer.
+boundary Gromov products and the disk-model transfer.
 
 Purely rational operations (inversions, circle images, cosh-arguments,
-chord lengths) stay inside the scalar backend of their inputs; transcendental
-steps (acosh, log) are evaluated as certified enclosures in an
-:class:`~schottkydim.scalars.IntervalContext`, or in plain floats when the
-inputs are floats.
+chord lengths) stay inside the scalar backend of their inputs, exact
+rationals or interval enclosures.  The one transcendental step, the log of a
+boundary Gromov product, is a certified enclosure in an
+:class:`~schottkydim.scalars.IntervalContext`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .scalars import IntervalContext, default_context, lower, midpoint
+from .scalars import IntervalContext, default_context, lower
 
 
 class DegenerateInversionError(ValueError):
@@ -35,13 +35,8 @@ class HPoint:
     y: object
 
     def __post_init__(self):
-        if lower(self.y) <= 0 and not isinstance(self.y, float):
+        if lower(self.y) <= 0:
             raise ValueError(f"HPoint needs y > 0, got y = {self.y}")
-        if isinstance(self.y, float) and self.y <= 0:
-            raise ValueError(f"HPoint needs y > 0, got y = {self.y}")
-
-    def as_complex(self) -> complex:
-        return complex(float(midpoint(self.x)), float(midpoint(self.y)))
 
 
 @dataclass(frozen=True)
@@ -72,9 +67,7 @@ class Circle:
     radius: object
 
     def __post_init__(self):
-        if lower(self.radius) <= 0 and not isinstance(self.radius, float):
-            raise ValueError("circle radius must be positive")
-        if isinstance(self.radius, float) and self.radius <= 0:
+        if lower(self.radius) <= 0:
             raise ValueError("circle radius must be positive")
 
 
@@ -87,7 +80,7 @@ class DiskPoint:
 
 
 # ---------------------------------------------------------------------------
-# distances and Gromov products
+# distances
 # ---------------------------------------------------------------------------
 
 def cosh_distance(p: HPoint, q: HPoint):
@@ -99,44 +92,6 @@ def cosh_distance(p: HPoint, q: HPoint):
     dx = p.x - q.x
     dy = p.y - q.y
     return 1 + (dx * dx + dy * dy) / (2 * p.y * q.y)
-
-
-def hyp_distance(p: HPoint, q: HPoint, ctx: Optional[IntervalContext] = None):
-    """Hyperbolic distance in the upper half-plane.
-
-    Returns a float for float inputs, otherwise a certified enclosure.
-    """
-    u = cosh_distance(p, q)
-    if isinstance(u, float):
-        return hyp_distance_float(p.as_complex(), q.as_complex())
-    ctx = ctx or default_context()
-    if isinstance(u, (int, Fraction)) and u == 1:
-        return ctx.zero
-    return ctx.acosh(u)
-
-
-def hyp_distance_float(p: complex, q: complex) -> float:
-    """Overflow-hardened float distance for diagnostic numerics."""
-    num = (p.real - q.real) ** 2 + (p.imag - q.imag) ** 2
-    den = 2.0 * p.imag * q.imag
-    if den <= 0.0:
-        return math.inf
-    ratio = num / den
-    if math.isinf(ratio) or ratio > 1e15:
-        # acosh(1 + r) ~ log(2r) for large r
-        if math.isinf(ratio):
-            return math.log(num) - math.log(den) + math.log(2.0)
-        return math.log(2.0 * ratio)
-    return math.acosh(1.0 + ratio)
-
-
-def gromov_product(x: HPoint, y: HPoint, w: HPoint,
-                   ctx: Optional[IntervalContext] = None):
-    """(x|y)_w = (d(x,w) + d(y,w) - d(x,y)) / 2."""
-    dxw = hyp_distance(x, w, ctx)
-    dyw = hyp_distance(y, w, ctx)
-    dxy = hyp_distance(x, y, ctx)
-    return (dxw + dyw - dxy) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +359,6 @@ def boundary_gromov_product(a: BoundaryPoint, b: BoundaryPoint, o: HPoint,
     chord_sq = boundary_chord_sq(a, b, o)
     if chord_sq == 0:
         return math.inf
-    if isinstance(chord_sq, float):
-        return -0.5 * math.log(chord_sq / 4.0)
     ctx = ctx or default_context()
     return -ctx.log(ctx.convert(Fraction(chord_sq) / 4
                                 if isinstance(chord_sq, (int, Fraction))

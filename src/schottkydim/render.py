@@ -14,14 +14,14 @@ LEVEL_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 MIN_VISIBLE_PX = 0.1
 
-# Most disks one render builds, counted before the tree is: --m 7 --depth 5
-# draws 10,885 of them.
+# Deepest tree, and most disks, one render builds, both checked before the
+# tree is built: --m 7 --depth 5 draws 10,885 disks.
+MAX_DEPTH = 5
 MAX_NODES = 50_000
 
 
 def svg_disk_tree(schedule: GeneratorSchedule, k: int, m: int, depth: int,
-                  width_px: int = 1200, color_by_level: bool = True,
-                  max_depth: int = 5) -> str:
+                  width_px: int = 1200, color_by_level: bool = True) -> str:
     """Render the depth-<=n disk tree as an SVG document.
 
     One circle element per node, colored by level.  Radii that would fall
@@ -33,8 +33,9 @@ def svg_disk_tree(schedule: GeneratorSchedule, k: int, m: int, depth: int,
         raise ValueError(f"depth must be >= 1, got {depth}")
     if width_px < 1:
         raise ValueError(f"width must be >= 1 pixel, got {width_px}")
-    if depth > max_depth:
-        raise ValueError(f"depth {depth} exceeds the configured maximum {max_depth}")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the configured maximum "
+                         f"{MAX_DEPTH}")
     if count_words(m, depth, MAX_NODES) > MAX_NODES:
         raise ValueError(f"{m} letters to depth {depth} draw more than "
                          f"{MAX_NODES} disks")

@@ -1,6 +1,6 @@
-"""Scalar backends: exact rationals, dyadic and mpmath enclosures, floats.
+"""Scalar backends: exact rationals, dyadic and mpmath enclosures.
 
-All geometric quantities in this package are one of four scalar kinds:
+All geometric quantities in this package are one of three scalar kinds:
 
 * ``fractions.Fraction`` -- the exact backend.  Closed under every rational
   operation; carries no rounding error at all.
@@ -9,9 +9,11 @@ All geometric quantities in this package are one of four scalar kinds:
   enclosures exactly and :func:`round_dyadic` rounds one outward to a fixed
   number of bits.
 * an mpmath interval (``ivmpf``) -- the high-precision backend of the
-  hyperbolic distances.  Every value is an enclosure [lo, hi] whose
-  endpoints are binary floats.
-* plain ``float`` -- for heuristic diagnostics only, never for certification.
+  boundary Gromov products and of the power oracle.  Every value is an
+  enclosure [lo, hi] whose endpoints are binary floats.
+
+The heuristic estimators and ray diagnostics compute in plain floats and in
+their own mpmath context, outside these kinds.
 
 Every enclosure's endpoints convert exactly to rationals (:func:`lower`,
 :func:`upper`), and inequalities are *verified* only through
@@ -28,7 +30,6 @@ q-th roots.  :class:`PowerEnclosure` (mpmath's exp and log) remains behind
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -301,10 +302,6 @@ class IntervalContext:
     def __repr__(self):
         return f"IntervalContext(bits={self.bits})"
 
-    @property
-    def zero(self):
-        return self._ctx.mpf(0)
-
     def from_rational(self, q: Rational):
         """Tightest representable enclosure of an integer or Fraction."""
         q = Fraction(q)
@@ -316,16 +313,8 @@ class IntervalContext:
             return self.from_rational(x)
         return self._ctx.convert(x)
 
-    def sqrt(self, x):
-        return self._ctx.sqrt(self.convert(x))
-
     def log(self, x):
         return self._ctx.log(self.convert(x))
-
-    def acosh(self, x):
-        # acosh(u) = log(u + sqrt(u^2 - 1)); enclosure-safe for u >= 1
-        u = self.convert(x)
-        return self._ctx.log(u + self._ctx.sqrt(u * u - 1))
 
     def pow_rational(self, base: Rational, exponent: Rational):
         """Certified enclosure of base**exponent for positive rational base.
@@ -354,8 +343,8 @@ def is_interval(x) -> bool:
 
 def _endpoint(x, end: int) -> Fraction:
     """The exact lower (``end`` 0) or upper (``end`` 1) endpoint of a
-    scalar: a rational, a dyadic enclosure (lo, hi, E), an mpmath interval
-    or a float."""
+    scalar: a rational, a dyadic enclosure (lo, hi, E) or an mpmath
+    interval."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, tuple):
@@ -363,8 +352,6 @@ def _endpoint(x, end: int) -> Fraction:
         return Fraction(man, 1 << E) if E >= 0 else Fraction(man << -E)
     if is_interval(x):
         return Fraction(*to_rational(x._mpi_[end]))
-    if isinstance(x, numbers.Real):
-        return Fraction(x)
     raise TypeError(f"not a scalar: {x!r}")
 
 

@@ -362,10 +362,6 @@ class DiskNode:
     ends: Tuple[int, int, int, int]
 
     @property
-    def depth(self) -> int:
-        return len(self.word)
-
-    @property
     def disk(self) -> Circle:
         """The exact disk, equal to :func:`word_disk` of the word; built from
         the endpoints on each read."""
@@ -376,8 +372,6 @@ class DiskNode:
 class DiskTree:
     """Levelwise materialization of the nested image disks for one window."""
 
-    k: int
-    m: int
     depth: int
     levels: List[List[DiskNode]]
 
@@ -412,4 +406,4 @@ def disk_tree(schedule: GeneratorSchedule, k: int, m: int,
     levels = [[DiskNode(ReducedWord._unchecked(word), ends)
                for word, ends in level]
               for level in labelled_levels(_ends_maps(mirrors), max(n, 1))]
-    return DiskTree(k=k, m=m, depth=n, levels=levels)
+    return DiskTree(depth=n, levels=levels)

@@ -23,8 +23,7 @@ from schottkydim.explore import (ESCAPING, RECURRENT, WordPath,
                                  default_basepoint, limit_point)
 from schottkydim.hyperbolic import (BoundaryPoint, Circle, HPoint,
                                     boundary_gromov_product, circle_invert_point,
-                                    cosh_distance, disk_from_half_plane,
-                                    gromov_product, hyp_distance)
+                                    cosh_distance, disk_from_half_plane)
 from schottkydim.scalars import (IntervalContext, certainly_le, contains,
                                  dyadic_sum, lower, midpoint, round_dyadic,
                                  upper)

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +9,8 @@ from schottkydim.hyperbolic import (BoundaryPoint, Circle,
                                     boundary_chord_sq,
                                     boundary_gromov_product,
                                     circle_invert_circle, circle_invert_point,
-                                    cosh_distance, disk_from_half_plane,
-                                    gromov_product, hyp_distance,
-                                    hyp_distance_float)
-from schottkydim.scalars import contains, lower, midpoint, upper
+                                    cosh_distance, disk_from_half_plane)
+from schottkydim.scalars import IntervalContext, lower, midpoint, upper
 
 I = HPoint(Fraction(0), Fraction(1))
 
@@ -26,20 +23,10 @@ def as_float(x):
 # distances
 # ---------------------------------------------------------------------------
 
-def test_distance_identity_is_zero():
-    assert as_float(hyp_distance(I, I)) == 0.0
-
-
-def test_vertical_distance_is_log_two():
-    d = hyp_distance(I, HPoint(Fraction(0), Fraction(2)))
-    assert abs(as_float(d) - math.log(2)) < 1e-30
-
-
 def test_horizontal_unit_distance():
     # cosh d = 3/2 for (i, 1+i)
     p = HPoint(Fraction(1), Fraction(1))
     assert cosh_distance(I, p) == Fraction(3, 2)
-    assert abs(as_float(hyp_distance(I, p)) - math.acosh(1.5)) < 1e-30
 
 
 def test_distance_symmetry_exact():
@@ -48,53 +35,27 @@ def test_distance_symmetry_exact():
     assert cosh_distance(p, q) == cosh_distance(q, p)
 
 
-def test_float_distance_overflow_hardened():
-    d = hyp_distance_float(complex(0, 1), complex(0, 1e-300))
-    assert math.isfinite(d)
-    assert abs(d - math.log(1e300)) < 1e-6
-
-
 def test_point_requires_positive_height():
     with pytest.raises(ValueError):
         HPoint(Fraction(0), Fraction(0))
 
 
-# ---------------------------------------------------------------------------
-# Gromov products
-# ---------------------------------------------------------------------------
-
-def test_gromov_product_basepoint_at_x():
-    p = HPoint(Fraction(1), Fraction(1))
-    assert abs(as_float(gromov_product(I, p, I))) < 1e-30
-
-
-def test_gromov_product_equal_points_is_distance():
-    w = HPoint(Fraction(0), Fraction(2))
-    g = gromov_product(I, I, w)
-    d = hyp_distance(I, w)
-    assert abs(as_float(g) - as_float(d)) < 1e-30
-
-
-def test_gromov_product_composition_of_distances():
-    x = I
-    y = HPoint(Fraction(1), Fraction(1))
-    w = HPoint(Fraction(0), Fraction(2))
-    expected = (math.log(2) + hyp_distance_float(complex(0, 2), complex(1, 1))
-                - math.acosh(1.5)) / 2
-    assert abs(as_float(gromov_product(x, y, w)) - expected) < 1e-12
-
-
-def test_gromov_product_nonnegative_and_bounded_random():
-    rng = random.Random(7)
-    for _ in range(100):
-        pts = [HPoint(Fraction(rng.randint(-50, 50), rng.randint(1, 20)),
-                      Fraction(rng.randint(1, 60), rng.randint(1, 20)))
-               for _ in range(3)]
-        x, y, w = pts
-        g = as_float(gromov_product(x, y, w))
-        assert g >= -1e-12
-        bound = min(as_float(hyp_distance(x, w)), as_float(hyp_distance(y, w)))
-        assert g <= bound + 1e-12
+def test_interval_height_and_radius_must_be_positive():
+    """An interval whose lower end is <= 0 is refused: the one positivity
+    test reads the exact lower endpoint."""
+    ctx = IntervalContext(256)
+    third = ctx.from_rational(Fraction(1, 3))
+    straddling = third - third  # [-e, e] for some e > 0
+    assert lower(straddling) < 0 < upper(straddling)
+    for bad in (ctx.from_rational(0), straddling, ctx.from_rational(-1)):
+        assert lower(bad) <= 0
+        with pytest.raises(ValueError):
+            HPoint(Fraction(0), bad)
+        with pytest.raises(ValueError):
+            Circle(Fraction(0), bad)
+    half = ctx.from_rational(Fraction(1, 2))
+    assert HPoint(ctx.from_rational(3), half).y is half
+    assert Circle(ctx.from_rational(3), half).radius is half
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,9 @@ def oracle_level_sums(schedule, k, m, n_max, alpha, ctx):
         for word in enumerate_words(k, m, n):
             first = word.indices[0]
             radius = word_disk(schedule, word).radius
-            partials[first] = partials.get(first, ctx.zero) + \
+            partials[first] = partials.get(first, ctx.from_rational(0)) + \
                 ctx.pow_rational(radius, alpha)
-        total = ctx.zero
+        total = ctx.from_rational(0)
         for first in range(k + 1, k + m + 1):
             total = total + partials[first]
         sums.append(total)

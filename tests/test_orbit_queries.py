@@ -193,8 +193,7 @@ def test_ball_points_equal_breadth_first_oracle(radius, alphabet):
     assert len(ball.points) == len(oracle) == \
         count_words(len(alphabet), radius, MAX_ORBIT_POINTS) + 1
     assert raw(ball.points) == raw(oracle)
-    expected = OrbitBall(basepoint=ball.basepoint, radius=radius,
-                         points=oracle)
+    expected = OrbitBall(basepoint=ball.basepoint, points=oracle)
     assert ball._log_heights == expected._log_heights
     assert ball._by_height == expected._by_height
 
@@ -213,7 +212,7 @@ def hand_ball(*points):
     """An OrbitBall over explicit (x, y) points; the first is the basepoint."""
     words = [(), (1,), (2,), (1, 2)]
     pts = [(word, explore._point(x, y)) for word, (x, y) in zip(words, points)]
-    return OrbitBall(basepoint=pts[0][1], radius=1, points=pts)
+    return OrbitBall(basepoint=pts[0][1], points=pts)
 
 
 @pytest.mark.parametrize("excess", [1e-13, 1e-9, 1e-3, 0.5])

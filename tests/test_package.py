@@ -27,7 +27,7 @@ def test_importing_the_package_loads_no_module():
 
 def test_every_public_name_is_its_modules_object():
     import importlib
-    assert len(schottkydim.__all__) == 69
+    assert len(schottkydim.__all__) == 67
     for name in schottkydim.__all__:
         value = getattr(schottkydim, name)
         assert any(getattr(importlib.import_module(f"schottkydim.{module}"),
@@ -49,8 +49,6 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(schottkydim, "nope")
 
 
-
-
 def _definitions(tree):
     """{name: the lines of its top-level definition} of a parsed module."""
     spans = {}
@@ -69,10 +67,10 @@ def _definitions(tree):
 
 def _uses(tree):
     """(name, line) of each use of a name in a parsed module's code: the
-    names it loads, the attributes it reads, the names it imports by
-    ``from``, and the strings that are a bare name, as ``getattr`` takes
-    them (the benchmark's tracer wraps functions so).  Docstrings and
-    comments are not code."""
+    names it loads, the attributes it reads, and the strings that are a
+    bare name, as ``getattr`` takes them (the benchmark's tracer wraps
+    functions so).  A name imported by ``from`` is not used until it is
+    loaded.  Docstrings and comments are not code."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
@@ -82,9 +80,6 @@ def _uses(tree):
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Load)):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                yield alias.name, node.lineno
 
 
 def test_every_public_name_has_a_caller():
@@ -106,3 +101,86 @@ def test_every_public_name_has_a_caller():
                     if line - 1 not in spans.get(name, ()))
     unused = sorted(set(schottkydim.__all__) - used)
     assert not unused, f"public names with no caller: {unused}"
+
+
+# Parameters that only shares.starmap(func, tasks) sets, by func(*task) in
+# this process or a worker: no call in the code names the function.
+SET_BY_STARMAP = {
+    ("_descendant_sums", "start"):
+        "shares.share_sums passes each share as (j, share) through starmap",
+}
+
+
+def _defaulted_parameters(node, cls=None):
+    """(call name, parameter, position) of each parameter with a default of
+    each ``def`` under a parsed node.  A function is called by its name and
+    a class's ``__init__`` by the class name; the position counts the
+    arguments a call passes, so not a method's self, and is None for a
+    keyword-only parameter."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, child.name)
+            continue
+        if not isinstance(child, ast.FunctionDef):
+            yield from _defaulted_parameters(child, cls)
+            continue
+        args = child.args
+        positional = args.posonlyargs + args.args
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in child.decorator_list)
+        name = cls if child.name == "__init__" else child.name
+        first = len(positional) - len(args.defaults)
+        for position in range(first, len(positional)):
+            yield name, positional[position].arg, position - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+        yield from _defaulted_parameters(child)
+
+
+def _calls(tree):
+    """(name, positions, keywords) of each call in a parsed module, by the
+    name or attribute it calls; positions and keywords are None where the
+    call unpacks ``*args`` or ``**kwargs``, which may set any parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords):
+            yield name, None, None
+        else:
+            yield name, len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    """A parameter with a default that no call sets is a constant in
+    disguise.  Each one of a ``def`` in the package must be set, by keyword
+    or by position, at some call in the package, the benchmark or the
+    tests, matched by the function's name; a call that unpacks ``*args`` or
+    ``**kwargs`` sets them all."""
+    calls = {}
+    for path in [*(SRC / "schottkydim").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py"),
+                 *(ROOT / "tests").glob("*.py")]:
+        for name, positions, keywords in _calls(
+                ast.parse(path.read_text(encoding="utf-8"))):
+            calls.setdefault(name, []).append((positions, keywords))
+    unset = []
+    for path in sorted((SRC / "schottkydim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, parameter, position in _defaulted_parameters(tree):
+            if (name, parameter) in SET_BY_STARMAP or any(
+                    positions is None or parameter in keywords
+                    or (position is not None and position < positions)
+                    for positions, keywords in calls.get(name, ())):
+                continue
+            unset.append(f"{path.stem}.{name}({parameter})")
+    assert not unset, f"parameters that no call sets: {unset}"

@@ -169,7 +169,7 @@ def hand_ball(points):
     pts = [((), explore._point(*points[0]))]
     pts += [((i,), explore._point(x, y)) for i, (x, y) in
             enumerate(points[1:], start=1)]
-    return OrbitBall(basepoint=pts[0][1], radius=1, points=pts)
+    return OrbitBall(basepoint=pts[0][1], points=pts)
 
 
 def scans(z, ball):

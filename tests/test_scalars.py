@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -33,18 +32,13 @@ def test_exact_backend_has_zero_error_radius():
     assert lower(Fraction(7, 9)) == upper(Fraction(7, 9)) == Fraction(7, 9)
 
 
-def test_sqrt_encloses_true_value(ctx):
-    x = ctx.sqrt(2)
-    # 2 must lie inside the square of the enclosure
-    assert lower(x) ** 2 <= 2 <= upper(x) ** 2
-
-
-def test_acosh_matches_log_identity(ctx):
-    # acosh(3/2) = log((3 + sqrt(5))/2)
-    v = ctx.acosh(Fraction(3, 2))
-    ref = math.acosh(1.5)
-    assert lower(v) <= Fraction(ref).limit_denominator(10 ** 14) <= upper(v) \
-        or abs(float(midpoint(v)) - ref) < 1e-15
+def test_floats_are_not_scalars():
+    """Floats are no scalar kind: their endpoints are not taken."""
+    for end in (lower, upper, midpoint):
+        with pytest.raises(TypeError, match="not a scalar"):
+            end(0.5)
+    with pytest.raises(TypeError, match="not a scalar"):
+        contains(0.5, Fraction(1, 2))
 
 
 def test_pow_rational_integer_exponent(ctx):
