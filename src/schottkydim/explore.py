@@ -3,26 +3,28 @@
 Limit-point estimates come from the exact nested-disk machinery.  The
 conicality, depth, Dirichlet and Jorgensen diagnostics sample geodesic rays
 against finite word balls; because interesting offsets sit many orders of
-magnitude below the disk centers, all ray arithmetic runs in a dedicated
-high-precision real context rather than machine floats.  The verdicts remain
-labelled heuristics: finite data cannot decide conicality, so every profile
-records the (horizon, ball, step) provenance it was computed with.
+magnitude below the disk centers, all ray arithmetic runs at 300 bits rather
+than in machine floats: on (man, exp) integer pairs, each operation rounded
+to nearest as mpmath rounds it, with mpmath's exp and acosh for the one
+transcendental call of each kind per sample.  The verdicts remain labelled
+heuristics: finite data cannot decide conicality, so every profile records
+the (horizon, ball, step) provenance it was computed with.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import ctx_mp
-from mpmath.libmp import (fone, from_float, fzero, mpf_add, mpf_div, mpf_exp,
-                          mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub,
-                          to_float)
+from mpmath.libmp import fzero, mpf_acosh, mpf_exp
 
 from .hyperbolic import BoundaryPoint
+from .scalars import round_nearest
 from .schedule import GeneratorSchedule
 from .words import ReducedWord, count_words, labelled_levels, word_disk
 
@@ -33,10 +35,14 @@ ESCAPING = "escaping (nonconical-consistent)"
 RECURRENT = "recurrent (conical-consistent)"
 EMPTY = "empty profile"
 
-# Ray numerics context.  300 bits keeps sub-ulp offsets around centers like
-# 2114 meaningful down to the depth-4 disk scales the diagnostics probe.
+# Ray precision.  300 bits keeps sub-ulp offsets around centers like 2114
+# meaningful down to the depth-4 disk scales the diagnostics probe.  _MP is
+# the mpmath context of that precision: it converts inputs (_num) and makes
+# the mpf values the public functions return.
+_PREC = 300
 _MP = ctx_mp.MPContext()
-_MP.prec = 300
+_MP.prec = _PREC
+_RND = _MP._prec_rounding[1]
 
 
 def _num(x):
@@ -46,111 +52,227 @@ def _num(x):
     return _MP.mpf(x)
 
 
-def _point(x, y) -> Tuple[object, object]:
-    return (_num(x), _num(y))
-
-
-# Rays and orbit queries work on raw mpf tuples (sign, man, exp, bc) through
-# mpmath.libmp, with _MP's precision and rounding.  Each libmp call below is
-# the one the mpf operator would make, in the same order, so every value is
-# bit-identical to the operator expression it replaces.
+# Rays and orbit queries work on integer pairs (man, exp), the value
+# man 2^exp with a signed mantissa.  _add, _sub, _mul and _div round once,
+# to nearest at _PREC bits (scalars.round_nearest), as mpmath's mpf_add,
+# mpf_sub, mpf_mul and mpf_div round at _MP's precision, so each value is
+# the one those calls, and the mpf operators, give.  A mantissa is not
+# normalized: it may keep trailing zeros, and zero is (0, any exp).  The
+# mpf values handed out are normalized once (_to_mpf).
 _LN2 = math.log(2.0)
+_ONE = (1, 0)
 
-# Slack of the float comparisons that prune, pre-classify and screen orbit
-# points; see _nearest_heights and _screened_out.
+# Exponent gaps up to this many bits are added exactly (_sum).
+_GAP = 2 * _PREC
+
+# Slack of the float comparisons that prune and screen orbit points; see
+# OrbitBall._nearest_heights and _nearest_w.
 _FLOAT_SLACK = 1e-12
+_MIN_NORMAL = sys.float_info.min
+
+
+def _sum(am: int, ae: int, bm: int, be: int) -> Tuple[int, int]:
+    """A pair for am 2^ae + bm 2^be that rounds to the sum at _PREC bits:
+    the exact sum, unless the exponents lie more than _GAP apart and the
+    smaller operand lies below the larger one's rounding position, where it
+    is replaced by a sticky bit.
+
+    Sticky: let a be the operand with the higher top bit, 2^(t-1) <= |a|
+    < 2^t, and F = min(ae, t - _PREC - 2).  When |b| < 2^F, the sum lies
+    strictly between a and a +- 2^F, as does a +- 2^(F-1), the pair
+    returned.  Both are at least 2^(t-2) in magnitude, where the rounding
+    boundaries at _PREC bits (the representable values and the midpoints
+    between them) are multiples of 2^(t-_PREC-2), and so of 2^F, as a is:
+    none lies between the two, and they round alike.  Otherwise the shift
+    is at most _PREC + 2 + bl(bm), or under bl(am), so no integer built
+    here is much longer than the two mantissas and 2 _PREC bits together,
+    whatever the gap.
+    """
+    if ae >= be:
+        if ae - be <= _GAP:
+            return (am << (ae - be)) + bm, be
+    elif be - ae <= _GAP:
+        return am + (bm << (be - ae)), ae
+    if not am:
+        return bm, be
+    if not bm:
+        return am, ae
+    ta, tb = ae + am.bit_length(), be + bm.bit_length()
+    if ta < tb:
+        am, ae, ta, bm, be, tb = bm, be, tb, am, ae, ta
+    floor = min(ae, ta - _PREC - 2)
+    if tb <= floor:
+        return ((am << (ae - floor)) << 1) + (1 if bm > 0 else -1), floor - 1
+    if ae >= be:
+        return (am << (ae - be)) + bm, be
+    return am + (bm << (be - ae)), ae
+
+
+def _add(a, b):
+    return round_nearest(*_sum(a[0], a[1], b[0], b[1]), _PREC)
+
+
+def _sub(a, b):
+    return round_nearest(*_sum(a[0], a[1], -b[0], b[1]), _PREC)
+
+
+def _mul(a, b):
+    return round_nearest(a[0] * b[0], a[1] + b[1], _PREC)
+
+
+def _div(a, b):
+    """a / b rounded once: a quotient of at least _PREC + 2 bits, with a
+    sticky bit for a nonzero remainder, then rounded."""
+    am, ae = a
+    bm, be = b
+    negative = (am < 0) != (bm < 0)
+    am, bm = abs(am), abs(bm)
+    shift = max(0, _PREC + 2 + bm.bit_length() - am.bit_length())
+    q, r = divmod(am << shift, bm)
+    if r:
+        q = (q << 1) | 1
+        shift += 1
+    q, e = round_nearest(q, ae - be - shift, _PREC)
+    return (-q if negative else q), e
+
+
+def _less(a, b) -> bool:
+    """a < b for pairs: the sign of _sum, which is the sign of a - b."""
+    return _sum(a[0], a[1], -b[0], b[1])[0] < 0
+
+
+def _to_mpf(a):
+    """The normalized raw mpf (sign, man, exp, bc) of a pair."""
+    man, exp = a
+    if not man:
+        return fzero
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (sign, man, exp + zeros, man.bit_length())
+
+
+def _mpf(a):
+    """A pair as an mpf of the ray context."""
+    return _MP.make_mpf(_to_mpf(a))
+
+
+def _pair(v):
+    """v in the ray context as a pair, the value _num(v) holds; a
+    normalized mpf of _MP is taken as it is.  An infinity or a nan raises
+    ValueError."""
+    t = v._mpf_ if type(v) is _MP.mpf and v._mpf_[3] <= _PREC \
+        else _num(v)._mpf_
+    if not t[1] and t != fzero:
+        raise ValueError(f"not a finite number: {v!r}")
+    return (-t[1] if t[0] else t[1]), t[2]
+
+
+def _upper_half_plane(x, y, what: str):
+    """The pairs of a point (x, y) of the upper half-plane; ValueError for
+    any other point."""
+    try:
+        x_pair, y_pair = _pair(x), _pair(y)
+    except ValueError:
+        x_pair = y_pair = None
+    if y_pair is None or y_pair[0] <= 0:
+        raise ValueError(f"{what} must lie in the upper half-plane, got "
+                         f"{(x, y)!r}")
+    return x_pair, y_pair
+
+
+def _log_pair(a) -> float:
+    """ln of a positive pair, at any exponent (no float overflow)."""
+    man, exp = a
+    return math.log(man) + exp * _LN2
+
+
+def _pair_float(a) -> Optional[float]:
+    """A pair as a float whose square, and whose product with another such
+    float, is a normal float: 0.0 for zero, None when |a| lies outside
+    [2^-510, 2^509] or the mantissa is longer than 1000 bits.  One
+    rounding, so the float is within 2^-53 of a relative."""
+    man, exp = a
+    if not man:
+        return 0.0
+    bits = man.bit_length()
+    if -510 < exp + bits < 510 and bits < 1000:
+        return math.ldexp(man, exp)
+    return None
+
+
+def _estimate_w(dx, dy, twice_py_f, qy_f) -> Optional[float]:
+    """A float estimate of w = (dx^2 + dy^2) / (2 py qy), within 1e-15 of w
+    relative, from the pairs dx and dy of _sum and the _pair_floats of 2 py
+    and qy; None where some float would not be normal.
+
+    Each of the four conversions and five operations rounds once, within
+    2^-53 relative, as long as every float is normal, which is some 8 ulps
+    in all: the conversions see to the inputs and their squares and
+    products, and an estimate below the smallest normal float or beyond the
+    largest is refused.  An estimate of 0.0 is exact: dx and dy are zero.
+    """
+    if twice_py_f is None or qy_f is None:
+        return None
+    dx_f, dy_f = _pair_float(dx), _pair_float(dy)
+    if dx_f is None or dy_f is None:
+        return None
+    w = (dx_f * dx_f + dy_f * dy_f) / (twice_py_f * qy_f)
+    if _MIN_NORMAL <= w < math.inf or (w == 0.0 and not dx[0] and not dy[0]):
+        return w
+    return None
 
 
 def _cosh_arg(dx, dy, twice_py, qy):
-    """w = cosh d(p, q) - 1 = (dx*dx + dy*dy) / (2*py*qy), the one distance
-    helper of the ray context, for raw dx = px - qx and dy = py - qy;
-    twice_py is 2*py, hoisted."""
-    prec, rnd = _MP._prec_rounding
-    return mpf_div(mpf_add(mpf_mul(dx, dx, prec, rnd),
-                           mpf_mul(dy, dy, prec, rnd), prec, rnd),
-                   mpf_mul(twice_py, qy, prec, rnd), prec, rnd)
+    """w = cosh d(p, q) - 1 = (dx*dx + dy*dy) / (2*py*qy) at 300 bits, the
+    one distance helper of the ray context, for pairs dx = px - qx and
+    dy = py - qy rounded to 300 bits; twice_py is 2*py, hoisted."""
+    return _div(_add(_mul(dx, dx), _mul(dy, dy)), _mul(twice_py, qy))
+
+
+def _exact_w(dx, dy, twice_py, qy):
+    """_cosh_arg of the differences dx and dy of _sum, rounded as _sub
+    rounds them."""
+    return _cosh_arg(round_nearest(dx[0], dx[1], _PREC),
+                     round_nearest(dy[0], dy[1], _PREC), twice_py, qy)
 
 
 def _acosh1p_float(w) -> float:
     """The distance, arccosh(1 + w), as a float: the one 300-bit acosh call.
 
     1 + w is rounded to nearest, which is monotone in w, so the smallest w
-    of a scan gives the smallest 1 + w and the smallest distance."""
-    prec, rnd = _MP._prec_rounding
-    return float(_MP.acosh(_MP.make_mpf(mpf_add(w, fone, prec, rnd))))
+    of a scan gives the smallest 1 + w and the smallest distance.  The
+    result, 0 or at least 2^-151, is rounded to a float once."""
+    _, man, exp, _ = mpf_acosh(_to_mpf(_add(w, _ONE)), _PREC, _RND)
+    return math.ldexp(man, exp)
 
 
-def _log_mpf(t) -> float:
-    """ln of a positive finite raw mpf, at any exponent (no float overflow)."""
-    _, man, exp, _ = t
-    return math.log(man) + exp * _LN2
+def _approx_acosh1p(w: float) -> float:
+    """arccosh(1 + w) for a float w >= 0, to about 1e-15 relative; for w
+    beyond 1e150 it is ln(2w), which is off by under 1/w."""
+    if w < 1e150:
+        return math.log1p(w + math.sqrt(w * (w + 2.0)))
+    return _LN2 + math.log(w)
 
 
-def _approx_acosh1p(w) -> float:
-    """arccosh(1 + w) for a raw mpf w >= 0, in floats, to about 1e-15
-    relative; for w beyond 1e150 it is ln(2w), which is off by under 1/w."""
-    wf = to_float(w)
-    if wf < 1e150:
-        return math.log1p(wf + math.sqrt(wf * (wf + 2.0)))
-    return _LN2 + _log_mpf(w)
-
-
-def _screen_float(t) -> Optional[float]:
-    """|t| for a raw mpf t as a float whose square, and whose product with
-    another such float, is a normal float: 0.0 for zero, None when |t| lies
-    outside [2^-510, 2^509] or t is not finite.  One rounding, so the float
-    is within 2^-53 of |t| relative."""
-    _, man, exp, bc = t
-    if not man:
-        return 0.0 if t == fzero else None
-    if -510 < exp + bc < 510:
-        return math.ldexp(man, exp)
-    return None
-
-
-def _screened_out(dx, dy, twice_py_f, qy, limit: float) -> bool:
-    """True when the float estimate of w = (dx^2 + dy^2) / (2 py qy), from
-    raw dx, dy and qy and the _screen_float of 2 py, proves that w exceeds
-    the w behind limit, so the exact w would not improve on it.
-
-    Every float in the estimate is finite and normal (_screen_float), or it
-    is not used: each of the four conversions and five operations rounds
-    once, so a finite normal estimate is within 1e-15 relative of the w of
-    the exact dx, dy, 2 py and qy, and the 300-bit w is within 2^-295 of
-    that.  limit is the best w's _screen_float times 1 + _FLOAT_SLACK, some
-    1000 times those errors, so an estimate beyond it belongs to a larger w;
-    it is inf, which screens nothing, while that float is 0.0 or None.  An
-    estimate that underflows stays below limit and one that overflows is
-    not finite: neither screens.
-    """
-    if twice_py_f is None:
-        return False
-    dx_f = _screen_float(dx)
-    dy_f = _screen_float(dy)
-    qy_f = _screen_float(qy)
-    if dx_f is None or dy_f is None or qy_f is None:
-        return False
-    return limit < (dx_f * dx_f + dy_f * dy_f) / (twice_py_f * qy_f) < math.inf
-
-
-def _raw(v):
-    """v in the ray context as a raw mpf, the value _num(v) holds; a
-    normalized mpf of _MP is taken as it is."""
-    if type(v) is _MP.mpf and v._mpf_[3] <= _MP.prec:
-        return v._mpf_
-    return _num(v)._mpf_
+def _approx_distance(w) -> float:
+    """_approx_acosh1p of a pair w >= 0 of at most 1000 bits, at any
+    exponent."""
+    man, exp = w
+    if exp + man.bit_length() < 1000:
+        return _approx_acosh1p(math.ldexp(man, exp))
+    return _LN2 + _log_pair(w)
 
 
 def _query_point(z):
-    """Raw (x, y, twice y) and the float ln y of a point in the upper
+    """Pairs (x, y, twice y) and the float ln y of a point in the upper
     half-plane, given as a complex number or an (x, y) pair."""
     if not isinstance(z, tuple):
         z = (z.real, z.imag)
-    x, y = _raw(z[0]), _raw(z[1])
-    if not ((x[1] or x == fzero) and y[1] and not y[0]):
-        raise ValueError(f"point must lie in the upper half-plane, got {z!r}")
-    prec, rnd = _MP._prec_rounding
-    return x, y, mpf_mul_int(y, 2, prec, rnd), _log_mpf(y)
+    x, y = _upper_half_plane(z[0], z[1], "point")
+    return x, y, (y[0], y[1] + 1), _log_pair(y)
 
 
 @dataclass
@@ -229,7 +351,7 @@ def default_basepoint(schedule: GeneratorSchedule,
 class _Ray:
     """The unit-speed ray from p toward a boundary target (None means the
     point at infinity, i.e. the vertical ray), with p and the target
-    converted to the ray context once.
+    converted to pairs once.
 
     Conjugating by z -> -1/(z - target) turns the ray into the vertical one,
     which has the closed-form parameterization.  With lam the target,
@@ -237,40 +359,41 @@ class _Ray:
     are fixed per ray, and at time t
         wy_t = wy*exp(t), denom_t = wx*wx + wy_t*wy_t,
         z = (lam - wx/denom_t, wy_t/denom_t),
-    one exp and six libmp calls.
+    one mpf_exp and six pair operations.
     """
 
     __slots__ = ("px", "py", "lam", "wx", "wy", "wx2")
 
     def __init__(self, p, target):
-        self.px, self.py = _num(p[0])._mpf_, _num(p[1])._mpf_
-        self.lam = None if target is None else _num(target)._mpf_
+        self.px, self.py = _pair(p[0]), _pair(p[1])
+        self.lam = None if target is None else _pair(target)
         if self.lam is None:
             return
-        prec, rnd = _MP._prec_rounding
-        dx = mpf_sub(self.px, self.lam, prec, rnd)
-        denom = mpf_add(mpf_mul(dx, dx, prec, rnd),
-                        mpf_mul(self.py, self.py, prec, rnd), prec, rnd)
-        self.wx = mpf_div(mpf_neg(dx, prec, rnd), denom, prec, rnd)
-        self.wy = mpf_div(self.py, denom, prec, rnd)
-        self.wx2 = mpf_mul(self.wx, self.wx, prec, rnd)
+        dx = _sub(self.px, self.lam)
+        denom = _add(_mul(dx, dx), _mul(self.py, self.py))
+        self.wx = _div((-dx[0], dx[1]), denom)
+        self.wy = _div(self.py, denom)
+        self.wx2 = _mul(self.wx, self.wx)
 
     def point(self, t):
-        """The ray's point at time t >= 0, as an (x, y) pair of mpfs."""
-        if t < 0:
-            raise ValueError("ray time must be nonnegative")
-        prec, rnd = _MP._prec_rounding
-        # from_float(t) is the value _num(t) holds for a float t
-        growth = mpf_exp(from_float(t) if type(t) is float else _num(t)._mpf_,
-                         prec, rnd)
-        make = _MP.make_mpf
+        """The ray's point at a finite time t >= 0, as an (x, y) pair of
+        mpfs."""
+        if not 0 <= t < math.inf:
+            raise ValueError(f"ray time must be finite and nonnegative, "
+                             f"got {t!r}")
+        if type(t) is float:
+            n, d = t.as_integer_ratio()  # d is a power of two
+            t_mpf = _to_mpf((n, 1 - d.bit_length()))
+        else:
+            t_mpf = _num(t)._mpf_
+        _, man, exp, _ = mpf_exp(t_mpf, _PREC, _RND)
+        growth = (man, exp)
         if self.lam is None:
-            return (make(self.px), make(mpf_mul(self.py, growth, prec, rnd)))
-        wy_t = mpf_mul(self.wy, growth, prec, rnd)
-        denom_t = mpf_add(self.wx2, mpf_mul(wy_t, wy_t, prec, rnd), prec, rnd)
-        return (make(mpf_sub(self.lam, mpf_div(self.wx, denom_t, prec, rnd),
-                             prec, rnd)),
-                make(mpf_div(wy_t, denom_t, prec, rnd)))
+            return (_mpf(self.px), _mpf(_mul(self.py, growth)))
+        wy_t = _mul(self.wy, growth)
+        denom_t = _add(self.wx2, _mul(wy_t, wy_t))
+        return (_mpf(_sub(self.lam, _div(self.wx, denom_t))),
+                _mpf(_div(wy_t, denom_t)))
 
 
 def geodesic_ray_point(p, target, t: float):
@@ -289,30 +412,28 @@ def geodesic_ray_point(p, target, t: float):
 # ---------------------------------------------------------------------------
 
 # Most points besides the basepoint an orbit ball holds, counted before it
-# is built: about 1 KB and 10 us per point (measured at radius 9 over 4
-# letters with mpmath's pure-Python backend), so about 100 MB and one second.
+# is built: about 1 KB and 13 us per point (measured at radius 9 over 4
+# letters, 39,364 points, with Python 3.11 on a 2-vCPU host: 0.91 KB held
+# and 1.0 KB at the peak of the build, 12.7 us per point), so about 100 MB
+# and 1.3 seconds.
 MAX_ORBIT_POINTS = 100_000
 
 
-def _mpf_mirror(schedule: GeneratorSchedule, letter: int):
-    """The inversion h_letter on (x, y) points of the ray context, by the
-    libmp calls of (c + r2*dx/denom, r2*y/denom) with dx = x - c,
-    denom = dx*dx + y*y and r2 = r*r."""
+def _mirror(schedule: GeneratorSchedule, letter: int):
+    """The inversion h_letter on (x, y) points of mpfs of the ray context,
+    by the pair operations of (c + r2*dx/denom, r2*y/denom) with
+    dx = x - c, denom = dx*dx + y*y and r2 = r*r."""
     entry = schedule.entry(letter)
-    c = _num(Fraction(entry.center))._mpf_
-    r = _num(Fraction(entry.radius))._mpf_
-    prec, rnd = _MP._prec_rounding
-    r2 = mpf_mul(r, r, prec, rnd)
-    make = _MP.make_mpf
+    c = _pair(Fraction(entry.center))
+    r = _pair(Fraction(entry.radius))
+    r2 = _mul(r, r)
 
     def invert(z):
-        x, y = z[0]._mpf_, z[1]._mpf_
-        dx = mpf_sub(x, c, prec, rnd)
-        denom = mpf_add(mpf_mul(dx, dx, prec, rnd), mpf_mul(y, y, prec, rnd),
-                        prec, rnd)
-        return (make(mpf_add(c, mpf_div(mpf_mul(r2, dx, prec, rnd), denom,
-                                        prec, rnd), prec, rnd)),
-                make(mpf_div(mpf_mul(r2, y, prec, rnd), denom, prec, rnd)))
+        x, y = _pair(z[0]), _pair(z[1])
+        dx = _sub(x, c)
+        denom = _add(_mul(dx, dx), _mul(y, y))
+        return (_mpf(_add(c, _div(_mul(r2, dx), denom))),
+                _mpf(_div(_mul(r2, y), denom)))
 
     return invert
 
@@ -324,8 +445,8 @@ class OrbitBall:
     Closed under inversion (the reversal of a reduced word is reduced), so
     min-distance queries against the ball double as quotient-distance
     proxies in either argument.  The points are also kept sorted by ln y,
-    with their raw coordinates, for the pruned scans of orbit_distance and
-    dirichlet_membership.
+    with their coordinates as pairs, for the pruned scans of
+    orbit_distance and dirichlet_membership.
     """
 
     basepoint: Tuple[object, object]
@@ -335,8 +456,12 @@ class OrbitBall:
     _by_height: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = sorted((_log_mpf(q[1]._mpf_), q[0]._mpf_, q[1]._mpf_, word)
-                       for word, q in self.points)
+        order = []
+        for word, (x, y) in self.points:
+            qy = _pair(y)
+            order.append((_log_pair(qy), *_pair(x), *qy, _pair_float(qy),
+                          word))
+        order.sort()  # equal coordinates before the float: no None < None
         self._log_heights = [entry[0] for entry in order]
         self._by_height = [entry[1:] for entry in order]
 
@@ -356,15 +481,13 @@ class OrbitBall:
             raise ValueError(f"ball radius {radius} over {len(alphabet)} "
                              f"letters gives more than {MAX_ORBIT_POINTS} "
                              f"orbit points")
-        base = _point(p[0], p[1]) if isinstance(p, tuple) else \
-            _point(p.real, p.imag)
-        if not (_MP.isfinite(base[0]) and _MP.isfinite(base[1])
-                and base[1] > 0):
-            raise ValueError(f"basepoint must lie in the upper half-plane, "
-                             f"got {p!r}")
+        if not isinstance(p, tuple):
+            p = (p.real, p.imag)
+        x, y = _upper_half_plane(p[0], p[1], "basepoint")
+        base = (_mpf(x), _mpf(y))
         maps = []
         for letter in alphabet:
-            mirror = _mpf_mirror(schedule, letter)
+            mirror = _mirror(schedule, letter)
             maps.append((letter, mirror(base), mirror))
         pts = [((), base)]
         for level in labelled_levels(maps, radius):
@@ -375,8 +498,9 @@ class OrbitBall:
         return len(self.points)
 
     def _nearest_heights(self, log_y: float):
-        """Yield (|log_y - ln y_q|, x_q, y_q, word) over the ball, raw
-        coordinates, in nondecreasing order of that height gap.
+        """Yield (|log_y - ln y_q|, the pairs x_q and y_q as four integers,
+        the _pair_float of y_q, word) over the ball, in nondecreasing order
+        of that height gap.
 
         The gap is an exact lower bound on the distance:
             cosh d(z, q) = 1 + ((x_z-x_q)^2 + (y_z-y_q)^2) / (2 y_z y_q)
@@ -385,8 +509,9 @@ class OrbitBall:
         beyond the distance it still needs, as long as float error cannot
         hide a closer point.  The gaps come from ln y in floats, each off by
         a few ulps of |ln y|, and the distances they are compared against are
-        float estimates good to about 1e-15 relative (_approx_acosh1p), so
-        the scans stop only when the gap exceeds the needed distance by
+        float estimates good to about 2e-15 relative (_approx_acosh1p of a
+        float w within 1e-15 of the real one), so the scans stop only when
+        the gap exceeds the needed distance by
         _FLOAT_SLACK * (1 + |ln y_z| + gap), some 500 times the worst error
         of about 2e-15 * (1 + |ln y_z| + gap).
         """
@@ -410,32 +535,58 @@ def _beyond(gap: float, log_y: float, reach: float) -> bool:
 
 def _nearest_w(query, ball: OrbitBall, reach: float, skip_identity: bool):
     """The smallest w = cosh d - 1 from a _query_point to the ball's points,
-    as a raw mpf, whenever the nearest point lies within distance reach;
-    None when the scan finds no point.
+    as a pair, whenever the nearest point lies within distance reach; None
+    when the scan finds no point.  With skip_identity the basepoint itself
+    (the empty word) is left out.
 
-    Scans the ball in order of height gap and stops once the gap passes
-    reach or the best distance so far.  A point whose float estimate of w
-    proves it no nearer is skipped (_screened_out).  With skip_identity the
-    basepoint itself (the empty word) is left out.
+    Two passes.  The first scans the ball in order of height gap and stops
+    once the gap passes reach or the best distance estimate so far.  For
+    each point it forms the differences dx and dy exactly (_sum) and a float
+    estimate of w from them (_estimate_w); where the estimate is refused,
+    it forms the exact 300-bit w at once.  The second pass forms the exact
+    w only for the points whose estimate lies within a factor
+    1 + _FLOAT_SLACK of the best estimate.
+
+    Why no point is lost: the differences of _sum are exact, or within
+    2^-300 relative where a sticky bit stands for the smaller coordinate,
+    so an estimate is within 1e-15 relative of the real w of the point, and
+    the 300-bit w (dx and dy rounded, then _cosh_arg, nine roundings of
+    2^-300) is within 2^-295 of it.  An estimate beyond the best one times
+    1 + _FLOAT_SLACK, some 1000 times those errors, so belongs to a 300-bit
+    w larger than that of the best estimate's point, whose w is formed;
+    so does every exact w of a point whose estimate was refused.  Each
+    distance the stopping rule uses, from an estimate of w or from an exact
+    w, is within about 2e-15 relative of the real distance of its point
+    (OrbitBall._nearest_heights).
     """
-    zx, zy, twice_zy, log_y = query
-    twice_zy_f = _screen_float(twice_zy)
-    prec, rnd = _MP._prec_rounding
-    best_w, best_d, limit = None, reach, math.inf
-    for gap, qx, qy, word in ball._nearest_heights(log_y):
+    (zxm, zxe), (zym, zye), twice_zy, log_y = query
+    twice_zy_f = _pair_float(twice_zy)
+    best_w, best_d = None, reach
+    best_est = limit = math.inf
+    candidates = []
+    for gap, qxm, qxe, qym, qye, qy_f, word in \
+            ball._nearest_heights(log_y):
         if _beyond(gap, log_y, best_d):
             break
         if skip_identity and not word:
             continue
-        dx = mpf_sub(zx, qx, prec, rnd)
-        dy = mpf_sub(zy, qy, prec, rnd)
-        if _screened_out(dx, dy, twice_zy_f, qy, limit):
-            continue
-        w = _cosh_arg(dx, dy, twice_zy, qy)
-        if best_w is None or mpf_lt(w, best_w):
-            best_w, best_d = w, min(best_d, _approx_acosh1p(w))
-            w_f = _screen_float(w)
-            limit = w_f * (1.0 + _FLOAT_SLACK) if w_f else math.inf
+        dx = _sum(zxm, zxe, -qxm, qxe)
+        dy = _sum(zym, zye, -qym, qye)
+        est = _estimate_w(dx, dy, twice_zy_f, qy_f)
+        if est is None:
+            w = _exact_w(dx, dy, twice_zy, (qym, qye))
+            if best_w is None or _less(w, best_w):
+                best_w, best_d = w, min(best_d, _approx_distance(w))
+        elif est <= limit:
+            candidates.append((est, dx, dy, (qym, qye)))
+            if est < best_est:
+                best_est, limit = est, est * (1.0 + _FLOAT_SLACK)
+                best_d = min(best_d, _approx_acosh1p(est))
+    for est, dx, dy, qy in candidates:
+        if est <= limit:
+            w = _exact_w(dx, dy, twice_zy, qy)
+            if best_w is None or _less(w, best_w):
+                best_w = w
     return best_w
 
 
@@ -604,10 +755,8 @@ def dirichlet_membership(x, ball: OrbitBall,
     if not rel_tol >= 0:
         raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
     zx, zy, twice_zy, _ = query = _query_point(x)
-    prec, rnd = _MP._prec_rounding
-    bx, by = ball.basepoint[0]._mpf_, ball.basepoint[1]._mpf_
-    d_p = _acosh1p_float(_cosh_arg(mpf_sub(zx, bx, prec, rnd),
-                                   mpf_sub(zy, by, prec, rnd), twice_zy, by))
+    bx, by = _pair(ball.basepoint[0]), _pair(ball.basepoint[1])
+    d_p = _acosh1p_float(_cosh_arg(_sub(zx, bx), _sub(zy, by), twice_zy, by))
     abs_tol = 1e-12
     # d_q > d_p passes isclose iff d_q - d_p <= max(rel_tol*d_q, abs_tol)
     reach = max(d_p + abs_tol, d_p / (1.0 - rel_tol)) if rel_tol < 1 \

@@ -287,6 +287,24 @@ def round_dyadic(enclosure, bits: int) -> Tuple[int, int, int]:
     return lo << (lo_shift - common), hi << (hi_shift - common), E - common
 
 
+def round_nearest(man: int, exp: int, bits: int) -> Tuple[int, int]:
+    """man 2^exp rounded to ``bits`` significant bits, to nearest with ties
+    to even, as a (man, exp) pair: the value mpmath's ``from_man_exp``
+    gives with ``round_nearest``.  The mantissa keeps its sign and is not
+    normalized; a carry may leave it at 2^bits."""
+    shift = (man if man >= 0 else -man).bit_length() - bits
+    if shift <= 0:
+        return man, exp
+    if man < 0:
+        man, exp = round_nearest(-man, exp, bits)
+        return -man, exp
+    # t is the kept bits and the round bit; the bits below it are sticky
+    t = man >> (shift - 1)
+    if t & 1 and (t & 2 or man & ((1 << (shift - 1)) - 1)):
+        t += 1
+    return t >> 1, exp + shift
+
+
 class IntervalContext:
     """A fixed-precision interval arithmetic context.
 

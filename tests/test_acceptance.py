@@ -4,14 +4,12 @@ Tolerances and runtime ceilings are pinned in the constants below; a failing
 criterion fails loudly rather than being weakened.
 """
 
-import json
 import math
 import random
 import time
 from fractions import Fraction
 
 import mpmath
-import pytest
 
 from schottkydim.certify import (alpha_sum, center_control,
                                  paper_center_bound, paper_radii_bound,
@@ -25,8 +23,7 @@ from schottkydim.hyperbolic import (BoundaryPoint, Circle, HPoint,
                                     boundary_gromov_product, circle_invert_point,
                                     cosh_distance, disk_from_half_plane)
 from schottkydim.scalars import (IntervalContext, certainly_le, contains,
-                                 dyadic_sum, lower, midpoint, round_dyadic,
-                                 upper)
+                                 dyadic_sum, lower, midpoint, round_dyadic)
 from schottkydim.schedule import paper_schedule
 from schottkydim.words import beardon_check, disk_tree, enumerate_words
 

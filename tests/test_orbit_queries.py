@@ -24,6 +24,12 @@ from schottkydim.words import count_words
 
 SCHED = paper_schedule(10)
 
+
+def mp_point(x, y):
+    """(x, y) as mpfs of the ray context."""
+    return (explore._num(x), explore._num(y))
+
+
 # the explore-rays reference words, set up as `schottkydim explore` does
 REFERENCE_WORDS = (((1, 2), "periodic"), ((2, 3), "periodic"),
                    ((1, 3, 2), "periodic"), ((2, 3, 4), "escalate"),
@@ -35,7 +41,7 @@ BALL = 4
 
 def _oracle_hyp_dist(p, q) -> float:
     mp = explore._MP
-    px, py = explore._point(p[0], p[1])
+    px, py = mp_point(p[0], p[1])
     qx, qy = q
     dx = px - qx
     dy = py - qy
@@ -158,7 +164,7 @@ def test_equidistant_apex_matches_oracle(rel_tol):
 def oracle_ball_points(schedule, p, radius, alphabet):
     """The breadth-first orbit: each frontier point's images under every
     letter but the first of its word, prepended."""
-    base = explore._point(p[0], p[1])
+    base = mp_point(p[0], p[1])
     mirrors = {i: (explore._num(Fraction(schedule.entry(i).center)),
                    explore._num(Fraction(schedule.entry(i).radius)))
                for i in alphabet}
@@ -211,7 +217,7 @@ def test_orbit_points_match_oracle_exactly():
 def hand_ball(*points):
     """An OrbitBall over explicit (x, y) points; the first is the basepoint."""
     words = [(), (1,), (2,), (1, 2)]
-    pts = [(word, explore._point(x, y)) for word, (x, y) in zip(words, points)]
+    pts = [(word, mp_point(x, y)) for word, (x, y) in zip(words, points)]
     return OrbitBall(basepoint=pts[0][1], points=pts)
 
 
@@ -296,7 +302,7 @@ def never(*args, **kwargs):
 ], ids=["build", "conicality_profile", "jorgensen_check"])
 def test_ball_limits_refuse_before_building(query, radius, monkeypatch):
     # 4 letters: radius 10 gives 4 * (3^10 - 1) / 2 = 118,096 orbit points
-    monkeypatch.setattr(explore, "_mpf_mirror", never)
+    monkeypatch.setattr(explore, "_mirror", never)
     monkeypatch.setattr(explore, "labelled_levels", never)
     with pytest.raises(ValueError, match="ball radius"):
         query(radius)
@@ -344,7 +350,7 @@ def test_dirichlet_verdicts_do_not_depend_on_the_screen():
             patch.setattr(explore, "_cosh_arg",
                           lambda *a: calls.append(1) or cosh_arg(*a))
             if not screen:
-                patch.setattr(explore, "_screened_out", lambda *a: False)
+                patch.setattr(explore, "_estimate_w", lambda *a: None)
             verdicts.append([dirichlet_membership(z, ball, rel_tol)
                              for z, ball, rel_tol in queries])
         evaluations.append(len(calls))

@@ -184,3 +184,42 @@ def test_every_parameter_default_is_overridden_somewhere():
                 continue
             unset.append(f"{path.stem}.{name}({parameter})")
     assert not unset, f"parameters that no call sets: {unset}"
+
+
+def _unused_imports(source):
+    """(name, line) of each name a module's imports bind that its code never
+    loads.  ``from __future__`` imports and an import marked
+    ``# noqa: F401`` (made for its side effects) are left out."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__" or \
+                "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in loaded:
+                yield name, node.lineno
+
+
+def test_no_unused_imports():
+    """The lint step: every name imported in the package or the tests is
+    used."""
+    unused = []
+    for path in sorted([*(SRC / "schottkydim").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        unused += [f"{path.name}:{line} {name}" for name, line in
+                   _unused_imports(path.read_text(encoding="utf-8"))]
+    assert not unused, f"imported names never used: {unused}"
+
+
+def test_unused_import_guard_sees_what_it_should():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport os.path\nimport json as j\n"
+              "from typing import Optional, Tuple\n"
+              "import math  # noqa: F401\n"
+              "def f(x: Tuple) -> int:\n    return os.sep\n")
+    assert sorted(_unused_imports(source)) == [("Optional", 5), ("j", 4)]

@@ -1,19 +1,23 @@
-"""Ray sampling on raw 300-bit tuples against the mpf-operator formulas.
+"""Ray sampling on 300-bit integer pairs against the mpf-operator formulas.
 
-The oracles below are the operator expressions the raw libmp code replaces:
-the ray point of ``geodesic_ray_point`` with its conversions made on every
-sample, and the orbit-ball mirror.  The raw code must reproduce them bit for
-bit, the float screen of ``orbit_distance`` must never change a sample, and
-the reference rays' outputs are pinned by SHA-256.
+The oracles below are the operator expressions the pair code replaces: the
+ray point of ``geodesic_ray_point`` with its conversions made on every
+sample, and the orbit-ball mirror.  The pair code must reproduce them bit
+for bit, the float estimates of ``orbit_distance`` must never change a
+sample, each sample must form one exact w and call mpmath only for its exp
+and its acosh, and the reference rays' outputs are pinned by SHA-256.
 """
 
 import hashlib
+import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import fone, mpf_add, mpf_sub
+from mpmath.libmp import fone, mpf_add
 
 from schottkydim import explore
 from schottkydim.cli import main
@@ -24,6 +28,13 @@ from schottkydim.explore import (MAX_RAY_SAMPLES, OrbitBall, WordPath,
 from schottkydim.schedule import paper_schedule
 
 MP = explore._MP
+
+
+def mp_point(x, y):
+    """(x, y) as mpfs of the ray context."""
+    return (explore._num(x), explore._num(y))
+
+
 SCHED = paper_schedule(10)
 
 # the explore-rays reference words, set up as `schottkydim explore` does
@@ -121,6 +132,19 @@ def test_ray_rejects_negative_time():
         explore._Ray((Fraction(0), Fraction(1)), Fraction(1, 3)).point(-0.25)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                               MP.mpf("nan"), MP.mpf("inf")])
+@pytest.mark.parametrize("target", [None, 0.25])
+def test_ray_rejects_times_that_are_not_finite(t, target):
+    p = (0.0, 1.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        geodesic_ray_point(p, target, t)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        explore._Ray(p, target).point(t)
+    # exp(700) is about 2^1010: far out, but finite
+    assert geodesic_ray_point(p, target, 700.0)[1] > 0
+
+
 # ---------------------------------------------------------------------------
 # orbit-ball mirrors
 # ---------------------------------------------------------------------------
@@ -142,23 +166,23 @@ def oracle_mirror(schedule, letter):
 def test_raw_mirror_equals_operator_mirror():
     ball = OrbitBall.build(SCHED, default_basepoint(SCHED, 1), 3, (1, 2, 3, 4))
     points = [q for _, q in ball.points]
-    points += [explore._point(x, y) for x, y in
+    points += [mp_point(x, y) for x, y in
                ((Fraction(2114), Fraction(1, 2 ** 18)), (-7, Fraction(1, 3)),
                 (Fraction(10 ** 40 + 1, 10 ** 20), 5))]
     for letter in SCHED.indices:
-        mirror = explore._mpf_mirror(SCHED, letter)
+        mirror = explore._mirror(SCHED, letter)
         oracle = oracle_mirror(SCHED, letter)
         for q in points:
             assert raw(mirror(q)) == raw(oracle(q))
 
 
 # ---------------------------------------------------------------------------
-# the float screen of orbit_distance
+# the float estimates of orbit_distance
 # ---------------------------------------------------------------------------
 
 def oracle_orbit_distance(z, ball):
     """One 300-bit acosh per orbit point, every point visited."""
-    zx, zy = explore._point(z[0], z[1])
+    zx, zy = mp_point(z[0], z[1])
     return min(float(MP.acosh(1 + ((zx - qx) ** 2 + (zy - qy) ** 2)
                               / (2 * zy * qy)))
                for _, (qx, qy) in ball.points)
@@ -166,8 +190,8 @@ def oracle_orbit_distance(z, ball):
 
 def hand_ball(points):
     """An OrbitBall over explicit (x, y) points; the first is the basepoint."""
-    pts = [((), explore._point(*points[0]))]
-    pts += [((i,), explore._point(x, y)) for i, (x, y) in
+    pts = [((), mp_point(*points[0]))]
+    pts += [((i,), mp_point(x, y)) for i, (x, y) in
             enumerate(points[1:], start=1)]
     return OrbitBall(basepoint=pts[0][1], points=pts)
 
@@ -182,7 +206,7 @@ def scans(z, ball):
             mp.setattr(explore, "_cosh_arg",
                        lambda *a: calls.append(1) or cosh_arg(*a))
             if not screen:
-                mp.setattr(explore, "_screened_out", lambda *a: False)
+                mp.setattr(explore, "_estimate_w", lambda *a: None)
             results.append((orbit_distance(z, ball), len(calls)))
     return results
 
@@ -252,14 +276,68 @@ def test_w_tie_gives_the_same_distance():
     zx, zy, twice_zy, _ = explore._query_point(z)
     prec, rnd = MP._prec_rounding
     ws = []
-    for qx, qy in (raw(explore._point(*q)) for q in (q1, q2)):
-        ws.append(explore._cosh_arg(mpf_sub(zx, qx, prec, rnd),
-                                    mpf_sub(zy, qy, prec, rnd), twice_zy, qy))
-    assert ws[0] != ws[1]
-    assert mpf_add(ws[0], fone, prec, rnd) == mpf_add(ws[1], fone, prec, rnd)
+    for qx, qy in (map(explore._pair, mp_point(*q)) for q in (q1, q2)):
+        ws.append(explore._cosh_arg(explore._sub(zx, qx),
+                                    explore._sub(zy, qy), twice_zy, qy))
+    raw_ws = [explore._to_mpf(w) for w in ws]
+    assert raw_ws[0] != raw_ws[1]
+    assert mpf_add(raw_ws[0], fone, prec, rnd) == \
+        mpf_add(raw_ws[1], fone, prec, rnd)
+    assert explore._to_mpf(explore._add(ws[0], (1, 0))) == \
+        explore._to_mpf(explore._add(ws[1], (1, 0)))
     distances = {orbit_distance(z, hand_ball(pts))
                  for pts in ([q1, q2], [q2, q1], [q1], [q2])}
     assert distances == {oracle_orbit_distance(z, hand_ball([q1, q2]))}
+
+
+# ---------------------------------------------------------------------------
+# what one ray sample costs
+# ---------------------------------------------------------------------------
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(explore, name)
+    monkeypatch.setattr(explore, name,
+                        lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+@pytest.mark.parametrize("key", REFERENCE_WORDS)
+def test_one_exact_w_one_exp_and_one_acosh_per_sample(key, monkeypatch):
+    sched, p, target, alphabet = RAYS[key]
+    exact = counting(monkeypatch, "_cosh_arg")
+    exps = counting(monkeypatch, "mpf_exp")
+    acoshs = counting(monkeypatch, "mpf_acosh")
+    profile = conicality_profile(sched, p, target, 50.0, 4, 0.25,
+                                 alphabet=alphabet)
+    assert len(profile.samples) == len(sample_times()) == 201
+    assert len(exact) == len(exps) == len(acoshs) == 201
+
+
+def test_a_ray_sample_calls_mpmath_only_for_exp_and_acosh():
+    # every mpmath function the explore module calls while it samples the
+    # reference rays: the exp of the ray point, the acosh of the distance,
+    # and make_mpf, which wraps a finished raw tuple
+    here = Path(explore.__file__).resolve()
+    called = set()
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_back is not None and \
+                Path(frame.f_back.f_code.co_filename).resolve() == here and \
+                "mpmath" in Path(frame.f_code.co_filename).parts:
+            called.add(frame.f_code.co_name)
+
+    for key in REFERENCE_WORDS:
+        sched, p, target, alphabet = RAYS[key]
+        ball = OrbitBall.build(sched, p, 4, alphabet)
+        ray = explore._Ray(ball.basepoint, target)
+        sys.setprofile(watch)
+        try:
+            for t in sample_times()[::4]:
+                orbit_distance(ray.point(t), ball)
+        finally:
+            sys.setprofile(None)
+    assert called == {"mpf_exp", "mpf_acosh", "make_mpf"}
 
 
 # ---------------------------------------------------------------------------
