@@ -553,10 +553,10 @@ def _nearest_w(query, ball: OrbitBall, reach: float, skip_identity: bool):
     the 300-bit w (dx and dy rounded, then _cosh_arg, nine roundings of
     2^-300) is within 2^-295 of it.  An estimate beyond the best one times
     1 + _FLOAT_SLACK, some 1000 times those errors, so belongs to a 300-bit
-    w larger than that of the best estimate's point, whose w is formed;
-    so does every exact w of a point whose estimate was refused.  Each
-    distance the stopping rule uses, from an estimate of w or from an exact
-    w, is within about 2e-15 relative of the real distance of its point
+    w larger than that of the best estimate's point, whose w is formed, as
+    is the w of every point whose estimate was refused.  Each distance the
+    stopping rule uses, from an estimate of w or from an exact w, is within
+    about 2e-15 relative of the real distance of its point
     (OrbitBall._nearest_heights).
     """
     (zxm, zxe), (zym, zye), twice_zy, log_y = query

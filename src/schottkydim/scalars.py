@@ -12,8 +12,9 @@ All geometric quantities in this package are one of three scalar kinds:
   boundary Gromov products and of the power oracle.  Every value is an
   enclosure [lo, hi] whose endpoints are binary floats.
 
-The heuristic estimators and ray diagnostics compute in plain floats and in
-their own mpmath context, outside these kinds.
+The heuristic estimators compute in plain floats, and the ray diagnostics
+on (man, exp) integer pairs that :func:`round_nearest` rounds to 300 bits,
+outside these kinds.
 
 Every enclosure's endpoints convert exactly to rationals (:func:`lower`,
 :func:`upper`), and inequalities are *verified* only through
