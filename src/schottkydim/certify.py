@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .estimators import MAX_EXACT_SIZE, exact_size
 from .schedule import GeneratorSchedule
 from .scalars import (DEFAULT_PRECISION_BITS, DyadicPower, certainly_le,
                       decidable_le, dyadic_sum, format_rational, lower,
                       parse_rational, round_dyadic, upper)
-from .words import (contraction_table, count_words, disk_levels,
-                    radius_level)
+from .words import (MAX_EXACT_SIZE, contraction_table, count_words,
+                    disk_levels, exact_size, radius_level)
 
 CERTIFIED = "certified"
 NOT_CERTIFIED = "not certified"
@@ -563,9 +562,6 @@ class Certificate:
     def certified(self) -> bool:
         return self.verdict == CERTIFIED
 
-    def failing(self) -> List[str]:
-        return [c.name for c in self.checks if not c.holds]
-
     def to_json_dict(self):
         return {
             "format_version": FORMAT_VERSION,
@@ -637,7 +633,7 @@ def check_arguments(k: int, m: int, n_max: int, alpha: Fraction,
     k < 1, m < 2, alpha outside (0, 1], n_max < 2, fixed ``bits`` below
     :data:`MIN_ADAPTIVE_BITS`, jobs < 1, and a window of more than
     :data:`MAX_CERTIFY_WORDS` reduced words over levels 1..n_max or beyond
-    the exact-size budget of :func:`~schottkydim.estimators.exact_size`.
+    the exact-size budget of :func:`~schottkydim.words.exact_size`.
     Returns the window's reduced words over levels 1..n_max."""
     alpha = Fraction(alpha)
     if k < 1:
@@ -660,7 +656,7 @@ def check_arguments(k: int, m: int, n_max: int, alpha: Fraction,
     if exact_size(k, m, words, n_max) > MAX_EXACT_SIZE:
         raise ValueError(f"k = {k}, m = {m}, n = {n_max} needs exact "
                          f"rationals beyond the budget of {MAX_EXACT_SIZE} "
-                         f"(see estimators.exact_size)")
+                         f"(see words.exact_size)")
     return words
 
 

@@ -14,27 +14,15 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .hyperbolic import ends_radius
 from .schedule import GeneratorSchedule
-from .words import count_words, disk_levels
+from .words import MAX_EXACT_SIZE, count_words, disk_levels, exact_size
 
 
 # Limits of the word levels an estimate builds, checked by _check_levels
 # before anything is built: the most reduced words, the longest level (exact
 # radii grow with the word length: over 2 letters, 100 levels take about
-# 0.6 s and 200 levels about 4 s), and the budget of :func:`exact_size`.
+# 0.6 s and 200 levels about 4 s), and the budget of words.exact_size.
 MAX_WORDS = 1_000_000
 MAX_WORD_LENGTH = 100
-MAX_EXACT_SIZE = 10 ** 8
-
-
-def exact_size(k: int, m: int, words: int, longest: int) -> int:
-    """A bound, up to a constant, on the bits of exact rationals an estimate
-    over the window (k, k+m] builds from ``words`` words of at most
-    ``longest`` letters.  In the built-in schedule index i takes about i^2
-    bits, so a word disk takes about (k+m)^2 bits per letter, and the
-    schedule up to index k+m takes about (k+m)^3.  Near the budget: 3
-    letters to length 16 (k = 2) build about 200,000 word disks in about 7 s
-    and 80 MB."""
-    return (words * longest + k + m) * (k + m) ** 2
 
 
 def _check_levels(k: int, m: int, n_max: int, longest: int):
@@ -54,7 +42,7 @@ def _check_levels(k: int, m: int, n_max: int, longest: int):
     if exact_size(k, m, words, longest) > MAX_EXACT_SIZE:
         raise ValueError(f"k = {k}, m = {m} to length {longest} needs exact "
                          f"rationals beyond the estimate budget of "
-                         f"{MAX_EXACT_SIZE} (see estimators.exact_size)")
+                         f"{MAX_EXACT_SIZE} (see words.exact_size)")
 
 
 class BracketError(RuntimeError):

@@ -4,11 +4,12 @@ Limit-point estimates come from the exact nested-disk machinery.  The
 conicality, depth, Dirichlet and Jorgensen diagnostics sample geodesic rays
 against finite word balls; because interesting offsets sit many orders of
 magnitude below the disk centers, all ray arithmetic runs at 300 bits rather
-than in machine floats: on (man, exp) integer pairs, each operation rounded
-to nearest as mpmath rounds it, with mpmath's exp and acosh for the one
-transcendental call of each kind per sample.  The verdicts remain labelled
-heuristics: finite data cannot decide conicality, so every profile records
-the (horizon, ball, step) provenance it was computed with.
+than in machine floats: on (man, exp) integer pairs, each input converted
+and each operation rounded once, to nearest, as mpmath rounds them, with
+mpmath's exp and acosh for the one transcendental call of each kind per
+sample.  The verdicts remain labelled heuristics: finite data cannot decide
+conicality, so every profile records the (horizon, ball, step) provenance
+it was computed with.
 """
 
 from __future__ import annotations
@@ -37,28 +38,21 @@ EMPTY = "empty profile"
 
 # Ray precision.  300 bits keeps sub-ulp offsets around centers like 2114
 # meaningful down to the depth-4 disk scales the diagnostics probe.  _MP is
-# the mpmath context of that precision: it converts inputs (_num) and makes
-# the mpf values the public functions return.
+# the mpmath context of that precision: it makes the mpf values the public
+# functions return.
 _PREC = 300
 _MP = ctx_mp.MPContext()
 _MP.prec = _PREC
 _RND = _MP._prec_rounding[1]
 
-
-def _num(x):
-    """Convert int/float/Fraction into the high-precision context exactly."""
-    if isinstance(x, Fraction):
-        return _MP.mpf(x.numerator) / _MP.mpf(x.denominator)
-    return _MP.mpf(x)
-
-
 # Rays and orbit queries work on integer pairs (man, exp), the value
-# man 2^exp with a signed mantissa.  _add, _sub, _mul and _div round once,
-# to nearest at _PREC bits (scalars.round_nearest), as mpmath's mpf_add,
+# man 2^exp with a signed mantissa.  Each input becomes a pair once
+# (_pair), and _add, _sub, _mul and _div round once, to nearest at _PREC
+# bits (scalars.round_nearest), as mpmath's from_rational, mpf_add,
 # mpf_sub, mpf_mul and mpf_div round at _MP's precision, so each value is
-# the one those calls, and the mpf operators, give.  A mantissa is not
-# normalized: it may keep trailing zeros, and zero is (0, any exp).  The
-# mpf values handed out are normalized once (_to_mpf).
+# the one those calls give.  A mantissa is not normalized: it may keep
+# trailing zeros, and zero is (0, any exp).  The mpf values handed out are
+# normalized once (_to_mpf).
 _LN2 = math.log(2.0)
 _ONE = (1, 0)
 
@@ -160,27 +154,38 @@ def _mpf(a):
 
 
 def _pair(v):
-    """v in the ray context as a pair, the value _num(v) holds; a
-    normalized mpf of _MP is taken as it is.  An infinity or a nan raises
-    ValueError."""
-    t = v._mpf_ if type(v) is _MP.mpf and v._mpf_[3] <= _PREC \
-        else _num(v)._mpf_
-    if not t[1] and t != fzero:
+    """An mpf, int, float or Fraction v as a pair, rounded once to nearest
+    at _PREC bits; an mpf of at most _PREC bits is taken as it is.  An
+    infinity or a nan raises ValueError."""
+    raw = getattr(v, "_mpf_", None)
+    if raw is None:
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError(f"not a finite number: {v!r}")
+            n, d = v.as_integer_ratio()  # exact: d is a power of two
+            return n, 1 - d.bit_length()
+        n, d = v.as_integer_ratio()
+        return _div((n, 0), (d, 0))
+    sign, man, exp, bits = raw
+    if not man and raw != fzero:
         raise ValueError(f"not a finite number: {v!r}")
-    return (-t[1] if t[0] else t[1]), t[2]
+    man = -man if sign else man
+    return (man, exp) if bits <= _PREC else round_nearest(man, exp, _PREC)
 
 
-def _upper_half_plane(x, y, what: str):
-    """The pairs of a point (x, y) of the upper half-plane; ValueError for
-    any other point."""
+def _upper_half_plane(z, what: str):
+    """The pairs (x, y) of a point of the upper half-plane, given as a
+    complex number or an (x, y) tuple; ValueError for any other point."""
+    if not isinstance(z, tuple):
+        z = (z.real, z.imag)
     try:
-        x_pair, y_pair = _pair(x), _pair(y)
+        x, y = _pair(z[0]), _pair(z[1])
     except ValueError:
-        x_pair = y_pair = None
-    if y_pair is None or y_pair[0] <= 0:
+        y = None
+    if y is None or y[0] <= 0:
         raise ValueError(f"{what} must lie in the upper half-plane, got "
-                         f"{(x, y)!r}")
-    return x_pair, y_pair
+                         f"{z!r}")
+    return x, y
 
 
 def _log_pair(a) -> float:
@@ -267,11 +272,9 @@ def _approx_distance(w) -> float:
 
 
 def _query_point(z):
-    """Pairs (x, y, twice y) and the float ln y of a point in the upper
-    half-plane, given as a complex number or an (x, y) pair."""
-    if not isinstance(z, tuple):
-        z = (z.real, z.imag)
-    x, y = _upper_half_plane(z[0], z[1], "point")
+    """Pairs (x, y, twice y) and the float ln y of a point of the upper
+    half-plane (_upper_half_plane)."""
+    x, y = _upper_half_plane(z, "point")
     return x, y, (y[0], y[1] + 1), _log_pair(y)
 
 
@@ -365,7 +368,7 @@ class _Ray:
     __slots__ = ("px", "py", "lam", "wx", "wy", "wx2")
 
     def __init__(self, p, target):
-        self.px, self.py = _pair(p[0]), _pair(p[1])
+        self.px, self.py = _upper_half_plane(p, "ray start")
         self.lam = None if target is None else _pair(target)
         if self.lam is None:
             return
@@ -381,12 +384,7 @@ class _Ray:
         if not 0 <= t < math.inf:
             raise ValueError(f"ray time must be finite and nonnegative, "
                              f"got {t!r}")
-        if type(t) is float:
-            n, d = t.as_integer_ratio()  # d is a power of two
-            t_mpf = _to_mpf((n, 1 - d.bit_length()))
-        else:
-            t_mpf = _num(t)._mpf_
-        _, man, exp, _ = mpf_exp(t_mpf, _PREC, _RND)
+        _, man, exp, _ = mpf_exp(_to_mpf(_pair(t)), _PREC, _RND)
         growth = (man, exp)
         if self.lam is None:
             return (_mpf(self.px), _mpf(_mul(self.py, growth)))
@@ -400,9 +398,9 @@ def geodesic_ray_point(p, target, t: float):
     """Unit-speed point at time t on the ray from p toward the boundary target
     (None means the point at infinity, i.e. the vertical ray).
 
-    p is an (x, y) pair; coordinates may be Fractions, floats or
-    high-precision reals.  The ray samplers build one _Ray and call its
-    point(t) for every sample.
+    p is a complex number or an (x, y) pair in the upper half-plane (else
+    ValueError); coordinates may be ints, Fractions, floats or mpfs.  The
+    ray samplers build one _Ray and call its point(t) for every sample.
     """
     return _Ray(p, target).point(t)
 
@@ -420,20 +418,20 @@ MAX_ORBIT_POINTS = 100_000
 
 
 def _mirror(schedule: GeneratorSchedule, letter: int):
-    """The inversion h_letter on (x, y) points of mpfs of the ray context,
-    by the pair operations of (c + r2*dx/denom, r2*y/denom) with
-    dx = x - c, denom = dx*dx + y*y and r2 = r*r."""
+    """The inversion h_letter on (x, y) points of pairs, by the pair
+    operations of (c + r2*dx/denom, r2*y/denom) with dx = x - c,
+    denom = dx*dx + y*y and r2 = r*r."""
     entry = schedule.entry(letter)
-    c = _pair(Fraction(entry.center))
-    r = _pair(Fraction(entry.radius))
+    c = _pair(entry.center)
+    r = _pair(entry.radius)
     r2 = _mul(r, r)
 
     def invert(z):
-        x, y = _pair(z[0]), _pair(z[1])
+        x, y = z
         dx = _sub(x, c)
         denom = _add(_mul(dx, dx), _mul(y, y))
-        return (_mpf(_add(c, _div(_mul(r2, dx), denom))),
-                _mpf(_div(_mul(r2, y), denom)))
+        return (_add(c, _div(_mul(r2, dx), denom)),
+                _div(_mul(r2, y), denom))
 
     return invert
 
@@ -481,17 +479,15 @@ class OrbitBall:
             raise ValueError(f"ball radius {radius} over {len(alphabet)} "
                              f"letters gives more than {MAX_ORBIT_POINTS} "
                              f"orbit points")
-        if not isinstance(p, tuple):
-            p = (p.real, p.imag)
-        x, y = _upper_half_plane(p[0], p[1], "basepoint")
-        base = (_mpf(x), _mpf(y))
+        start = _upper_half_plane(p, "basepoint")
         maps = []
         for letter in alphabet:
             mirror = _mirror(schedule, letter)
-            maps.append((letter, mirror(base), mirror))
+            maps.append((letter, mirror(start), mirror))
+        base = (_mpf(start[0]), _mpf(start[1]))
         pts = [((), base)]
         for level in labelled_levels(maps, radius):
-            pts.extend(level)
+            pts.extend((word, (_mpf(x), _mpf(y))) for word, (x, y) in level)
         return OrbitBall(basepoint=base, points=pts)
 
     def __len__(self):
@@ -611,6 +607,9 @@ def orbit_distance(z, ball: OrbitBall) -> float:
 # explore defaults (horizon 50, step 0.25) take 201.
 MAX_RAY_SAMPLES = 100_000
 
+# conicality_profile's recurrence threshold on D, reported in the summary.
+_THRESHOLD = 2.0 * DELTA_0
+
 
 def _check_sampling(horizon: float, step: float):
     """A finite horizon and a positive finite step giving at most
@@ -654,7 +653,6 @@ class RayProfile:
     step: float
     samples: List[Tuple[float, float]] = field(default_factory=list)
     classification: str = EMPTY
-    threshold: float = 2.0 * DELTA_0
 
     @property
     def empty(self) -> bool:
@@ -679,7 +677,7 @@ class RayProfile:
             "horizon": self.horizon,
             "ball_radius": self.ball_radius,
             "step": self.step,
-            "threshold": self.threshold,
+            "threshold": _THRESHOLD,
             "min_D": self.min_d() if self.samples else None,
             "final_D": self.final_d() if self.samples else None,
             "beta_proxy": beta_depth(self) if self.samples else None,
@@ -707,9 +705,8 @@ def conicality_profile(schedule: GeneratorSchedule, p, target,
                                   for t, z in samples])
     if profile.empty:
         return profile
-    threshold = profile.threshold
     last_half = [d for t, d in profile.samples if t >= 0.5 * horizon]
-    if last_half and min(last_half) <= threshold:
+    if last_half and min(last_half) <= _THRESHOLD:
         # the ray came back near the orbit late in the horizon
         profile.classification = RECURRENT
     else:

@@ -529,8 +529,8 @@ def test_estimate_rejects_huge_requests(k, m, n_max, tmp_path, capsys):
 
 
 def test_estimate_limits_are_counted_not_built():
-    from schottkydim.estimators import MAX_EXACT_SIZE, MAX_WORDS, exact_size
-    from schottkydim.words import count_words
+    from schottkydim.estimators import MAX_WORDS
+    from schottkydim.words import MAX_EXACT_SIZE, count_words, exact_size
     # 3 letters to length 18 is within the word cap, to length 19 beyond it
     assert count_words(3, 18, MAX_WORDS) <= MAX_WORDS < \
         count_words(3, 19, MAX_WORDS)

@@ -12,6 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import (from_float, from_int, from_rational, mpf_pos,
+                          round_nearest)
 
 from schottkydim import explore
 from schottkydim.explore import (MAX_ORBIT_POINTS, OrbitBall, WordPath,
@@ -23,11 +25,27 @@ from schottkydim.schedule import paper_schedule
 from schottkydim.words import count_words
 
 SCHED = paper_schedule(10)
+MP = explore._MP
+PREC = explore._PREC
+
+
+def mp_num(v):
+    """v as an mpf of the ray context, rounded once to nearest at 300 bits
+    by libmp's own conversions, independent of explore's."""
+    if isinstance(v, Fraction):
+        raw = from_rational(v.numerator, v.denominator, PREC, round_nearest)
+    elif isinstance(v, int):
+        raw = from_int(v, PREC, round_nearest)
+    elif isinstance(v, float):
+        raw = from_float(v, PREC, round_nearest)
+    else:
+        raw = mpf_pos(v._mpf_, PREC, round_nearest)
+    return MP.make_mpf(raw)
 
 
 def mp_point(x, y):
     """(x, y) as mpfs of the ray context."""
-    return (explore._num(x), explore._num(y))
+    return (mp_num(x), mp_num(y))
 
 
 # the explore-rays reference words, set up as `schottkydim explore` does
@@ -127,7 +145,7 @@ def test_deep_points_near_the_orbit(radius, index, shift, depth_bits):
     # below an orbit point by 2^-depth_bits, sideways by shift * its height
     ball = BALLS[radius]
     _, (qx, qy) = ball.points[index % len(ball.points)]
-    z = (qx + explore._num(shift) * qy, qy / explore._MP.mpf(2) ** depth_bits)
+    z = (qx + mp_num(shift) * qy, qy / MP.mpf(2) ** depth_bits)
     assert_matches_oracle(z, ball)
 
 
@@ -165,8 +183,8 @@ def oracle_ball_points(schedule, p, radius, alphabet):
     """The breadth-first orbit: each frontier point's images under every
     letter but the first of its word, prepended."""
     base = mp_point(p[0], p[1])
-    mirrors = {i: (explore._num(Fraction(schedule.entry(i).center)),
-                   explore._num(Fraction(schedule.entry(i).radius)))
+    mirrors = {i: (mp_num(schedule.entry(i).center),
+                   mp_num(schedule.entry(i).radius))
                for i in alphabet}
     pts = frontier = [((), base)]
     for _ in range(radius):
@@ -322,7 +340,7 @@ def test_dirichlet_verdicts_do_not_depend_on_the_screen():
     # basepoint; with the float screen off every point the scan reaches is
     # evaluated exactly, and each verdict must stay the same
     mp = explore._MP
-    queries = [((qx + explore._num(shift) * qy, qy / mp.mpf(2) ** bits), ball,
+    queries = [((qx + mp_num(shift) * qy, qy / mp.mpf(2) ** bits), ball,
                 rel_tol)
                for ball in (BALLS[1], BALLS[3])
                for _, (qx, qy) in ball.points[:12]

@@ -25,6 +25,15 @@ def test_importing_the_package_loads_no_module():
     assert out == "['schottkydim']\n"
 
 
+def test_certify_does_not_load_the_estimators():
+    code = ("import sys; import schottkydim.certify; "
+            "print('schottkydim.estimators' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": str(SRC)}).stdout
+    assert out == "False\n"
+
+
 def test_every_public_name_is_its_modules_object():
     import importlib
     assert len(schottkydim.__all__) == 67
@@ -50,8 +59,10 @@ def test_unknown_name_raises_attribute_error():
 
 
 def _definitions(tree):
-    """{name: the lines of its top-level definition} of a parsed module."""
-    spans = {}
+    """{name: the lines of its top-level definition} of a parsed module,
+    and {(class, member): the lines of its definition} of the public
+    methods and properties of its top-level classes."""
+    spans, members = {}, {}
     for statement in tree.body:
         if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
             names = [statement.name]
@@ -62,44 +73,67 @@ def _definitions(tree):
             continue
         for name in names:
             spans[name] = range(statement.lineno - 1, statement.end_lineno)
-    return spans
+        if isinstance(statement, ast.ClassDef):
+            for node in statement.body:
+                if isinstance(node, ast.FunctionDef) and \
+                        not node.name.startswith("_"):
+                    members[statement.name, node.name] = \
+                        range(node.lineno - 1, node.end_lineno)
+    return spans, members
 
 
 def _uses(tree):
-    """(name, line) of each use of a name in a parsed module's code: the
-    names it loads, the attributes it reads, and the strings that are a
-    bare name, as ``getattr`` takes them (the benchmark's tracer wraps
-    functions so).  A name imported by ``from`` is not used until it is
-    loaded.  Docstrings and comments are not code."""
+    """(name, line, by attribute) of each use of a name in a parsed
+    module's code: the names it loads, the attributes it reads, and the
+    strings that are a bare name or a dotted path of names, as ``getattr``
+    takes them (the benchmark's tracer wraps functions and methods so).  A
+    name imported by ``from`` is not used until it is loaded.  Docstrings
+    and comments are not code."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                yield node.value, node.lineno
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                for part in parts:
+                    yield part, node.lineno, True
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif (isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Load)):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def test_every_public_name_has_a_caller():
-    """A public name that only its own tests reach is dead code.  Each must
-    be used in the code of the package outside its own definition, of the
-    benchmark or of the acceptance tests; a mention in a docstring or a
-    comment does not count.  Nothing is imported or run from bench/."""
-    used = set()
+    """A public name that only its own tests reach is dead code, and so is
+    a public method or property of an exported class.  Each name must be
+    used in the code of the package outside its own definition, of the
+    benchmark or of the acceptance tests, and each method or property read
+    as an attribute or named in a string there; a mention in a docstring or
+    a comment does not count.  Nothing is imported or run from bench/."""
+    used, read = set(), set()
     for path in [*(ROOT / "bench").glob("*.py"),
                  ROOT / "tests" / "test_acceptance.py"]:
-        used.update(name for name, _ in
-                    _uses(ast.parse(path.read_text(encoding="utf-8"))))
+        for name, _, attribute in _uses(
+                ast.parse(path.read_text(encoding="utf-8"))):
+            used.add(name)
+            if attribute:
+                read.add(name)
+    exported = set()
     for path in (SRC / "schottkydim").glob("*.py"):
         if path.name == "__init__.py":  # the export list itself
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        spans = _definitions(tree)
-        used.update(name for name, line in _uses(tree)
-                    if line - 1 not in spans.get(name, ()))
+        spans, members = _definitions(tree)
+        for name, line, attribute in _uses(tree):
+            if line - 1 not in spans.get(name, ()):
+                used.add(name)
+            if attribute and not any(
+                    line - 1 in lines for (_, member), lines in
+                    members.items() if member == name):
+                read.add(name)
+        exported |= {key for key in members if key[0] in schottkydim.__all__}
     unused = sorted(set(schottkydim.__all__) - used)
+    unused += sorted(f"{cls}.{member}" for cls, member in exported
+                     if member not in read)
     assert not unused, f"public names with no caller: {unused}"
 
 

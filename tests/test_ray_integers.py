@@ -1,18 +1,21 @@
 """The integer-pair arithmetic of the ray code against mpmath's libmp.
 
 explore's rays, orbit mirrors and nearest-point scans compute on (man, exp)
-pairs, each operation rounded once to nearest at 300 bits.  Every operation
-is pinned here to the libmp call it replaced, at the same precision and
-rounding, over signs, zeros, exact ties and exponent gaps up to 10^6 bits.
+pairs, each input converted and each operation rounded once to nearest at
+300 bits.  Every conversion and operation is pinned here to the libmp call
+that gives its value, at the same precision and rounding, over signs,
+zeros, exact ties and exponent gaps up to 10^6 bits.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import (from_man_exp, mpf_add, mpf_div, mpf_lt, mpf_mul,
-                          mpf_sub, round_nearest as RND_NEAREST)
+from mpmath.libmp import (from_float, from_int, from_man_exp, from_rational,
+                          mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_sub,
+                          round_nearest as RND_NEAREST)
 
 from schottkydim import explore
 from schottkydim.scalars import round_nearest
@@ -134,3 +137,33 @@ def test_pairs_convert_to_normalized_mpfs(a):
     if bc <= PREC:  # a value of the ray context, taken as it is
         assert explore._pair(explore._MP.make_mpf(raw)) == \
             ((-man if sign else man), exp)
+
+
+def big_integers(bits):
+    return st.integers(1, bits).flatmap(
+        lambda b: st.integers(-2 ** b, 2 ** b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=big_integers(1100), d=big_integers(1100).filter(bool))
+@example(n=2 ** 301 + 2, d=5)  # the quotient of 300-bit n and d rounds up
+@example(n=-(2 ** 301 + 2), d=5)
+@example(n=0, d=3)
+def test_fractions_convert_as_from_rational(n, d):
+    v = Fraction(n, d)
+    assert mpf(explore._pair(v)) == from_rational(
+        v.numerator, v.denominator, PREC, RND_NEAREST)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=big_integers(1100), x=st.floats(allow_nan=False,
+                                         allow_infinity=False),
+       man=st.integers(2 ** 300, 2 ** 1100).flatmap(
+           lambda m: st.sampled_from([m, -m])),
+       exp=exponents)
+def test_ints_floats_and_long_mpfs_convert_as_libmp(n, x, man, exp):
+    assert mpf(explore._pair(n)) == from_int(n, PREC, RND_NEAREST)
+    assert mpf(explore._pair(x)) == from_float(x, PREC, RND_NEAREST)
+    long_mpf = explore._MP.make_mpf(from_man_exp(man, exp))
+    assert mpf(explore._pair(long_mpf)) == \
+        from_man_exp(man, exp, PREC, RND_NEAREST)

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import fone, mpf_add
+from mpmath.libmp import (fone, from_float, from_int, from_rational, mpf_add,
+                          mpf_pos, round_nearest)
 
 from schottkydim import explore
 from schottkydim.cli import main
@@ -28,11 +29,26 @@ from schottkydim.explore import (MAX_RAY_SAMPLES, OrbitBall, WordPath,
 from schottkydim.schedule import paper_schedule
 
 MP = explore._MP
+PREC = explore._PREC
+
+
+def mp_num(v):
+    """v as an mpf of the ray context, rounded once to nearest at 300 bits
+    by libmp's own conversions, independent of explore's."""
+    if isinstance(v, Fraction):
+        raw = from_rational(v.numerator, v.denominator, PREC, round_nearest)
+    elif isinstance(v, int):
+        raw = from_int(v, PREC, round_nearest)
+    elif isinstance(v, float):
+        raw = from_float(v, PREC, round_nearest)
+    else:
+        raw = mpf_pos(v._mpf_, PREC, round_nearest)
+    return MP.make_mpf(raw)
 
 
 def mp_point(x, y):
     """(x, y) as mpfs of the ray context."""
-    return (explore._num(x), explore._num(y))
+    return (mp_num(x), mp_num(y))
 
 
 SCHED = paper_schedule(10)
@@ -78,16 +94,15 @@ def raw(z):
 
 def oracle_ray_point(p, target, t):
     """The operator formula: every conversion made again for each sample."""
-    num = explore._num
-    px, py = (num(p[0]), num(p[1]))
+    px, py = mp_point(p[0], p[1])
     if target is None:
-        return (px, py * MP.exp(num(t)))
-    lam = num(target)
+        return (px, py * MP.exp(mp_num(t)))
+    lam = mp_num(target)
     dx = px - lam
     denom = dx * dx + py * py
     wx = -dx / denom
     wy = py / denom
-    wy_t = wy * MP.exp(num(t))
+    wy_t = wy * MP.exp(mp_num(t))
     denom_t = wx * wx + wy_t * wy_t
     return (lam - wx / denom_t, wy_t / denom_t)
 
@@ -145,14 +160,28 @@ def test_ray_rejects_times_that_are_not_finite(t, target):
     assert geodesic_ray_point(p, target, 700.0)[1] > 0
 
 
+@pytest.mark.parametrize("p,target", [((0, -1), None), ((0, 0), 1),
+                                      ((Fraction(1), math.nan), None),
+                                      (complex(2, -1), 0.25), (3.0, None)])
+def test_ray_rejects_a_start_off_the_half_plane(p, target):
+    with pytest.raises(ValueError, match="upper half-plane"):
+        geodesic_ray_point(p, target, 1.0)
+
+
+@pytest.mark.parametrize("target", [None, 0.25, Fraction(1, 7)])
+def test_ray_takes_a_complex_start(target):
+    assert raw(geodesic_ray_point(complex(0.5, 2.0), target, 1.0)) == \
+        raw(geodesic_ray_point((0.5, 2.0), target, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # orbit-ball mirrors
 # ---------------------------------------------------------------------------
 
 def oracle_mirror(schedule, letter):
     entry = schedule.entry(letter)
-    c = explore._num(Fraction(entry.center))
-    r = explore._num(Fraction(entry.radius))
+    c = mp_num(entry.center)
+    r = mp_num(entry.radius)
     r2 = r * r
 
     def invert(z):
@@ -173,7 +202,8 @@ def test_raw_mirror_equals_operator_mirror():
         mirror = explore._mirror(SCHED, letter)
         oracle = oracle_mirror(SCHED, letter)
         for q in points:
-            assert raw(mirror(q)) == raw(oracle(q))
+            image = mirror(tuple(map(explore._pair, q)))
+            assert tuple(map(explore._to_mpf, image)) == raw(oracle(q))
 
 
 # ---------------------------------------------------------------------------

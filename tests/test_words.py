@@ -33,10 +33,9 @@ def test_word_parse_and_str_round_trip():
     assert str(w) == "3,4,3"
 
 
-def test_suffix_and_prepend():
+def test_suffix():
     w = ReducedWord((1, 2, 1))
     assert w.suffix.indices == (2, 1)
-    assert w.prepend(3).indices == (3, 1, 2, 1)
     with pytest.raises(ValueError):
         ReducedWord((1,)).suffix
 
@@ -141,7 +140,7 @@ def test_radius_decay_along_branch():
 
 def test_tree_depth_one_nodes_are_generator_circles():
     tree = disk_tree(SCHED, 2, 3, 1)
-    assert [n.disk.center for n in tree.roots] == \
+    assert [n.disk.center for n in tree.levels[0]] == \
         [SCHED.entry(i).center for i in (3, 4, 5)]
 
 
@@ -154,7 +153,7 @@ def test_tree_level_counts():
 
 def test_tree_depth_two_radii_below_depth_one():
     tree = disk_tree(SCHED, 2, 3, 2)
-    min_root = min(n.disk.radius for n in tree.roots)
+    min_root = min(n.disk.radius for n in tree.levels[0])
     assert all(n.disk.radius < min_root for n in tree.levels[1])
 
 
