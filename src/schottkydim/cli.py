@@ -20,11 +20,11 @@ import sys
 from typing import Optional
 
 from . import certify as certify_mod
-from . import estimators, explore, render
+from . import estimators, render
 from .hyperbolic import ends_floats
 from .scalars import parse_rational
 from .schedule import GeneratorSchedule, load_schedule, paper_schedule
-from .words import ReducedWord
+from .words import MAX_ORBIT_POINTS, ReducedWord
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -113,11 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=50.0, help="ray length")
     p.add_argument("--ball", type=int, default=4,
                    help="word length of the orbit ball (default %(default)s; "
-                        f"at most {explore.MAX_ORBIT_POINTS} orbit points)")
+                        f"at most {MAX_ORBIT_POINTS} orbit points)")
     p.add_argument("--step", type=float, default=0.25, help="ray time step")
     p.add_argument("--depth", type=int, default=0,
                    help="limit-point disk depth; 0 picks it from the word")
-    p.add_argument("--basepoint", default=None, help="x,y in the half-plane")
+    p.add_argument("--basepoint", default=None,
+                   help="x,y in the half-plane, e.g. -1/2,1")
     _add_common(p, "explore", "prefix of the two output files")
 
     return parser
@@ -134,7 +135,19 @@ def _parse(argv):
     a JSON boolean for a switch, an integer for an integer flag, a number
     for a float flag and a string otherwise.  A key that no flag of the
     subcommand defines, or a value of another JSON type, raises
-    ValueError."""
+    ValueError.
+
+    A ``--basepoint`` value that starts with one ``-`` (a negative x, as in
+    ``--basepoint -1/2,1``) is joined to its flag first, since argparse
+    reads a token that starts with ``-`` and is not a plain number as a
+    flag."""
+    tokens, argv = sys.argv[1:] if argv is None else argv, []
+    for token in tokens:
+        if argv and argv[-1] == "--basepoint" and token[:1] == "-" \
+                and token[:2] != "--":
+            argv[-1] = f"--basepoint={token}"
+        else:
+            argv.append(token)
     args = _parser().parse_args(argv)
     if not args.config:
         return args
@@ -259,6 +272,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from . import explore  # the one command that loads mpmath
     if not args.word:
         raise ValueError("explore requires --word")
     word = ReducedWord.parse(args.word)

@@ -27,7 +27,8 @@ from mpmath.libmp import fzero, mpf_acosh, mpf_exp
 from .hyperbolic import BoundaryPoint
 from .scalars import round_nearest
 from .schedule import GeneratorSchedule
-from .words import ReducedWord, count_words, labelled_levels, word_disk
+from .words import (MAX_ORBIT_POINTS, ReducedWord, count_words,
+                    labelled_levels, word_disk)
 
 # slimness constant for hyperbolic-plane triangles: 2 arccosh(sqrt(2))
 DELTA_0 = 2.0 * math.acosh(math.sqrt(2.0))
@@ -408,14 +409,6 @@ def geodesic_ray_point(p, target, t: float):
 # ---------------------------------------------------------------------------
 # orbit balls
 # ---------------------------------------------------------------------------
-
-# Most points besides the basepoint an orbit ball holds, counted before it
-# is built: about 1 KB and 13 us per point (measured at radius 9 over 4
-# letters, 39,364 points, with Python 3.11 on a 2-vCPU host: 0.91 KB held
-# and 1.0 KB at the peak of the build, 12.7 us per point), so about 100 MB
-# and 1.3 seconds.
-MAX_ORBIT_POINTS = 100_000
-
 
 def _mirror(schedule: GeneratorSchedule, letter: int):
     """The inversion h_letter on (x, y) points of pairs, by the pair

@@ -26,29 +26,30 @@ The powers r^alpha of certification come from :class:`DyadicPower`, which
 encloses them between integers times a power of two by exact integer
 q-th roots.  :class:`PowerEnclosure` (mpmath's exp and log) remains behind
 :meth:`IntervalContext.pow_rational` and as the tests' oracle.
+
+mpmath is imported inside the functions that call it, and an
+:class:`IntervalContext` builds mpmath's context on its first arithmetic,
+so a process that does no interval arithmetic (certify, schedule, estimate
+and render) does not load mpmath.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from mpmath import ctx_iv
-from mpmath.libmp import (fone, from_int, mpi_div, mpi_exp, mpi_log, mpi_mul,
-                          round_ceiling, round_floor, to_rational)
-
 DEFAULT_PRECISION_BITS = 256
 
 Rational = Union[int, Fraction]
-
-_ONE = (fone, fone)
 
 
 def _ratio_endpoints(p: int, q: int, prec: int):
     """Raw endpoints of the enclosure of p/q (q > 0) that interval arithmetic
     gives at ``prec`` bits: p rounded outward, divided by q rounded outward
     unless q is 1."""
+    from mpmath.libmp import from_int, mpi_div, round_ceiling, round_floor
     x = (from_int(p, prec, round_floor), from_int(p, prec, round_ceiling))
     if q == 1:
         return x
@@ -78,9 +79,10 @@ class PowerEnclosure:
                 self.exponent.numerator, self.exponent.denominator, bits)
 
     def __call__(self, p: int, q: int):
+        from mpmath.libmp import fone, mpi_exp, mpi_log, mpi_mul
         n = self.exponent.numerator
         if n == 0 or p == q:
-            return _ONE
+            return fone, fone
         prec = self.bits
         if self._exponent_interval is None:
             if n > 0:
@@ -310,13 +312,20 @@ class IntervalContext:
     """A fixed-precision interval arithmetic context.
 
     Thin wrapper over mpmath's interval context pinned to a mantissa size so
-    that independent precisions can coexist in one process.
+    that independent precisions can coexist in one process.  mpmath's
+    context is built on the first arithmetic, so a context that does none
+    does not load mpmath.
     """
 
     def __init__(self, bits: int = DEFAULT_PRECISION_BITS):
         self.bits = bits
-        self._ctx = ctx_iv.MPIntervalContext()
-        self._ctx.prec = bits
+
+    @functools.cached_property
+    def _ctx(self):
+        from mpmath import ctx_iv
+        ctx = ctx_iv.MPIntervalContext()
+        ctx.prec = self.bits
+        return ctx
 
     def __repr__(self):
         return f"IntervalContext(bits={self.bits})"
@@ -370,6 +379,7 @@ def _endpoint(x, end: int) -> Fraction:
         man, E = x[end], x[2]
         return Fraction(man, 1 << E) if E >= 0 else Fraction(man << -E)
     if is_interval(x):
+        from mpmath.libmp import to_rational
         return Fraction(*to_rational(x._mpi_[end]))
     raise TypeError(f"not a scalar: {x!r}")
 

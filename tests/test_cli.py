@@ -208,6 +208,30 @@ def test_explore_rejects_unreduced_word(tmp_path):
     assert main(["explore", "--word", "1,1"]) == 2
 
 
+def test_explore_basepoint_takes_a_negative_x_after_a_space(tmp_path,
+                                                            capsys):
+    # argparse reads "-1/2,1" as a flag unless it is joined to --basepoint
+    flags = ["explore", "--word", "1,2", "--periodic", "--horizon", "5"]
+    assert main([*flags, "--basepoint", "-1/2,1",
+                 "--out", str(tmp_path / "two")]) == 0
+    assert main([*flags, "--basepoint=-1/2,1",
+                 "--out", str(tmp_path / "joined")]) == 0
+    for suffix in ("_profile.csv", "_summary.json"):
+        assert (tmp_path / f"two{suffix}").read_bytes() == \
+            (tmp_path / f"joined{suffix}").read_bytes()
+    assert main([*flags, "--out", str(tmp_path / "default")]) == 0
+    assert (tmp_path / "two_profile.csv").read_bytes() != \
+        (tmp_path / "default_profile.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rest", [[], ["--horizon", "5"]])
+def test_explore_basepoint_without_a_value_exits_2(rest, capsys):
+    assert main(["explore", "--word", "1,2", "--periodic", "--basepoint",
+                 *rest]) == 2
+    assert capsys.readouterr().err == \
+        "error: argument --basepoint: expected one argument\n"
+
+
 def test_explore_bad_word_names_the_token(capsys):
     assert main(["explore", "--word", "1,a"]) == 2
     err = capsys.readouterr().err

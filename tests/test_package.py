@@ -25,13 +25,69 @@ def test_importing_the_package_loads_no_module():
     assert out == "['schottkydim']\n"
 
 
+def _last_line(code, *args):
+    """The last line a new interpreter prints when it runs ``code`` with
+    ``args`` as sys.argv[1:] and only this checkout's package on its
+    path."""
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          check=True, capture_output=True, text=True,
+                          env={"PYTHONPATH": str(SRC)}).stdout.splitlines()[-1]
+
+
 def test_certify_does_not_load_the_estimators():
     code = ("import sys; import schottkydim.certify; "
             "print('schottkydim.estimators' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={"PYTHONPATH": str(SRC)}).stdout
-    assert out == "False\n"
+    assert _last_line(code) == "False"
+
+
+@pytest.mark.parametrize("module", ["cli", "certify", "schedule", "words",
+                                    "render", "estimators", "scalars",
+                                    "hyperbolic", "shares"])
+def test_importing_a_module_does_not_load_mpmath(module):
+    code = (f"import sys; import schottkydim.{module}; "
+            "print('mpmath' in sys.modules)")
+    assert _last_line(code) == "False"
+
+
+def test_commands_other_than_explore_do_not_load_mpmath(tmp_path):
+    code = """if 1:
+        import sys
+        from schottkydim.cli import main
+        out = sys.argv[1]
+        codes = [
+            main(["certify", "--k", "3", "--m", "6", "--n", "3", "--alpha",
+                  "1/3", "--out", out + "/cert.json"]),
+            main(["certify", "--k", "2", "--m", "3", "--n", "2", "--alpha",
+                  "1/4", "--backend", "hiprec:128", "--out", "-"]),
+            main(["schedule", "--count", "10", "--out", out + "/s.json"]),
+            main(["estimate", "--out", out + "/estimate.csv"]),
+            main(["render", "--depth", "3", "--out", out + "/render.svg"]),
+        ]
+        print(codes, 'mpmath' in sys.modules)
+    """
+    assert _last_line(code, tmp_path) == "[0, 0, 0, 0, 0] False"
+
+
+def test_explore_and_the_gromov_product_load_mpmath(tmp_path):
+    code = """if 1:
+        import sys
+        from schottkydim.cli import main
+        code = main(["explore", "--word", "1,2", "--periodic", "--horizon",
+                     "1", "--out", sys.argv[1] + "/explore"])
+        print(code, 'mpmath' in sys.modules)
+    """
+    assert _last_line(code, tmp_path) == "0 True"
+    code = """if 1:
+        import sys
+        from fractions import Fraction
+        from schottkydim.hyperbolic import (BoundaryPoint, HPoint,
+                                            boundary_gromov_product)
+        before = 'mpmath' in sys.modules
+        boundary_gromov_product(BoundaryPoint.at(Fraction(0)),
+                                BoundaryPoint.at(Fraction(1)), HPoint(0, 1))
+        print(before, 'mpmath' in sys.modules)
+    """
+    assert _last_line(code) == "False True"
 
 
 def test_every_public_name_is_its_modules_object():
