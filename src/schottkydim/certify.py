@@ -16,6 +16,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -479,34 +480,30 @@ MAX_POWER_COST = 10 ** 13
 
 
 def _relative(num: Fraction, den: Fraction) -> Optional[float]:
-    return None if den == 0 else float(num / den)
+    """num/den as a float; None where den is 0 or the ratio lies past the
+    float range."""
+    try:
+        return None if den == 0 else float(num / den)
+    except OverflowError:
+        return None
 
 
 def _float_text(x: Fraction, digits: Optional[int] = None) -> str:
     """x as its float prints, by repr() or with ``digits`` digits after the
     point in e-notation.  Where float(x) is zero or subnormal for a nonzero
-    x, the e-notation is computed from the exact rational instead, with 16
-    digits after the point in place of repr()."""
-    value = float(x)
-    if x == 0 or abs(value) >= sys.float_info.min:
+    x, or past the float range, the e-notation is rounded half to even from
+    the exact rational instead, with 16 digits after the point in place of
+    repr()."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if x == 0 or sys.float_info.min <= abs(value) < math.inf:
         return repr(value) if digits is None else f"{value:.{digits}e}"
-    return _scientific(x, 16 if digits is None else digits)
-
-
-def _scientific(x: Fraction, digits: int) -> str:
-    """'d.ddde-XX' for a nonzero rational x, ``digits`` >= 1 digits after the
-    point, rounded half to even from the exact value at any exponent."""
-    sign, x = ("-" if x < 0 else ""), abs(x)
-    bits = x.numerator.bit_length() - x.denominator.bit_length()
-    exponent = math.floor(bits * math.log10(2))
-    while x >= Fraction(10) ** (exponent + 1):
-        exponent += 1
-    while x < Fraction(10) ** exponent:
-        exponent -= 1
-    mantissa = str(round(x / Fraction(10) ** (exponent - digits)))
-    if len(mantissa) > digits + 1:  # rounded up to the next power of 10
-        mantissa, exponent = mantissa[:-1], exponent + 1
-    return f"{sign}{mantissa[0]}.{mantissa[1:]}e{exponent:+03d}"
+    places = 16 if digits is None else digits
+    context = Context(prec=places + 1, rounding=ROUND_HALF_EVEN,
+                      Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return f"{context.divide(x.numerator, x.denominator):.{places}e}"
 
 
 @dataclass
@@ -716,8 +713,8 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
     if cost > MAX_POWER_COST:
         raise ValueError(f"k = {k}, m = {m}, n = {n_max}, alpha = "
                          f"{format_rational(alpha)} at {first} bits costs "
-                         f"{cost:.1e} in integer roots, beyond the budget "
-                         f"of {MAX_POWER_COST:.0e} (see "
+                         f"{_float_text(cost, 1)} in integer roots, beyond "
+                         f"the budget of {MAX_POWER_COST:.0e} (see "
                          f"certify.MAX_POWER_COST)")
     if bits is not None:
         return _certify_at(schedule, k, m, n_max, alpha, bits, jobs)[0]

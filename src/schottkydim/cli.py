@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional
 
@@ -38,6 +39,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, formatter_class=_Formatter, **kwargs)
+        # a token that starts with - and then a digit or .digit is a value,
+        # as argparse reads -5, so --basepoint -1/2,1 and --horizon -1e3
+        # parse; no flag starts so
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValueError(message)
@@ -135,19 +140,7 @@ def _parse(argv):
     a JSON boolean for a switch, an integer for an integer flag, a number
     for a float flag and a string otherwise.  A key that no flag of the
     subcommand defines, or a value of another JSON type, raises
-    ValueError.
-
-    A ``--basepoint`` value that starts with one ``-`` (a negative x, as in
-    ``--basepoint -1/2,1``) is joined to its flag first, since argparse
-    reads a token that starts with ``-`` and is not a plain number as a
-    flag."""
-    tokens, argv = sys.argv[1:] if argv is None else argv, []
-    for token in tokens:
-        if argv and argv[-1] == "--basepoint" and token[:1] == "-" \
-                and token[:2] != "--":
-            argv[-1] = f"--basepoint={token}"
-        else:
-            argv.append(token)
+    ValueError."""
     args = _parser().parse_args(argv)
     if not args.config:
         return args

@@ -27,6 +27,11 @@ encloses them between integers times a power of two by exact integer
 q-th roots.  :class:`PowerEnclosure` (mpmath's exp and log) remains behind
 :meth:`IntervalContext.pow_rational` and as the tests' oracle.
 
+Rationals go to and from text (:func:`format_rational`,
+:func:`parse_rational`) through the standard library's ``decimal``, which
+converts integers of any length, past the 4,300 digits of ``int(text)``
+and ``str(n)``.
+
 mpmath is imported inside the functions that call it, and an
 :class:`IntervalContext` builds mpmath's context on its first arithmetic,
 so a process that does no interval arithmetic (certify, schedule, estimate
@@ -37,6 +42,8 @@ from __future__ import annotations
 
 import functools
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -414,50 +421,44 @@ def decidable_le(a, b) -> bool:
     return upper(a) <= lower(b) or upper(b) < lower(a)
 
 
-# Integers are converted to and from decimal strings in pieces of at most
-# this many digits, below Python's conversion limit (sys.int_info's default
-# of 4300 digits), so that rationals of any size read and write.
-_DECIMAL_PIECE = 4000
+# Fraction(text)'s language: a sign, then p/q, or a decimal with an
+# optional exponent; a run of digits may hold single underscores between
+# digits, and blanks stand only around the whole.
+_DIGITS = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(
+    rf"\s*[-+]?(?=\.?\d)(?:{_DIGITS}/{_DIGITS}"
+    rf"|(?:{_DIGITS})?(?:\.(?:{_DIGITS})?)?(?:[eE][-+]?{_DIGITS})?)\s*")
 
-
-def _int_to_decimal(n: int) -> str:
-    if n < 0:
-        return "-" + _int_to_decimal(-n)
-    if n.bit_length() <= 3 * _DECIMAL_PIECE:  # 3 bits < one digit
-        return str(n)
-    low_digits = n.bit_length() * 3 // 20  # about half of n's digits
-    high, low = divmod(n, 10 ** low_digits)
-    return _int_to_decimal(high) + _int_to_decimal(low).rjust(low_digits, "0")
-
-
-def _decimal_to_int(text: str) -> int:
-    if len(text) <= _DECIMAL_PIECE:
-        return int(text)
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        return sign * _decimal_to_int(text[1:])
-    if not text.isdigit():
-        raise ValueError(f"not a decimal integer: {text[:40]}...")
-    low_digits = len(text) // 2
-    return (_decimal_to_int(text[:-low_digits]) * 10 ** low_digits
-            + _decimal_to_int(text[-low_digits:]))
+# Reading a decimal c 10^e exactly builds 10^|e|, so one whose exponent e
+# (with c an integer) lies beyond this bound is refused: '1e99999999' would
+# take minutes.  The bound clears by far every scale the program handles:
+# the smallest built-in radius, 2^-20,000, is about 10^-6,021.
+MAX_DECIMAL_EXPONENT = 10_000
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or decimal notation into an exact Fraction; integers
-    'p' and 'p/q' of any length are read."""
-    text = text.strip()
-    if len(text) <= _DECIMAL_PIECE:
-        return Fraction(text)
+    """The Fraction of ``text`` in the language of Fraction(text): 'p',
+    'p/q' or decimal notation.  Integers 'p' and 'p/q' of any length are
+    read; a decimal whose exponent lies beyond
+    :data:`MAX_DECIMAL_EXPONENT` raises ValueError."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational: {text[:40]!r}")
     p, slash, q = text.partition("/")
-    if not slash:
-        return Fraction(_decimal_to_int(p))
-    return Fraction(_decimal_to_int(p.strip()), _decimal_to_int(q.strip()))
+    if slash:
+        return Fraction(int(Decimal(p)), int(Decimal(q)))
+    try:
+        value = Decimal(text)
+        exponent = value.as_tuple().exponent
+    except ArithmeticError:  # an exponent past decimal's own range
+        exponent = math.inf
+    if abs(exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"{text.strip()[:40]}: a decimal exponent beyond "
+                         f"±{MAX_DECIMAL_EXPONENT:,} is not read")
+    return Fraction(value)
 
 
 def format_rational(q: Fraction) -> str:
     """'p' or 'p/q' in lowest terms, for numbers of any length."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return _int_to_decimal(q.numerator)
-    return f"{_int_to_decimal(q.numerator)}/{_int_to_decimal(q.denominator)}"
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"

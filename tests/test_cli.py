@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -14,8 +15,10 @@ from schottkydim.cli import main
 from schottkydim.render import svg_disk_tree
 from schottkydim.scalars import format_rational, parse_rational
 from schottkydim.certify import certify_dimension_upper
-from schottkydim.schedule import (GeneratorSchedule, paper_schedule,
-                                  schedule_from_json)
+from schottkydim.schedule import (GeneratorSchedule, ScheduleEntry,
+                                  paper_schedule, schedule_from_json)
+
+SRC = pathlib.Path(schottkydim.__file__).parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +39,23 @@ def test_svg_tiny_radii_become_markers():
     svg = svg_disk_tree(paper_schedule(8), 2, 3, 2)
     assert 'class="marker"' in svg
     assert "data-radius" in svg
+
+
+def test_svg_disks_above_the_marker_size_are_drawn_to_scale():
+    # every built-in disk lies below 0.1 px; these two span the picture
+    user = GeneratorSchedule((ScheduleEntry(2, Fraction(0), Fraction(1, 4)),
+                              ScheduleEntry(3, Fraction(1), Fraction(1, 8))),
+                             provenance="user")
+    svg = svg_disk_tree(user, 1, 2, 1, width_px=1000)
+    assert 'class="marker"' not in svg
+    disks = re.findall(r'<circle class="disk" cx="([^"]+)" cy="0" '
+                       r'r="([^"]+)" fill="none" stroke="#1f77b4" '
+                       r'stroke-width="([^"]+)" data-word="(\d)"/>', svg)
+    assert [(c, r, word) for c, r, _, word in disks] == \
+        [("0.0", "0.25", "2"), ("1.0", "0.125", "3")]
+    # the centers' span [-1/4, 9/8] and a margin of 5% on each side
+    for _, _, width, _ in disks:
+        assert float(width) == pytest.approx(1.375 * 1.1 / 1000, rel=1e-15)
 
 
 def test_svg_depth_cap():
@@ -210,18 +230,33 @@ def test_explore_rejects_unreduced_word(tmp_path):
 
 def test_explore_basepoint_takes_a_negative_x_after_a_space(tmp_path,
                                                             capsys):
-    # argparse reads "-1/2,1" as a flag unless it is joined to --basepoint
+    # a token that starts with - and then a digit is a value, not a flag,
+    # after the full flag and its abbreviation alike
     flags = ["explore", "--word", "1,2", "--periodic", "--horizon", "5"]
-    assert main([*flags, "--basepoint", "-1/2,1",
-                 "--out", str(tmp_path / "two")]) == 0
-    assert main([*flags, "--basepoint=-1/2,1",
-                 "--out", str(tmp_path / "joined")]) == 0
+    forms = {"two": ["--basepoint", "-1/2,1"], "short": ["--basep", "-1/2,1"],
+             "joined": ["--basepoint=-1/2,1"]}
+    for name, form in forms.items():
+        assert main([*flags, *form, "--out", str(tmp_path / name)]) == 0
     for suffix in ("_profile.csv", "_summary.json"):
-        assert (tmp_path / f"two{suffix}").read_bytes() == \
-            (tmp_path / f"joined{suffix}").read_bytes()
+        for name in ("short", "joined"):
+            assert (tmp_path / f"two{suffix}").read_bytes() == \
+                (tmp_path / f"{name}{suffix}").read_bytes()
     assert main([*flags, "--out", str(tmp_path / "default")]) == 0
     assert (tmp_path / "two_profile.csv").read_bytes() != \
         (tmp_path / "default_profile.csv").read_bytes()
+
+
+def test_explore_horizon_takes_a_negative_exponent_form(tmp_path, capsys):
+    flags = ["explore", "--word", "1,2", "--periodic"]
+    runs = []
+    for name, form in [("two", ["--horizon", "-1e3"]),
+                       ("joined", ["--horizon=-1e3"])]:
+        code = main([*flags, *form, "--out", str(tmp_path / name)])
+        runs.append((code, capsys.readouterr(),
+                     *((tmp_path / f"{name}{suffix}").read_bytes()
+                       for suffix in ("_profile.csv", "_summary.json"))))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 @pytest.mark.parametrize("rest", [[], ["--horizon", "5"]])
@@ -286,6 +321,34 @@ def test_certify_refuses_costly_powers_at_once(flags, tmp_path, capsys):
     assert_clean_exit_2(["certify", *flags, "--out", str(out)], capsys)
     assert time.monotonic() - start < 5
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--k", "2", "--alpha", "1e99999999"],
+    ["explore", "--word", "1,2", "--periodic", "--basepoint", "1e99999999,1"],
+    ["certify", "--k", "1", "--m", "2", "--n", "2", "--alpha", "1/4",
+     "--schedule", "far.json"],
+    ["certify", "--k", "2", "--alpha", "1e-3000"],
+    ["certify", "--k", "2", "--alpha", "1/4", "--backend",
+     "hiprec:1" + "0" * 400],
+], ids=["alpha-1e99999999", "basepoint-1e99999999", "radius-1e-99999999",
+        "alpha-1e-3000", "hiprec-401-digits"])
+def test_number_texts_far_out_exit_2_at_once(argv, tmp_path):
+    # reading the first three exactly would build 10^99999999; the last two
+    # are refused for a root cost past the float range, which the error
+    # line prints
+    (tmp_path / "far.json").write_text(json.dumps({
+        "model": "upper-half-plane", "provenance": "user", "entries": [
+            {"i": 2, "c": "0", "r": "1e-99999999"},
+            {"i": 3, "c": "1", "r": "1/4"}]}))
+    done = subprocess.run([sys.executable, "-m", "schottkydim", *argv,
+                           "--out", "out"], cwd=tmp_path, timeout=2,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json"]
 
 
 @pytest.mark.parametrize("command,text,key", [
@@ -620,10 +683,9 @@ def test_config_does_not_leak_into_the_shared_parser(tmp_path, monkeypatch):
     (tmp_path / "cfg.json").write_text(json.dumps({"m": 4}))
     assert main(["render", "--config", "cfg.json", "--out", "m4.svg"]) == 0
     assert main(["render", "--out", "after.svg"]) == 0
-    src = pathlib.Path(schottkydim.__file__).parents[1]
     subprocess.run([sys.executable, "-m", "schottkydim", "render", "--out",
                     "fresh.svg"], check=True,
-                   env={**os.environ, "PYTHONPATH": str(src)})
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
     fresh = (tmp_path / "fresh.svg").read_bytes()
     assert (tmp_path / "after.svg").read_bytes() == fresh
     assert (tmp_path / "m4.svg").read_bytes() != fresh
@@ -790,3 +852,30 @@ def test_certificate_floats_below_the_float_range(tmp_path, capsys):
         assert _close(lhs, hi, 7)
         assert _close(rhs, parse_rational(check["rhs"]), 7)
     assert "0.000000e+00" not in "\n".join(summary)
+
+
+def test_certificate_floats_past_the_float_range(tmp_path, capsys):
+    # centers 1 + 10^-4000 apart: the center-control sum
+    # 2 (1/(|c_2 - c_3| - 1))^(2 alpha) is 2 10^2000 at alpha = 1/4, which
+    # float() cannot hold, so its lhs comes from the exact rational and its
+    # slack is null
+    sched = tmp_path / "s.json"
+    sched.write_text(json.dumps({
+        "model": "upper-half-plane", "provenance": "user", "entries": [
+            {"i": 2, "c": "0", "r": "1e-5000"},
+            {"i": 3, "c": f"{10 ** 4000 + 1}/{10 ** 4000}",
+             "r": "1e-5000"}]}))
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--k", "1", "--alpha", "1/4", "--m", "2",
+                 "--n", "2", "--schedule", str(sched),
+                 "--out", str(cert)]) == 1
+    summary = capsys.readouterr().out
+    data = json.loads(cert.read_text())
+    for check in data["checks"]:
+        assert _close(check["lhs"],
+                      parse_rational(check["lhs_enclosure"][1]), 17)
+    control = next(c for c in data["checks"] if c["name"] == "center_control")
+    assert parse_rational(control["lhs_enclosure"][0]) > sys.float_info.max
+    assert control["lhs"] == "2.0000000000000000e+2000"
+    assert control["slack"] is None and not control["holds"]
+    assert "center_control: lhs <= 2.000000e+2000, rhs = 1" in summary

@@ -71,6 +71,10 @@ def test_round_nearest_ties_to_even(man, expected):
 @example(a=(3, 0), b=(-2 ** 300 + 1, 0), gap=10 ** 6, swap=True)
 @example(a=(2 ** 299, 0), b=(-1, 0), gap=10 ** 6, swap=False)
 @example(a=(-5, 7), b=(5, 7), gap=0, swap=False)  # an exact zero
+# gaps past _GAP with the smaller operand at or above the rounding position:
+# the exact sums (1, 700) + (2^300, 99) and (2^900, 0) + (1, 700)
+@example(a=(1, 700), b=(2 ** 300, 0), gap=601, swap=False)
+@example(a=(1, 700), b=(2 ** 900, 0), gap=700, swap=True)
 def test_add_and_sub_equal_libmp(a, b, gap, swap):
     b = at_gap(a, b, gap)
     if swap:

@@ -1,13 +1,15 @@
+import re
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from schottkydim.scalars import (IntervalContext, certainly_le, contains,
-                                 decidable_le, default_context,
-                                 format_rational, lower, midpoint,
-                                 parse_rational, upper)
+from schottkydim.scalars import (MAX_DECIMAL_EXPONENT, IntervalContext,
+                                 certainly_le, contains, decidable_le,
+                                 default_context, format_rational, lower,
+                                 midpoint, parse_rational, upper)
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +135,68 @@ def test_long_malformed_rational_rejected():
         parse_rational("1" * 5000 + "x")
     with pytest.raises(ValueError):
         parse_rational("1" * 5000 + "/" + "2" * 4000 + ".5")
+
+
+# Texts near Fraction's language: its characters at random, and the forms
+# it reads, with digits of every script, underscores and blanks.
+_NUMERALS = r"\d{1,4}(_\d{1,3})?"
+rational_texts = st.one_of(
+    st.text("0123456789_./eE+- \u0661\u2003xn", max_size=12),
+    st.from_regex(rf"\s?[-+]?({_NUMERALS})?(\.({_NUMERALS})?)?"
+                  rf"([eE][-+]?\d{{1,3}})?\s?", fullmatch=True),
+    st.from_regex(rf"\s?[-+]?{_NUMERALS}/{_NUMERALS}\s?", fullmatch=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rational_texts)
+@example("8_")
+@example("1.d")
+@example("1 /2")
+@example("1/-2")
+@example("-.5E+0_1")
+def test_parse_rational_reads_the_language_of_fraction(text):
+    # exponents of three digits at most: Fraction(text) itself would build
+    # 10^e for any e, which hangs on a long one
+    assume(not re.search(r"[eE][-+]?[\d_]{4}", text))
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1e10000", Fraction(10 ** 10000)),
+    ("-1E-10000", Fraction(-1, 10 ** 10000)),
+    ("0.5e-9999", Fraction(1, 2 * 10 ** 9999)),
+    ("123e9_998", Fraction(123 * 10 ** 9998)),
+])
+def test_exponent_forms_at_the_bound_are_read(text, value):
+    assert MAX_DECIMAL_EXPONENT == 10_000
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e10001", "1e-10001", "0.05e-9999", "0e99999999", "1e99999999",
+    "-1e-99999999", "1e" + "9" * 30, "1." + "0" * 10_001])
+def test_exponent_forms_past_the_bound_are_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1" + "0" * 5000, Fraction(10 ** 5000)),
+    (" -000" + "7" * 5000 + "\t", Fraction(-int("7" * 1000) * (
+        10 ** 4000 + 10 ** 3000 + 10 ** 2000 + 10 ** 1000 + 1))),
+    ("1" + "_000" * 2000, Fraction(10 ** 6000)),
+    ("1" + "0" * 5000 + ".0e2", Fraction(10 ** 5002)),
+    ("+1" + "0" * 5000 + "/2" + "0" * 5000, Fraction(1, 2)),
+    ("3/" + "9" * 4500, Fraction(3, 10 ** 4500 - 1)),
+])
+def test_numbers_past_the_digit_limit_read_as_written(text, value):
+    assert len(text) > 4300
+    assert parse_rational(text) == value
