@@ -13,17 +13,16 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from collections import Counter
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .schedule import GeneratorSchedule
-from .scalars import (DEFAULT_PRECISION_BITS, DyadicPower, certainly_le,
-                      decidable_le, dyadic_sum, format_rational, lower,
-                      parse_rational, round_dyadic, upper)
+from .scalars import (DEFAULT_PRECISION_BITS, DyadicPower, _float_text,
+                      _short_text, certainly_le, decidable_le, dyadic_sum,
+                      format_rational, lower, parse_rational, round_dyadic,
+                      upper)
 from .words import (MAX_EXACT_SIZE, contraction_table, count_words,
                     disk_levels, exact_size, radius_level)
 
@@ -488,24 +487,6 @@ def _relative(num: Fraction, den: Fraction) -> Optional[float]:
         return None
 
 
-def _float_text(x: Fraction, digits: Optional[int] = None) -> str:
-    """x as its float prints, by repr() or with ``digits`` digits after the
-    point in e-notation.  Where float(x) is zero or subnormal for a nonzero
-    x, or past the float range, the e-notation is rounded half to even from
-    the exact rational instead, with 16 digits after the point in place of
-    repr()."""
-    try:
-        value = float(x)
-    except OverflowError:
-        value = math.inf
-    if x == 0 or sys.float_info.min <= abs(value) < math.inf:
-        return repr(value) if digits is None else f"{value:.{digits}e}"
-    places = 16 if digits is None else digits
-    context = Context(prec=places + 1, rounding=ROUND_HALF_EVEN,
-                      Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return f"{context.divide(x.numerator, x.denominator):.{places}e}"
-
-
 @dataclass
 class CheckRecord:
     name: str
@@ -712,7 +693,7 @@ def certify_dimension_upper(schedule: GeneratorSchedule, k: int, m: int,
     cost = _power_cost(schedule, k, m, words, alpha, first)
     if cost > MAX_POWER_COST:
         raise ValueError(f"k = {k}, m = {m}, n = {n_max}, alpha = "
-                         f"{format_rational(alpha)} at {first} bits costs "
+                         f"{_short_text(alpha)} at {first} bits costs "
                          f"{_float_text(cost, 1)} in integer roots, beyond "
                          f"the budget of {MAX_POWER_COST:.0e} (see "
                          f"certify.MAX_POWER_COST)")

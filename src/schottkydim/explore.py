@@ -5,11 +5,13 @@ conicality, depth, Dirichlet and Jorgensen diagnostics sample geodesic rays
 against finite word balls; because interesting offsets sit many orders of
 magnitude below the disk centers, all ray arithmetic runs at 300 bits rather
 than in machine floats: on (man, exp) integer pairs, each input converted
-and each operation rounded once, to nearest, as mpmath rounds them, with
-mpmath's exp and acosh for the one transcendental call of each kind per
-sample.  The verdicts remain labelled heuristics: finite data cannot decide
-conicality, so every profile records the (horizon, ball, step) provenance
-it was computed with.
+and each operation rounded once, to nearest, as mpmath rounds them.  Each
+sample's e^t is the previous sample's times e^(step), and its distance the
+log of an 80-bit-accurate x + sqrt(x^2 - 1); each is kept only when a
+rounding test shows that it rounds as mpmath's 300-bit exp and acosh do,
+and those two run only where the test is undecided.  The verdicts remain
+labelled heuristics: finite data cannot decide conicality, so every profile
+records the (horizon, ball, step) provenance it was computed with.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import ctx_mp
-from mpmath.libmp import fzero, mpf_acosh, mpf_exp
+from mpmath.libmp import fzero, mpf_acosh, mpf_exp, mpf_log
 
 from .hyperbolic import BoundaryPoint
 from .scalars import round_nearest
@@ -59,6 +61,25 @@ _ONE = (1, 0)
 
 # Exponent gaps up to this many bits are added exactly (_sum).
 _GAP = 2 * _PREC
+
+# Rounding tests (Ziv, ACM TOMS 17(3), 1991): a value computed cheaply, with
+# a proven error bound, is kept when every value within that bound rounds
+# alike; mpmath's own routine runs only where the rounding is undecided.
+# _acosh1p_float: for w of at least 2^_TINY_W, a square root of about
+# _ROOT_BITS bits and a log at _LOG_PREC bits, kept when y (1 -+
+# 2^-_LOG_MARGIN) round to one float.
+_TINY_W = -30
+_ROOT_BITS = 104
+_LOG_PREC = 80
+_LOG_MARGIN = 68
+# _Growth: e^t at _GROWTH_PREC bits and each step's e^delta at _STEP_PREC
+# bits, kept when e^t (1 -+ 2^-_EXP_MARGIN) round alike at _PREC bits; a run
+# of _MAX_STEPS steps starts again from e^0 = 1.
+_GROWTH_PREC = 420
+_STEP_PREC = 430
+_EXP_MARGIN = 306
+_MAX_STEPS = 1 << 20
+_GROWTH_ONE = (1 << (_GROWTH_PREC - 1), 1 - _GROWTH_PREC)
 
 # Slack of the float comparisons that prune and screen orbit points; see
 # OrbitBall._nearest_heights and _nearest_w.
@@ -246,12 +267,58 @@ def _exact_w(dx, dy, twice_py, qy):
 
 
 def _acosh1p_float(w) -> float:
-    """The distance, arccosh(1 + w), as a float: the one 300-bit acosh call.
+    """The distance arccosh(x), x = 1 + w rounded to 300 bits, as a float:
+    mpmath's 300-bit acosh of x rounded once to a float, at every w >= 0.
 
     1 + w is rounded to nearest, which is monotone in w, so the smallest w
-    of a scan gives the smallest 1 + w and the smallest distance.  The
-    result, 0 or at least 2^-151, is rounded to a float once."""
-    _, man, exp, _ = mpf_acosh(_to_mpf(_add(w, _ONE)), _PREC, _RND)
+    of a scan gives the smallest x and the smallest distance.  The result,
+    0 or at least 2^-151, is a normal float.
+
+    Fast path, for w >= 2^-30.  With x = xm 2^xe and xe <= 0 (shift xm
+    left otherwise), n = xm^2 - 4^-xe is exactly (x^2 - 1) 4^-xe.  For the
+    j that gives n / 4^j 208 or 209 bits, s = isqrt(floor(n / 4^j)) is at
+    least 2^103 and short of sqrt(n / 4^j) by under 1.01, so u = x +
+    s 2^(xe + j) is short of x + sqrt(x^2 - 1) by under 2^-103 relative.
+    y = mpf_log(u, 80) then differs from arccosh x by under
+      - 2^-103 from u, which is under 2^-88.4 y, as y >= arccosh(1 + 2^-30
+        - 2^-300) > 2^-14.6;
+      - mpf_log's error before rounding: it sums at wp >= 100 bits (100,
+        plus the cancellation when u < 2), under 2^10 units of 2^-wp from
+        log_taylor_cached (a cached log of the nearest 2^-9 step, two
+        quotients and a series of under 15 terms, each floored; at most 17
+        units seen) and under |mag| units from mag ln 2, so under 2^-89 y
+        (y >= 2^-c ln 2 for the c bits of cancellation, and y >= ln 2 when
+        |mag| >= 2);
+      - its rounding to 80 bits, under 2^-80 y.
+    mpmath's 300-bit acosh A rounds x^2 - 1, its root and x + root at 315
+    bits, so its u is within 2^-313 relative and its log within 2^-313
+    absolute, under 2^-298 y, before the 300-bit rounding: |A - arccosh x|
+    < 2^-297 y.  So |A - y| < 2^-79.99 y, and delta = 2^-68 y covers it with
+    11 bits to spare.  Rounding to a float (int to float, then an exact
+    ldexp into the normal range) is monotone, so when y - delta and y +
+    delta round to one float, so does A, which lies between them, and that
+    float is returned.  Otherwise (about once in 2^15), and for w = 0 or
+    w < 2^-30, where the 2^-103 of u is no longer small against y, mpmath's
+    acosh runs.
+    """
+    x = _add(w, _ONE)
+    wm, we = w
+    if wm and wm.bit_length() + we > _TINY_W:
+        xm, xe = x
+        if xe > 0:
+            xm, xe = xm << xe, 0
+        n = xm * xm - (1 << (-2 * xe))
+        j = (n.bit_length() - 2 * _ROOT_BITS) >> 1
+        if j >= 0:
+            u = xm + (math.isqrt(n >> (2 * j)) << j), xe
+        else:
+            u = (xm << -j) + math.isqrt(n << (-2 * j)), xe + j
+        _, ym, ye, _ = mpf_log(_to_mpf(u), _LOG_PREC, _RND)
+        scaled, ye = ym << _LOG_MARGIN, ye - _LOG_MARGIN
+        lo = math.ldexp(scaled - ym, ye)
+        if lo == math.ldexp(scaled + ym, ye):
+            return lo
+    _, man, exp, _ = mpf_acosh(_to_mpf(x), _PREC, _RND)
     return math.ldexp(man, exp)
 
 
@@ -352,6 +419,104 @@ def default_basepoint(schedule: GeneratorSchedule,
 # geodesic rays
 # ---------------------------------------------------------------------------
 
+def _ray_time(t):
+    """A ray time as a pair; ValueError unless 0 <= t < inf."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"ray time must be finite and nonnegative, "
+                         f"got {t!r}")
+    return _pair(t)
+
+
+def _exp(t):
+    """e^t for a pair t: mpf_exp at _PREC bits, as a pair."""
+    _, man, exp, _ = mpf_exp(_to_mpf(t), _PREC, _RND)
+    return man, exp
+
+
+class _Growth:
+    """e^t at _PREC bits, bit for bit as _exp gives it, for a run of ray
+    times.
+
+    The growth G, e^t at _GROWTH_PREC bits, goes from the last time to t by
+    one multiplication by e^delta, where delta = t - last is taken exactly.
+    Each distinct delta's e^delta comes from mpf_exp at _STEP_PREC bits
+    once per run: a ray at step 0.25 takes one, and one at step 0.1 a few
+    per binade of t, as the float sum t + step rounds at the ulps of t.  The
+    run starts at e^0 = 1 (exact), and starts again at a time below the
+    last one and after _MAX_STEPS steps.
+
+    G's error.  Each e^delta is within 2^-429 relative (its rounding to 430
+    bits and mpf_exp's error before it, below) and each product rounds
+    within 2^-420 relative, so after k <= 2^20 steps G = e^t (1 + eta) with
+    |eta| < 2^-399.
+
+    mpmath's error.  mpf_exp(t, p) works at wp = p + 14 bits, 314 for
+    p = 300, and its value M before the final rounding to p bits is
+    exp_basecase(r, wp) 2^(n - wp), for a reduced argument r:
+      - for t < 2 (mag <= 1), n = 0 and r = floor(t 2^wp) / 2^wp, under
+        2^-wp below t;
+      - for t >= 2, floor(t 2^(wp + mag)) is divided by ln2_fixed(wp +
+        mag), within two units of 2^(wp + mag) ln 2 (a floor shift of a
+        value computed deeper; about one unit seen), and the remainder
+        floored mag bits down.  With n <= 2^mag / ln 2, r is within
+        (1/4 + 2.9 + 1) 2^-wp below and 2.9 2^-wp above t - n ln 2;
+      - for t < 2^-wp it returns 1, within 2^-313 of e^t.
+    exp_basecase takes rho = floor(sqrt(wp)) extra bits, 17 at wp = 314:
+    it sums the series of e^v, v = r / 2^rho < 2^-16, at P = wp + rho
+    bits.  At most 8 terms go into each of its two sums, each floored value
+    short by under 1.51 units of 2^-P, with a tail under 2 units left out,
+    and the product of the odd sum and x floors once more: e^v is short by
+    under 15.1 units.  Each of the rho squarings doubles the relative error
+    and floors once, and the last shift by rho floors once, so the result
+    is short of e^r by under (2^rho (15.1 + 1) + 1) 2^-P < 17.1 2^-wp
+    relative.  In all |M - e^t| < (17.1 + 4.2) 2^-314 e^t < 2^-309.5 e^t
+    (under 9.5 units of 2^-wp seen, at p = 300 and p = 430; at p = 430,
+    with 10 terms a sum, the bound is under 2^-439).
+
+    Rounding test.  |M - G| < (2^-309.5 + 2^-399) e^t < 2^-309.4 G, and the
+    margin D = 2^(bits(gm) - 306) units of G's exponent is at least 2^-306
+    G: 3.4 bits to spare.  The rounding boundaries at _PREC bits near G are
+    the midpoints between representable values, at least 2^(bits(gm) -
+    302) units apart from the representable ones, the only ones within a
+    quarter of an ulp of G.  So when G's discarded bits lie more than D
+    from half an ulp, every value within D of G, M among them, rounds as G
+    does, and G rounded is returned.  Otherwise mpf_exp(t, _PREC) runs.
+    """
+
+    __slots__ = ("last", "value", "steps", "powers")
+
+    def __init__(self):
+        self.last, self.value, self.steps = (0, 0), _GROWTH_ONE, 0
+        self.powers = {}
+
+    def __call__(self, t):
+        tm, te = t
+        lm, le = self.last
+        e = min(te, le)
+        delta = (tm << (te - e)) - (lm << (le - e))
+        if delta < 0 or self.steps == _MAX_STEPS:
+            self.value, self.steps = _GROWTH_ONE, 0
+            delta = tm << (te - e)
+        self.last = t
+        if delta:
+            key = _to_mpf((delta, e))
+            power = self.powers.get(key)
+            if power is None:
+                _, man, exp, _ = mpf_exp(key, _STEP_PREC, _RND)
+                power = self.powers[key] = (man, exp)
+            gm, ge = self.value
+            self.value = round_nearest(gm * power[0], ge + power[1],
+                                       _GROWTH_PREC)
+            self.steps += 1
+        gm, ge = self.value
+        shift = gm.bit_length() - _PREC
+        rest = gm & ((1 << shift) - 1)
+        if abs(rest - (1 << (shift - 1))) > \
+                1 << (shift + _PREC - _EXP_MARGIN):
+            return (gm >> shift) + (rest >> (shift - 1)), ge + shift
+        return _exp(t)
+
+
 class _Ray:
     """The unit-speed ray from p toward a boundary target (None means the
     point at infinity, i.e. the vertical ray), with p and the target
@@ -363,13 +528,14 @@ class _Ray:
     are fixed per ray, and at time t
         wy_t = wy*exp(t), denom_t = wx*wx + wy_t*wy_t,
         z = (lam - wx/denom_t, wy_t/denom_t),
-    one mpf_exp and six pair operations.
+    the ray's _Growth for exp(t) and six pair operations.
     """
 
-    __slots__ = ("px", "py", "lam", "wx", "wy", "wx2")
+    __slots__ = ("px", "py", "lam", "wx", "wy", "wx2", "growth")
 
     def __init__(self, p, target):
         self.px, self.py = _upper_half_plane(p, "ray start")
+        self.growth = _Growth()
         self.lam = None if target is None else _pair(target)
         if self.lam is None:
             return
@@ -382,11 +548,10 @@ class _Ray:
     def point(self, t):
         """The ray's point at a finite time t >= 0, as an (x, y) pair of
         mpfs."""
-        if not 0 <= t < math.inf:
-            raise ValueError(f"ray time must be finite and nonnegative, "
-                             f"got {t!r}")
-        _, man, exp, _ = mpf_exp(_to_mpf(_pair(t)), _PREC, _RND)
-        growth = (man, exp)
+        return self.at(self.growth(_ray_time(t)))
+
+    def at(self, growth):
+        """The ray's point where exp(t) is the pair ``growth``."""
         if self.lam is None:
             return (_mpf(self.px), _mpf(_mul(self.py, growth)))
         wy_t = _mul(self.wy, growth)
@@ -400,10 +565,12 @@ def geodesic_ray_point(p, target, t: float):
     (None means the point at infinity, i.e. the vertical ray).
 
     p is a complex number or an (x, y) pair in the upper half-plane (else
-    ValueError); coordinates may be ints, Fractions, floats or mpfs.  The
-    ray samplers build one _Ray and call its point(t) for every sample.
+    ValueError); coordinates may be ints, Fractions, floats or mpfs.  One
+    point takes one mpf_exp; the ray samplers build one _Ray and call its
+    point(t) for every sample, through the ray's _Growth.
     """
-    return _Ray(p, target).point(t)
+    ray = _Ray(p, target)
+    return ray.at(_exp(_ray_time(t)))
 
 
 # ---------------------------------------------------------------------------

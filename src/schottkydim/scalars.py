@@ -43,7 +43,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from decimal import Decimal
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -462,3 +463,34 @@ def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     text = str(Decimal(q.numerator))
     return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
+def _float_text(x: Fraction, digits: Optional[int] = None) -> str:
+    """x as its float prints, by repr() or with ``digits`` digits after the
+    point in e-notation.  Where float(x) is zero or subnormal for a nonzero
+    x, or past the float range, the e-notation is rounded half to even from
+    the exact rational instead, with 16 digits after the point in place of
+    repr()."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if x == 0 or sys.float_info.min <= abs(value) < math.inf:
+        return repr(value) if digits is None else f"{value:.{digits}e}"
+    places = 16 if digits is None else digits
+    context = Context(prec=places + 1, rounding=ROUND_HALF_EVEN,
+                      Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return f"{context.divide(x.numerator, x.denominator):.{places}e}"
+
+
+# Error messages write a rational whose text runs past this many characters
+# in e-notation (_short_text).
+_SHORT_TEXT = 40
+
+
+def _short_text(q: Fraction) -> str:
+    """format_rational(q) for an error message: in e-notation, with 7
+    significant digits (_float_text(q, 6)), when that text runs past
+    _SHORT_TEXT characters."""
+    text = format_rational(q)
+    return text if len(text) <= _SHORT_TEXT else _float_text(Fraction(q), 6)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .hyperbolic import Circle
-from .scalars import format_rational, parse_rational
+from .scalars import _short_text, format_rational, parse_rational
 
 PAPER_PROVENANCE = "paper"
 USER_PROVENANCE = "user"
@@ -168,25 +168,25 @@ def validate_schedule(s: GeneratorSchedule) -> ValidationReport:
     for e in s.entries:
         if e.radius <= 0:
             report.add("nonpositive-radius", (e.index,),
-                       f"r = {format_rational(e.radius)}")
+                       f"r = {_short_text(e.radius)}")
         if e.radius > 1:
             report.add("radius-above-one", (e.index,),
-                       f"r = {format_rational(e.radius)} violates the "
+                       f"r = {_short_text(e.radius)} violates the "
                        f"contraction hypothesis r <= 1")
     ordered = sorted(s.entries, key=lambda e: e.index)
     for a, b in zip(ordered, ordered[1:]):
         if not a.center < b.center:
             report.add("centers-not-increasing", (a.index, b.index),
-                       f"c_{a.index} = {format_rational(a.center)} !< "
-                       f"c_{b.index} = {format_rational(b.center)}")
+                       f"c_{a.index} = {_short_text(a.center)} !< "
+                       f"c_{b.index} = {_short_text(b.center)}")
     by_center = sorted(s.entries, key=lambda e: (e.center, e.index))
     for a, b in zip(by_center, by_center[1:]):
         gap = b.center - a.center
         if gap <= a.radius + b.radius:
             pair = sorted((a, b), key=lambda e: e.index)
             report.add("disks-overlap", tuple(e.index for e in pair),
-                       f"|c_i - c_j| = {format_rational(gap)} <= r_i + r_j "
-                       f"= {format_rational(a.radius + b.radius)}")
+                       f"|c_i - c_j| = {_short_text(gap)} <= r_i + r_j "
+                       f"= {_short_text(a.radius + b.radius)}")
     return report
 
 
@@ -199,12 +199,22 @@ def _typed(value, kind: type, where: str):
     return value
 
 
+def _number(text: str, where: str) -> Fraction:
+    """parse_rational of a number of the schedule file, with where it
+    stands in the file before the message of a text that does not read."""
+    try:
+        return parse_rational(text)
+    except ValueError as error:
+        raise ValueError(f"schedule {where}: {error}") from None
+
+
 def _entry(e, where: str) -> ScheduleEntry:
     _typed(e, dict, where)
     c, r = (_typed(e.get(key), str, f"{where}.{key}") for key in "cr")
     try:
         return ScheduleEntry(_typed(e.get("i"), int, f"{where}.i"),
-                             parse_rational(c), parse_rational(r))
+                             _number(c, f"{where}.c"),
+                             _number(r, f"{where}.r"))
     except ZeroDivisionError:
         raise ValueError(f"schedule {where}: zero denominator") from None
 

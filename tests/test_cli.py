@@ -351,6 +351,30 @@ def test_number_texts_far_out_exit_2_at_once(argv, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.json"]
 
 
+@pytest.mark.parametrize("argv,schedule,shown", [
+    (["certify", "--k", "2", "--alpha", "1e-3000"], None,
+     "alpha = 1.000000e-3000 at 64 bits"),
+    (["certify", "--k", "1", "--m", "2", "--n", "2", "--alpha", "1/4"],
+     [("0", "1/2"), ("1", f"{7 ** 100 + 2}/{2 * 7 ** 100}")],
+     "r_i + r_j = 1.000000e+00"),
+], ids=["alpha-1e-3000", "radius-of-171-characters"])
+def test_error_lines_write_long_rationals_short(argv, schedule, shown,
+                                                tmp_path, capsys):
+    # in full, alpha = 10^-3000 made an error line of 3,141 characters
+    if schedule is not None:
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "model": "upper-half-plane", "provenance": "user",
+            "entries": [{"i": i, "c": c, "r": r}
+                        for i, (c, r) in enumerate(schedule, 2)]}))
+        argv = argv + ["--schedule", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
+    assert shown in err
+
+
 @pytest.mark.parametrize("command,text,key", [
     ("certify", '{"k": 2,', None),
     # values of another JSON type than their flag's

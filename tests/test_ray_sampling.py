@@ -4,12 +4,15 @@ The oracles below are the operator expressions the pair code replaces: the
 ray point of ``geodesic_ray_point`` with its conversions made on every
 sample, and the orbit-ball mirror.  The pair code must reproduce them bit
 for bit, the float estimates of ``orbit_distance`` must never change a
-sample, each sample must form one exact w and call mpmath only for its exp
-and its acosh, and the reference rays' outputs are pinned by SHA-256.
+sample, each sample must form one exact w and call mpmath only for a
+step's exp, its distance's log and the fallbacks of the two rounding tests,
+those tests must give the direct mpmath values bit for bit, and the
+reference rays' outputs are pinned by SHA-256.
 """
 
 import hashlib
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +20,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import (fone, from_float, from_int, from_rational, mpf_add,
-                          mpf_pos, round_nearest)
+from mpmath.libmp import (fone, from_float, from_int, from_rational, mpf_acosh,
+                          mpf_add, mpf_exp, mpf_pos, round_nearest)
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed, log_taylor_cached
 
 from schottkydim import explore
 from schottkydim.cli import main
@@ -324,30 +328,84 @@ def test_w_tie_gives_the_same_distance():
 # what one ray sample costs
 # ---------------------------------------------------------------------------
 
-def counting(monkeypatch, name):
+def recording(monkeypatch, name):
+    """The argument tuples of every call explore makes to ``name``."""
     calls = []
     original = getattr(explore, name)
-    monkeypatch.setattr(explore, name,
-                        lambda *a: calls.append(1) or original(*a))
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(explore, name, record)
     return calls
 
 
+def as_fraction(x):
+    """A finite raw mpf as a Fraction."""
+    sign, man, exp, _ = x
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def tiny(w):
+    """w = 0 or w < 2^-30: the distances that go straight to mpf_acosh."""
+    return not w[0] or w[0].bit_length() + w[1] <= -30
+
+
 @pytest.mark.parametrize("key", REFERENCE_WORDS)
-def test_one_exact_w_one_exp_and_one_acosh_per_sample(key, monkeypatch):
+def test_one_exact_w_and_at_most_one_log_per_sample(key, monkeypatch):
     sched, p, target, alphabet = RAYS[key]
-    exact = counting(monkeypatch, "_cosh_arg")
-    exps = counting(monkeypatch, "mpf_exp")
-    acoshs = counting(monkeypatch, "mpf_acosh")
+    exact = recording(monkeypatch, "_cosh_arg")
+    # one letter a call: | for each distance, then l for mpf_log and a for
+    # mpf_acosh
+    events = []
+    for name, letter in (("mpf_log", "l"), ("mpf_acosh", "a"),
+                         ("_acosh1p_float", "|")):
+        original = getattr(explore, name)
+        monkeypatch.setattr(explore, name, lambda *a, f=original, c=letter:
+                            events.append(c) or f(*a))
+    ws = recording(monkeypatch, "_acosh1p_float")
     profile = conicality_profile(sched, p, target, 50.0, 4, 0.25,
                                  alphabet=alphabet)
     assert len(profile.samples) == len(sample_times()) == 201
-    assert len(exact) == len(exps) == len(acoshs) == 201
+    assert len(exact) == len(ws) == 201
+    per_distance = "".join(events).split("|")[1:]
+    for (w,), calls in zip(ws, per_distance):
+        # l: the fast path's one log; a: mpf_acosh, after an undecided
+        # rounding test or for a tiny w
+        assert calls == ("a" if tiny(w) else "l") or calls == "la"
+    # w = 0 at t = 0 only (the ray starts at the basepoint), and every
+    # other distance is settled by its log
+    assert per_distance == ["a"] + ["l"] * 200
 
 
-def test_a_ray_sample_calls_mpmath_only_for_exp_and_acosh():
+@pytest.mark.parametrize("step", [0.25, 0.1])
+@pytest.mark.parametrize("key", REFERENCE_WORDS)
+def test_mpf_exp_runs_for_each_distinct_step_and_the_fallbacks(
+        key, step, monkeypatch):
+    sched, p, target, alphabet = RAYS[key]
+    exps = recording(monkeypatch, "mpf_exp")
+    profile = conicality_profile(sched, p, target, 50.0, 4, step,
+                                 alphabet=alphabet)
+    times = sample_times(50.0, step)
+    assert [t for t, _ in profile.samples] == times
+    steps = {Fraction(b) - Fraction(a) for a, b in zip(times, times[1:])}
+    assert len(steps) == (1 if step == 0.25 else 7)
+    step_exps = [x for x, prec, _ in exps if prec == explore._STEP_PREC]
+    assert sorted(map(as_fraction, step_exps)) == sorted(steps)
+    fallbacks = [x for x, prec, _ in exps if prec == PREC]
+    assert len(step_exps) + len(fallbacks) == len(exps)
+    # each fallback is a sample time, taken once, and they are few: about
+    # 2^-5 of the samples lie within the margin of a rounding boundary
+    assert set(map(as_fraction, fallbacks)) <= set(map(Fraction, times))
+    assert len(set(fallbacks)) == len(fallbacks) <= len(times) // 10
+
+
+def test_a_ray_sample_calls_mpmath_only_for_exp_log_and_acosh():
     # every mpmath function the explore module calls while it samples the
-    # reference rays: the exp of the ray point, the acosh of the distance,
-    # and make_mpf, which wraps a finished raw tuple
+    # reference rays: the exps of the steps and of the fallbacks, the log
+    # of the distance, the acosh of w = 0 and of undecided distances, and
+    # make_mpf, which wraps a finished raw tuple
     here = Path(explore.__file__).resolve()
     called = set()
 
@@ -367,7 +425,149 @@ def test_a_ray_sample_calls_mpmath_only_for_exp_and_acosh():
                 orbit_distance(ray.point(t), ball)
         finally:
             sys.setprofile(None)
-    assert called == {"mpf_exp", "mpf_acosh", "make_mpf"}
+    assert called == {"mpf_exp", "mpf_log", "mpf_acosh", "make_mpf"}
+
+
+# ---------------------------------------------------------------------------
+# the rounding tests against the direct mpmath calls
+# ---------------------------------------------------------------------------
+
+def direct_distance(w):
+    """The distance as explore computed it with one 300-bit acosh."""
+    x = mpf_add(explore._to_mpf(w), fone, PREC, round_nearest)
+    _, man, exp, _ = mpf_acosh(x, PREC, round_nearest)
+    return math.ldexp(man, exp)
+
+
+def random_ws(rng, count):
+    """Pairs w >= 0 of 1 to 300 bits, with top bits from 2^-1100 to 2^1100
+    and a fifth of them within four bits of the 2^-30 cutoff."""
+    ws = [(0, 0), (1, -30), (1, -31), ((1 << 300) - 1, -330)]
+    while len(ws) < count:
+        man = rng.getrandbits(rng.randint(1, 300)) | 1
+        top = rng.randint(-34, -26) if rng.random() < 0.2 else \
+            rng.randint(-1100, 1100)
+        ws.append((man, top - man.bit_length()))
+    return ws
+
+
+def near_float_midpoints(rng, count):
+    """Pairs w whose distance lies within 2^-76 relative of a midpoint
+    between two floats, at 2^-290 or at 2^-86 to 2^-76 of it, where an
+    80-bit log can round to either side: the fast path must not settle
+    them."""
+    mp = MP.clone()
+    mp.prec = 420
+    ws = []
+    for n in range(count):
+        d = rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 800.0)])
+        mid = (Fraction(d) + Fraction(math.nextafter(d, math.inf))) / 2
+        if n % 2:
+            mid *= 1 + Fraction(rng.choice((-1, 1)), 2 ** rng.randint(76, 86))
+        x = mp.cosh(mp.mpf(mid.numerator) / mid.denominator) - 1
+        ws.append(explore._pair(x))
+    return ws
+
+
+def test_distances_equal_the_direct_acosh_on_random_w(monkeypatch):
+    rng = random.Random(20240601)
+    ws = random_ws(rng, 20_000)
+    assert sum(tiny(w) for w in ws) > 1000
+    assert sum(-34 <= w[0].bit_length() + w[1] <= -26 for w in ws) > 3000
+    acoshs = recording(monkeypatch, "mpf_acosh")
+    for w in ws:
+        assert explore._acosh1p_float(w) == direct_distance(w), w
+    # the tiny w, and about one in 2^15 of the others
+    undecided = len(acoshs) - sum(tiny(w) for w in ws)
+    assert 0 <= undecided <= 5
+    hard = near_float_midpoints(rng, 400)
+    for w in hard:
+        assert explore._acosh1p_float(w) == direct_distance(w), w
+    assert len(acoshs) == sum(tiny(w) for w in ws) + undecided + len(hard)
+
+
+@pytest.mark.parametrize("step", [0.25, 0.1, 0.7, 1 / 3])
+def test_growth_equals_the_direct_exp_on_time_grids(step, monkeypatch):
+    exps = recording(monkeypatch, "mpf_exp")
+    growth = explore._Growth()
+    times = sample_times(1000.0, step)
+    for t in times:
+        pair = explore._pair(t)
+        assert explore._to_mpf(growth(pair)) == \
+            mpf_exp(explore._to_mpf(pair), PREC, round_nearest), t
+    fallbacks = sum(prec == PREC for _, prec, _ in exps)
+    assert 0 < fallbacks < len(times) // 10
+
+
+def test_growth_starts_again_below_the_last_time_and_after_the_cap(
+        monkeypatch):
+    monkeypatch.setattr(explore, "_MAX_STEPS", 5)
+    growth = explore._Growth()
+    times = [0.0, 1e-300, 0.5, 0.25, 3, Fraction(1, 3), 2.0, 2.0, 2.5,
+             700.0, 700.5, 5e-324, 9.75]
+    for t in times:
+        pair = explore._pair(t)
+        assert explore._to_mpf(growth(pair)) == \
+            mpf_exp(explore._to_mpf(pair), PREC, round_nearest), t
+        assert growth.steps <= 5
+
+
+@pytest.mark.parametrize("key", REFERENCE_WORDS)
+def test_failing_every_rounding_test_keeps_the_bytes(key, tmp_path, capsys,
+                                                     monkeypatch):
+    # margins of a whole value: no fast value is ever kept
+    monkeypatch.setattr(explore, "_EXP_MARGIN", 0)
+    monkeypatch.setattr(explore, "_LOG_MARGIN", 0)
+    exps = recording(monkeypatch, "mpf_exp")
+    acoshs = recording(monkeypatch, "mpf_acosh")
+    word, mode = key
+    prefix = tmp_path / "ray"
+    assert main(["explore", "--word", word, f"--{mode}",
+                 "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    csv = (tmp_path / "ray_profile.csv").read_bytes()
+    summary = (tmp_path / "ray_summary.json").read_bytes()
+    assert (sha256(csv), sha256(summary)) == PINNED_FILES[key]
+    assert sum(prec == PREC for _, prec, _ in exps) == len(acoshs) == 201
+
+
+def test_the_bounds_the_margins_rest_on_hold_for_mpmath():
+    # the error bounds that _Growth and _acosh1p_float take from mpmath's
+    # routines, checked on random arguments against values of 800 bits and
+    # more
+    mp = MP.clone()
+    mp.prec = 1600
+    ln2 = mp.log(2)
+    for prec in range(316, 1500, 7):
+        assert abs(ln2_fixed(prec) - ln2 * mp.mpf(2) ** prec) < 2
+    mp.prec = 800
+    rng = random.Random(7)
+    worst = 0
+    for prec in (PREC, explore._STEP_PREC):
+        wp = prec + 14
+        for _ in range(1500):
+            t = rng.choice([rng.uniform(0, 2), rng.uniform(2, 1000),
+                            2.0 ** rng.uniform(-300, 1)])
+            sign, man, exp, bc = from_float(t)
+            mag = exp + bc
+            if mag > 1:  # the reduction of mpf_exp, step by step
+                wpmod = wp + mag
+                n, r = divmod(man << (exp + wpmod), ln2_fixed(wpmod))
+                r >>= mag
+            elif exp + wp >= 0:
+                n, r = 0, man << (exp + wp)
+            else:
+                n, r = 0, man >> -(exp + wp)
+            value = mp.mpf(exp_basecase(r, wp)) * mp.mpf(2) ** (int(n) - wp)
+            worst = max(worst, abs(value / mp.exp(t) - 1) * 2 ** wp)
+    assert worst < 17.1 + 4.2
+    worst = 0
+    for wp in range(100, 141, 4):
+        for _ in range(300):
+            x = rng.randrange((1 << (wp - 1)) + 1, 1 << (wp + 1))
+            exact = mp.log(mp.mpf(x) / mp.mpf(2) ** wp) * mp.mpf(2) ** wp
+            worst = max(worst, abs(log_taylor_cached(x, wp) - exact))
+    assert worst < 2 ** 10
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,43 @@ def test_zero_denominator_names_the_entry():
         schedule_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("key", ["c", "r"])
+@pytest.mark.parametrize("text,message", [
+    ("x", "not a rational: 'x'"),
+    ("1e-99999999", "1e-99999999: a decimal exponent beyond ±10,000 is not "
+                    "read"),
+])
+def test_a_number_that_does_not_read_names_its_field(key, text, message):
+    data = paper_schedule(2).to_json_dict()
+    data["entries"][1][key] = text
+    with pytest.raises(ValueError) as raised:
+        schedule_from_json(json.dumps(data))
+    assert str(raised.value) == f"schedule entries[1].{key}: {message}"
+
+
+def test_validation_writes_long_rationals_short():
+    # an overlap by 7^-100: the radii sum's p/q runs to 171 characters
+    r = Fraction(1, 2) + Fraction(1, 7 ** 100)
+    data = {"model": "upper-half-plane", "provenance": "user", "entries": [
+        {"i": 2, "c": "0", "r": "1/2"},
+        {"i": 3, "c": "1", "r": f"{r.numerator}/{r.denominator}"}]}
+    with pytest.raises(ValueError) as raised:
+        schedule_from_json(json.dumps(data))
+    assert str(raised.value) == (
+        "inadmissible schedule: disks-overlap at (2, 3): |c_i - c_j| = 1 "
+        "<= r_i + r_j = 1.000000e+00")
+    # every message: texts of up to 40 characters in full, longer ones in
+    # e-notation
+    report = validate_schedule(GeneratorSchedule((
+        ScheduleEntry(2, Fraction(1, 3 ** 90), Fraction(2)),
+        ScheduleEntry(3, Fraction(-1, 3 ** 91), -Fraction(1, 3 ** 80)))))
+    assert [detail for _, _, detail in report.violations] == [
+        "r = 2 violates the contraction hypothesis r <= 1",
+        "r = -6.765496e-39",
+        "c_2 = 1.145743e-43 !< c_3 = -3.819142e-44",
+        "|c_i - c_j| = 1.527657e-43 <= r_i + r_j = 2.000000e+00"]
+
+
 @pytest.mark.parametrize("provenance", ["Paper", "", None, ["paper"]])
 def test_unknown_provenance_is_refused_in_code_and_in_files(provenance):
     # built in code, a mislabelled schedule would write a certificate whose
