@@ -66,19 +66,18 @@ _GAP = 2 * _PREC
 # a proven error bound, is kept when every value within that bound rounds
 # alike; mpmath's own routine runs only where the rounding is undecided.
 # _acosh1p_float: for w of at least 2^_TINY_W, a square root of about
-# _ROOT_BITS bits and a log at _LOG_PREC bits, kept when y (1 -+
-# 2^-_LOG_MARGIN) round to one float.
+# _ROOT_BITS bits (or 2x for x of at least 2^_HUGE_X) and a log at
+# _LOG_PREC bits, kept when y (1 -+ 2^-_LOG_MARGIN) round to one float.
 _TINY_W = -30
+_HUGE_X = 64
 _ROOT_BITS = 104
 _LOG_PREC = 80
 _LOG_MARGIN = 68
 # _Growth: e^t at _GROWTH_PREC bits and each step's e^delta at _STEP_PREC
-# bits, kept when e^t (1 -+ 2^-_EXP_MARGIN) round alike at _PREC bits; a run
-# of _MAX_STEPS steps starts again from e^0 = 1.
+# bits, kept when e^t (1 -+ 2^-_EXP_MARGIN) round alike at _PREC bits.
 _GROWTH_PREC = 420
 _STEP_PREC = 430
 _EXP_MARGIN = 306
-_MAX_STEPS = 1 << 20
 _GROWTH_ONE = (1 << (_GROWTH_PREC - 1), 1 - _GROWTH_PREC)
 
 # Slack of the float comparisons that prune and screen orbit points; see
@@ -274,12 +273,15 @@ def _acosh1p_float(w) -> float:
     of a scan gives the smallest x and the smallest distance.  The result,
     0 or at least 2^-151, is a normal float.
 
-    Fast path, for w >= 2^-30.  With x = xm 2^xe and xe <= 0 (shift xm
-    left otherwise), n = xm^2 - 4^-xe is exactly (x^2 - 1) 4^-xe.  For the
-    j that gives n / 4^j 208 or 209 bits, s = isqrt(floor(n / 4^j)) is at
-    least 2^103 and short of sqrt(n / 4^j) by under 1.01, so u = x +
-    s 2^(xe + j) is short of x + sqrt(x^2 - 1) by under 2^-103 relative.
-    y = mpf_log(u, 80) then differs from arccosh x by under
+    Fast path, for w >= 2^-30.  For x >= 2^64, u = 2x exceeds v = x +
+    sqrt(x^2 - 1) by 1/v, under 1/x^2 <= 2^-128 relative, and takes no
+    integer longer than x's mantissa at any exponent.  Below 2^64, with
+    x = xm 2^xe and xe <= 0 (shift xm left, by under 64 bits, otherwise),
+    n = xm^2 - 4^-xe is exactly (x^2 - 1) 4^-xe.  For the j that gives
+    n / 4^j 208 or 209 bits, s = isqrt(floor(n / 4^j)) is at least 2^103
+    and short of sqrt(n / 4^j) by under 1.01, so u = x + s 2^(xe + j) is
+    short of v by under 2^-103 relative.  y = mpf_log(u, 80) then differs
+    from arccosh x by under
       - 2^-103 from u, which is under 2^-88.4 y, as y >= arccosh(1 + 2^-30
         - 2^-300) > 2^-14.6;
       - mpf_log's error before rounding: it sums at wp >= 100 bits (100,
@@ -288,13 +290,16 @@ def _acosh1p_float(w) -> float:
         quotients and a series of under 15 terms, each floored; at most 17
         units seen) and under |mag| units from mag ln 2, so under 2^-89 y
         (y >= 2^-c ln 2 for the c bits of cancellation, and y >= ln 2 when
-        |mag| >= 2);
+        |mag| >= 2).  From |mag| = 2^wp on, for u = man 2^exp, it
+        returns about exp ln 2 alone, which leaves out ln man < 300 ln 2,
+        under 2^-91 y;
       - its rounding to 80 bits, under 2^-80 y.
     mpmath's 300-bit acosh A rounds x^2 - 1, its root and x + root at 315
     bits, so its u is within 2^-313 relative and its log within 2^-313
-    absolute, under 2^-298 y, before the 300-bit rounding: |A - arccosh x|
-    < 2^-297 y.  So |A - y| < 2^-79.99 y, and delta = 2^-68 y covers it with
-    11 bits to spare.  Rounding to a float (int to float, then an exact
+    absolute (or, from |mag| = 2^320 on, 315 ln 2 short, under 2^-311 y),
+    under 2^-298 y, before the 300-bit rounding: |A - arccosh x| < 2^-297
+    y.  So |A - y| < 2^-79.99 y, and delta = 2^-68 y covers it with 11
+    bits to spare.  Rounding to a float (int to float, then an exact
     ldexp into the normal range) is monotone, so when y - delta and y +
     delta round to one float, so does A, which lies between them, and that
     float is returned.  Otherwise (about once in 2^15), and for w = 0 or
@@ -305,14 +310,17 @@ def _acosh1p_float(w) -> float:
     wm, we = w
     if wm and wm.bit_length() + we > _TINY_W:
         xm, xe = x
-        if xe > 0:
-            xm, xe = xm << xe, 0
-        n = xm * xm - (1 << (-2 * xe))
-        j = (n.bit_length() - 2 * _ROOT_BITS) >> 1
-        if j >= 0:
-            u = xm + (math.isqrt(n >> (2 * j)) << j), xe
+        if xm.bit_length() + xe > _HUGE_X:
+            u = xm, xe + 1
         else:
-            u = (xm << -j) + math.isqrt(n << (-2 * j)), xe + j
+            if xe > 0:
+                xm, xe = xm << xe, 0
+            n = xm * xm - (1 << (-2 * xe))
+            j = (n.bit_length() - 2 * _ROOT_BITS) >> 1
+            if j >= 0:
+                u = xm + (math.isqrt(n >> (2 * j)) << j), xe
+            else:
+                u = (xm << -j) + math.isqrt(n << (-2 * j)), xe + j
         _, ym, ye, _ = mpf_log(_to_mpf(u), _LOG_PREC, _RND)
         scaled, ye = ym << _LOG_MARGIN, ye - _LOG_MARGIN
         lo = math.ldexp(scaled - ym, ye)
@@ -442,13 +450,15 @@ class _Growth:
     Each distinct delta's e^delta comes from mpf_exp at _STEP_PREC bits
     once per run: a ray at step 0.25 takes one, and one at step 0.1 a few
     per binade of t, as the float sum t + step rounds at the ulps of t.  The
-    run starts at e^0 = 1 (exact), and starts again at a time below the
-    last one and after _MAX_STEPS steps.
+    run starts at e^0 = 1 (exact).  A _Ray's samples are the increasing
+    times of _ray_samples, at most MAX_RAY_SAMPLES + 1 < 2^17 of them; a
+    time below the last would take a delta < 0, which the same product
+    covers.
 
     G's error.  Each e^delta is within 2^-429 relative (its rounding to 430
     bits and mpf_exp's error before it, below) and each product rounds
-    within 2^-420 relative, so after k <= 2^20 steps G = e^t (1 + eta) with
-    |eta| < 2^-399.
+    within 2^-420 relative, so after k < 2^17 steps G = e^t (1 + eta) with
+    |eta| < 2^-402.
 
     mpmath's error.  mpf_exp(t, p) works at wp = p + 14 bits, 314 for
     p = 300, and its value M before the final rounding to p bits is
@@ -473,7 +483,7 @@ class _Growth:
     (under 9.5 units of 2^-wp seen, at p = 300 and p = 430; at p = 430,
     with 10 terms a sum, the bound is under 2^-439).
 
-    Rounding test.  |M - G| < (2^-309.5 + 2^-399) e^t < 2^-309.4 G, and the
+    Rounding test.  |M - G| < (2^-309.5 + 2^-402) e^t < 2^-309.4 G, and the
     margin D = 2^(bits(gm) - 306) units of G's exponent is at least 2^-306
     G: 3.4 bits to spare.  The rounding boundaries at _PREC bits near G are
     the midpoints between representable values, at least 2^(bits(gm) -
@@ -483,20 +493,16 @@ class _Growth:
     does, and G rounded is returned.  Otherwise mpf_exp(t, _PREC) runs.
     """
 
-    __slots__ = ("last", "value", "steps", "powers")
+    __slots__ = ("last", "value", "powers")
 
     def __init__(self):
-        self.last, self.value, self.steps = (0, 0), _GROWTH_ONE, 0
-        self.powers = {}
+        self.last, self.value, self.powers = (0, 0), _GROWTH_ONE, {}
 
     def __call__(self, t):
         tm, te = t
         lm, le = self.last
         e = min(te, le)
         delta = (tm << (te - e)) - (lm << (le - e))
-        if delta < 0 or self.steps == _MAX_STEPS:
-            self.value, self.steps = _GROWTH_ONE, 0
-            delta = tm << (te - e)
         self.last = t
         if delta:
             key = _to_mpf((delta, e))
@@ -507,7 +513,6 @@ class _Growth:
             gm, ge = self.value
             self.value = round_nearest(gm * power[0], ge + power[1],
                                        _GROWTH_PREC)
-            self.steps += 1
         gm, ge = self.value
         shift = gm.bit_length() - _PREC
         rest = gm & ((1 << shift) - 1)

@@ -177,17 +177,32 @@ def validate_schedule(s: GeneratorSchedule) -> ValidationReport:
     for a, b in zip(ordered, ordered[1:]):
         if not a.center < b.center:
             report.add("centers-not-increasing", (a.index, b.index),
-                       f"c_{a.index} = {_short_text(a.center)} !< "
-                       f"c_{b.index} = {_short_text(b.center)}")
+                       _compared(f"c_{a.index}", a.center, "!<",
+                                 f"c_{b.index}", b.center,
+                                 f"c_{a.index} - c_{b.index}"))
     by_center = sorted(s.entries, key=lambda e: (e.center, e.index))
     for a, b in zip(by_center, by_center[1:]):
         gap = b.center - a.center
         if gap <= a.radius + b.radius:
             pair = sorted((a, b), key=lambda e: e.index)
             report.add("disks-overlap", tuple(e.index for e in pair),
-                       f"|c_i - c_j| = {_short_text(gap)} <= r_i + r_j "
-                       f"= {_short_text(a.radius + b.radius)}")
+                       _compared("|c_i - c_j|", gap, "<=", "r_i + r_j",
+                                 a.radius + b.radius,
+                                 "|c_i - c_j| - (r_i + r_j)"))
     return report
+
+
+def _compared(left: str, lhs: Fraction, op: str, right: str,
+              rhs: Fraction, difference: str) -> str:
+    """'left = lhs op right = rhs' for a failed check.  Where either side
+    is written short, and so rounded, lhs - rhs is added as ``difference``
+    = its short text, which keeps the sign: two sides rounded to 7 digits
+    may read alike, or even in the wrong order."""
+    a, b = _short_text(lhs), _short_text(rhs)
+    text = f"{left} = {a} {op} {right} = {b}"
+    if (a, b) != (format_rational(lhs), format_rational(rhs)):
+        text += f" ({difference} = {_short_text(lhs - rhs)})"
+    return text
 
 
 def _typed(value, kind: type, where: str):

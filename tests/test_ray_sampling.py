@@ -499,9 +499,8 @@ def test_growth_equals_the_direct_exp_on_time_grids(step, monkeypatch):
     assert 0 < fallbacks < len(times) // 10
 
 
-def test_growth_starts_again_below_the_last_time_and_after_the_cap(
-        monkeypatch):
-    monkeypatch.setattr(explore, "_MAX_STEPS", 5)
+def test_growth_takes_times_below_the_last():
+    # a delta < 0 is one more product, covered by the same bound
     growth = explore._Growth()
     times = [0.0, 1e-300, 0.5, 0.25, 3, Fraction(1, 3), 2.0, 2.0, 2.5,
              700.0, 700.5, 5e-324, 9.75]
@@ -509,7 +508,20 @@ def test_growth_starts_again_below_the_last_time_and_after_the_cap(
         pair = explore._pair(t)
         assert explore._to_mpf(growth(pair)) == \
             mpf_exp(explore._to_mpf(pair), PREC, round_nearest), t
-        assert growth.steps <= 5
+
+
+@pytest.mark.parametrize("top", [60, 64, 65, 66, 70, 1100, 10 ** 7,
+                                 10 ** 300])
+def test_huge_w_takes_the_fast_path_at_any_exponent(top, monkeypatch):
+    # from x = 2^64 on, u = 2x: no integer grows with x's exponent, which
+    # squaring x at w = 2^(10^300) could not even hold
+    acoshs = recording(monkeypatch, "mpf_acosh")
+    rng = random.Random(top)
+    for bits in (1, 2, 53, 299, 300):
+        man = rng.getrandbits(bits) | 1 << (bits - 1)
+        w = (man, top - bits)
+        assert explore._acosh1p_float(w) == direct_distance(w), w
+    assert not acoshs
 
 
 @pytest.mark.parametrize("key", REFERENCE_WORDS)
@@ -613,6 +625,31 @@ def test_pinned_profile_and_summary_bytes(key, tmp_path, capsys):
     summary = (tmp_path / "ray_summary.json").read_bytes()
     assert (sha256(csv), sha256(summary)) == PINNED_FILES[key]
     assert len(csv.splitlines()) == 1 + 201
+
+
+# explore --word 2,3 --periodic far along the ray, where w and e^t have
+# exponents of up to 1.5e300 bits: SHA-256s of the profile and summary,
+# computed on the 300-bit acosh and exp of every sample, and their rows
+PINNED_FAR = {
+    ("1e7", "1e5"): (102,
+        "458bae4eeaca19278775c6c9921ce851c9caae03e68feed57ebbbb3ce34c2a77",
+        "c59419bddf68999fefdc48b0d806aaeb7a03fe1b498c38f09e5ea3572f63c45b"),
+    ("1e300", "1e298"): (101,
+        "7733d0eaf7cf3040b7aa59cad9d9d0c648e8550afcad1c747d0946cb4a6aea07",
+        "d40e33cbf0c634ac7da550a1efb0d06c5b903995733deb0eb4931645e2dcd8dd"),
+}
+
+
+@pytest.mark.parametrize("horizon,step", sorted(PINNED_FAR))
+def test_pinned_far_ray_bytes(horizon, step, tmp_path, capsys):
+    prefix = tmp_path / "ray"
+    assert main(["explore", "--word", "2,3", "--periodic", "--horizon",
+                 horizon, "--step", step, "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    csv = (tmp_path / "ray_profile.csv").read_bytes()
+    summary = (tmp_path / "ray_summary.json").read_bytes()
+    assert (len(csv.splitlines()), sha256(csv), sha256(summary)) == \
+        PINNED_FAR[horizon, step]
 
 
 @pytest.mark.parametrize("key", REFERENCE_WORDS)

@@ -211,19 +211,28 @@ def test_validation_writes_long_rationals_short():
         {"i": 3, "c": "1", "r": f"{r.numerator}/{r.denominator}"}]}
     with pytest.raises(ValueError) as raised:
         schedule_from_json(json.dumps(data))
+    # the two sides read alike at 7 digits; their difference keeps the sign
     assert str(raised.value) == (
         "inadmissible schedule: disks-overlap at (2, 3): |c_i - c_j| = 1 "
-        "<= r_i + r_j = 1.000000e+00")
+        "<= r_i + r_j = 1.000000e+00 (|c_i - c_j| - (r_i + r_j) = "
+        "-3.091690e-85)")
+    report = validate_schedule(GeneratorSchedule((
+        ScheduleEntry(2, 1 + Fraction(1, 3 ** 90), Fraction(1, 4)),
+        ScheduleEntry(3, Fraction(1), Fraction(1, 4)))))
+    assert report.violations[0][2] == \
+        "c_2 = 1.000000e+00 !< c_3 = 1 (c_2 - c_3 = 1.145743e-43)"
     # every message: texts of up to 40 characters in full, longer ones in
-    # e-notation
+    # e-notation, with the difference of two sides where one is short
     report = validate_schedule(GeneratorSchedule((
         ScheduleEntry(2, Fraction(1, 3 ** 90), Fraction(2)),
         ScheduleEntry(3, Fraction(-1, 3 ** 91), -Fraction(1, 3 ** 80)))))
     assert [detail for _, _, detail in report.violations] == [
         "r = 2 violates the contraction hypothesis r <= 1",
         "r = -6.765496e-39",
-        "c_2 = 1.145743e-43 !< c_3 = -3.819142e-44",
-        "|c_i - c_j| = 1.527657e-43 <= r_i + r_j = 2.000000e+00"]
+        "c_2 = 1.145743e-43 !< c_3 = -3.819142e-44 "
+        "(c_2 - c_3 = 1.527657e-43)",
+        "|c_i - c_j| = 1.527657e-43 <= r_i + r_j = 2.000000e+00 "
+        "(|c_i - c_j| - (r_i + r_j) = -2.000000e+00)"]
 
 
 @pytest.mark.parametrize("provenance", ["Paper", "", None, ["paper"]])
