@@ -9,9 +9,14 @@ and each operation rounded once, to nearest, as mpmath rounds them.  Each
 sample's e^t is the previous sample's times e^(step), and its distance the
 log of an 80-bit-accurate x + sqrt(x^2 - 1); each is kept only when a
 rounding test shows that it rounds as mpmath's 300-bit exp and acosh do,
-and those two run only where the test is undecided.  The verdicts remain
-labelled heuristics: finite data cannot decide conicality, so every profile
-records the (horizon, ball, step) provenance it was computed with.
+and those two run only where the test is undecided.  A profile finds each
+sample's nearest orbit point on the ray's envelope of lines, the closed
+form of the distance in its vertical frame (_Envelope), and forms the
+300-bit w only for the points within 1 + 1e-10 of the nearest;
+orbit_distance's scan of the ball answers single queries, Dirichlet
+membership and the samples beyond the envelope's bound.  The verdicts
+remain labelled heuristics: finite data cannot decide conicality, so every
+profile records the (horizon, ball, step) provenance it was computed with.
 """
 
 from __future__ import annotations
@@ -84,6 +89,12 @@ _GROWTH_ONE = (1 << (_GROWTH_PREC - 1), 1 - _GROWTH_PREC)
 # OrbitBall._nearest_heights and _nearest_w.
 _FLOAT_SLACK = 1e-12
 _MIN_NORMAL = sys.float_info.min
+
+# _Envelope: the candidates of a segment, and the exact w of a sample, lie
+# within _NEAR of the least line; a segment ends where a line may come
+# within _EVENT of its owner's.
+_NEAR = 1.0 + 1e-10
+_EVENT = 1.0 + 5e-11
 
 
 def _sum(am: int, ae: int, bm: int, be: int) -> Tuple[int, int]:
@@ -451,9 +462,9 @@ class _Growth:
     once per run: a ray at step 0.25 takes one, and one at step 0.1 a few
     per binade of t, as the float sum t + step rounds at the ulps of t.  The
     run starts at e^0 = 1 (exact).  A _Ray's samples are the increasing
-    times of _ray_samples, at most MAX_RAY_SAMPLES + 1 < 2^17 of them; a
-    time below the last would take a delta < 0, which the same product
-    covers.
+    times of _ray_samples or _ray_distances, at most MAX_RAY_SAMPLES + 1 <
+    2^17 of them; a time below the last would take a delta < 0, which the
+    same product covers.
 
     G's error.  Each e^delta is within 2^-429 relative (its rounding to 430
     bits and mpf_exp's error before it, below) and each product rounds
@@ -559,10 +570,15 @@ class _Ray:
         """The ray's point where exp(t) is the pair ``growth``."""
         if self.lam is None:
             return (_mpf(self.px), _mpf(_mul(self.py, growth)))
+        x, y, _ = self.pairs(growth)
+        return _mpf(x), _mpf(y)
+
+    def pairs(self, growth):
+        """The pairs x, y and wy_t of the point of a ray with a target."""
         wy_t = _mul(self.wy, growth)
         denom_t = _add(self.wx2, _mul(wy_t, wy_t))
-        return (_mpf(_sub(self.lam, _div(self.wx, denom_t))),
-                _mpf(_div(wy_t, denom_t)))
+        return (_sub(self.lam, _div(self.wx, denom_t)), _div(wy_t, denom_t),
+                wy_t)
 
 
 def geodesic_ray_point(p, target, t: float):
@@ -571,8 +587,8 @@ def geodesic_ray_point(p, target, t: float):
 
     p is a complex number or an (x, y) pair in the upper half-plane (else
     ValueError); coordinates may be ints, Fractions, floats or mpfs.  One
-    point takes one mpf_exp; the ray samplers build one _Ray and call its
-    point(t) for every sample, through the ray's _Growth.
+    point takes one mpf_exp; the ray samplers build one _Ray and take every
+    sample from it, through the ray's _Growth.
     """
     ray = _Ray(p, target)
     return ray.at(_exp(_ray_time(t)))
@@ -757,11 +773,163 @@ def orbit_distance(z, ball: OrbitBall) -> float:
 
     1 + w rounds monotonically and acosh is monotone, so the one acosh call,
     on 1 + the smallest w (_nearest_w), gives the minimum of the per-point
-    distances bit for bit.
+    distances bit for bit.  This scan answers single queries, and it is
+    the search of dirichlet_membership and jorgensen_check; in a profile it
+    takes only the samples where _Envelope's bound does not hold (a
+    vertical ray, or a sample far out), and it is the oracle the envelope
+    is tested against.
     """
     if not ball.points:
         raise ValueError("orbit ball is empty")
     return _acosh1p_float(_nearest_w(_query_point(z), ball, math.inf, False))
+
+
+def _scaled(man: int, exp: int) -> float:
+    """man 2^exp as a float from the top 60 bits of man: within 1.01 2^-53
+    relative wherever it is normal."""
+    shift = man.bit_length() - 60
+    if shift > 0:
+        man, exp = man >> shift, exp + shift
+    return math.ldexp(man, exp)
+
+
+class _Envelope:
+    """The nearest ball points along one ray toward a target, read off a
+    lower envelope of lines instead of a scan per sample.
+
+    Frame.  phi(z) = -1/(z - lam) maps the model ray m(t) = phi^-1(wx +
+    i wy e^t), with the pairs lam, wx and wy of _Ray taken as exact, to a
+    vertical one, and a point q to (-dq, qy) / r2, where dq = qx - lam and
+    r2 = dq^2 + qy^2.  There the distance has a closed form (Beardon, The
+    Geometry of Discrete Groups, 1983, section 7):
+        e^t cosh d(m(t), q) = A V + B,  V = e^(2t),  A = wy r2 / (2 qy),
+        B = (c^2 + qy^2) / (2 wy qy r2),  c = wx r2 + dq,
+    a line in V with positive coefficients for every point.
+
+    Lines.  dq is exact (_sum), as are r2 and c where formed from
+    integers, but for a sticky bit under 2^-300 relative of a sum that does
+    not cancel.  With k the top bit of max(|dq|, qy), the floats of
+    dq 2^-k and qy 2^-k, each within 1.01 ulps (2^-53 relative, _scaled),
+    give r2 4^-k in [1/4, 2) within 4.1 ulps, and c 2^-k = wx 2^k r2 4^-k
+    + dq 2^-k; where that sum cancels by more than 2^-8, c comes from
+    the integers instead.  So c 2^-k is within 1565 ulps, A within 9 and B
+    within 3150, all other terms being positive.  The guards (qy 2^-k >=
+    2^-600, wy in [2^-300, 2^300), |wx| 2^k < 2^900, A and B in
+    (2^-1000, 2^1000)) keep every float normal, or so far below a normal
+    term beside it that it costs nothing.  The float V of the ray's growth,
+    within 2^-299 of e^t and converted likewise, is within 3.1 ulps of
+    e^(2t).  So L = A V + B, two more roundings, is within r = 2^-41 of
+    e^t cosh d(m(t), q), and so is the exact value l of A V + B for those
+    floats.  A point the guards refuse is a permanent candidate: its exact
+    w is formed at every sample.
+
+    Sample.  At the point z of _Ray.pairs every operation rounds once at
+    _PREC bits: y is within 9.1 2^-300 of m(t)'s y relative, and x is off
+    by 7.1 2^-300 |wx| / denom_t, from the quotient q = wx / denom_t, plus
+    the rounding of lam - q, at most 2^-300 |x| and at most |q|, as lam is
+    representable.  So a horizontal step and a vertical one bound the
+    displacement, with |wx| / wy_t < 2^(a+1) and |x| / y < 2^(b+301):
+        eps <= |dx| / y + |ln(y / y_m)|
+            < min(2^(b+1), 1.01 2^(a+1)) + 7.2 2^(a-299) + 9.1 2^-300.
+    A sample with min(a, b) > -43 or a > 255, or with e^t >= 2^500, takes
+    orbit_distance's scan instead; the others have eps < 2^-40.
+
+    Segments.  A segment starts at a sample's V0: the owner o is the line
+    of least L, and the candidates are the lines with L <= _NEAR L_o.  For
+    every other line the difference s V + i = (A - _EVENT A_o) V + (B -
+    _EVENT B_o), formed in floats, is positive at V0, as L > _NEAR L_o
+    and _NEAR / _EVENT - 1 = 5e-11 covers some 10 ulps of float error; the
+    segment ends where it may turn negative, at (1 - 2^-50) i / -s for
+    s < 0.  Up to there l > K l_o with K = 1 + 2^-37, as _EVENT - K =
+    4.3e-11 covers the rounding of s and i.  At each sample of a segment
+    the candidates are evaluated, and the exact w (_exact_w) is formed for
+    those with L <= _NEAR times the least.
+
+    Why no point is lost.  Every other point has e^t cosh d(m(t), q) above
+    K (1 - 3r) times that of the least candidate.  At z each cosh moves by
+    a factor within e^(+-eps), so the ratio stays above K (1 - 3r)
+    e^(-2 eps) > 1 + 2^-38, and that of 1 + w for the 300-bit w, each
+    within 2^-295 (_nearest_w), above 1: the smallest w, and so the
+    distance, is the scan's, bit for bit.  delta = _NEAR - 1 = 1e-10 has
+    over ten times the room this needs.
+    """
+
+    __slots__ = ("wx_top", "lines", "loose", "cands", "end")
+
+    def __init__(self, ray, ball):
+        lm, le = ray.lam
+        wxm, wxe = ray.wx
+        wym, wye = ray.wy
+        self.wx_top = wxm.bit_length() + wxe
+        self.end, self.lines, self.loose = -1.0, [], []
+        framed = -300 < wym.bit_length() + wye <= 300 and self.wx_top <= 300
+        wx, wy = (_scaled(wxm, wxe), _scaled(wym, wye)) if framed else (0, 0)
+        for qxm, qxe, qym, qye, _, _ in ball._by_height:
+            dm, de = _sum(qxm, qxe, -lm, le)
+            top = qym.bit_length() + qye
+            k = max(dm.bit_length() + de, top) if dm else top
+            point = qxm, qxe, qym, qye
+            if framed and abs(k) <= 1000 and top - k > -600 and \
+                    self.wx_top + k <= 900:
+                dq, qy = _scaled(dm, de - k), _scaled(qym, qye - k)
+                r2, scale = dq * dq + qy * qy, 2.0 ** k
+                p = wx * scale * r2
+                c = p + dq
+                if abs(c) < (abs(p) + abs(dq)) / 256:  # redo exactly
+                    rm, re = _sum(dm * dm, 2 * de, qym * qym, 2 * qye)
+                    cm, ce = _sum(wxm * rm, wxe + re, dm, de)
+                    c = _scaled(cm, ce - k)
+                a = wy * r2 / (2.0 * qy) * scale
+                b = (c * (c / qy) + qy) / (2.0 * r2 * wy) / scale
+                if 2.0 ** -1000 < min(a, b) and max(a, b) < 2.0 ** 1000:
+                    self.lines.append((a, b) + point)
+                    continue
+            self.loose.append(point)
+
+    def _start(self, v) -> bool:
+        """Start a segment at v: False where every line overflows."""
+        values = [a * v + b for a, b, *_ in self.lines]
+        least = min(values, default=math.inf)
+        if least == math.inf:
+            return False
+        a_o, b_o, *_ = self.lines[values.index(least)]
+        a_o, b_o = _EVENT * a_o, _EVENT * b_o
+        cut, end, self.cands = _NEAR * least, math.inf, []
+        for line, value in zip(self.lines, values):
+            if value <= cut:
+                self.cands.append(line)
+            elif line[0] < a_o:
+                end = min(end, (line[1] - b_o) / (a_o - line[0]))
+        self.end = (1.0 - 2.0 ** -50) * end
+        return True
+
+    def nearest_w(self, growth, x, y, wy_t):
+        """The smallest w from the ray point (x, y) of _Ray.pairs to the
+        ball, as a pair, or None where the envelope's bound does not hold."""
+        gm, ge = growth
+        xm, xe = x
+        ym, ye = y
+        a = self.wx_top - wy_t[0].bit_length() - wy_t[1]
+        b = xm.bit_length() + xe - ym.bit_length() - ye - _PREC
+        if gm.bit_length() + ge >= 500 or a > 255 or min(a, b) > -43:
+            return None
+        g = _scaled(gm, ge)
+        v = g * g
+        if v > self.end and not self._start(v):
+            return None
+        values = [line[0] * v + line[1] for line in self.cands]
+        cut = _NEAR * min(values)
+        if cut == math.inf:
+            return None
+        points = [line[2:] for line, value in zip(self.cands, values)
+                  if value <= cut] + self.loose
+        best, twice_y = None, (ym, ye + 1)
+        for qxm, qxe, qym, qye in points:
+            w = _exact_w(_sum(xm, xe, -qxm, qxe), _sum(ym, ye, -qym, qye),
+                         twice_y, (qym, qye))
+            if best is None or _less(w, best):
+                best = w
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -791,23 +959,45 @@ def _check_sampling(horizon: float, step: float):
 
 def _sampled_ray(schedule: GeneratorSchedule, p, target, horizon: float,
                  ball_radius: int, step: float,
-                 alphabet: Optional[Sequence[int]]):
-    """The orbit ball of the ray from p to ``target``, and a generator of
-    its samples (t, ray point) at t = 0, step, 2 step, ... up to the
-    horizon.  The sampling is checked and the ball built, and so checked,
-    for every horizon; horizon <= 0 takes no samples."""
+                 alphabet: Optional[Sequence[int]], sampler):
+    """The orbit ball of the ray from p to ``target``, and the generator
+    ``sampler`` makes of the ray's samples at t = 0, step, 2 step, ... up
+    to the horizon.  The sampling is checked and the ball built, and so
+    checked, for every horizon; horizon <= 0 takes no samples."""
     _check_sampling(horizon, step)
     ball = OrbitBall.build(schedule, p, ball_radius, alphabet)
-    return ball, _ray_samples(ball.basepoint, target, horizon, step)
+    return ball, sampler(ball, target, horizon, step)
 
 
-def _ray_samples(basepoint, target, horizon: float, step: float):
+def _ray_samples(ball, target, horizon: float, step: float):
+    """(t, ray point) for each sample."""
     if horizon <= 0:
         return
-    ray = _Ray(basepoint, target)
+    ray = _Ray(ball.basepoint, target)
     t = 0.0
     while t <= horizon + 1e-12:
         yield t, ray.point(t)
+        t += step
+
+
+def _ray_distances(ball, target, horizon: float, step: float):
+    """(t, orbit_distance at the ray point) for each sample: from the ray's
+    _Envelope, or from the scan where the envelope's bound does not hold
+    (a vertical ray, or a sample far out)."""
+    if horizon <= 0:
+        return
+    ray = _Ray(ball.basepoint, target)
+    envelope = None if ray.lam is None else _Envelope(ray, ball)
+    t = 0.0
+    while t <= horizon + 1e-12:
+        growth = ray.growth(_ray_time(t))
+        if envelope is None:
+            yield t, orbit_distance(ray.at(growth), ball)
+        else:
+            x, y, wy_t = ray.pairs(growth)
+            w = envelope.nearest_w(growth, x, y, wy_t)
+            yield t, orbit_distance((_mpf(x), _mpf(y)), ball) if w is None \
+                else _acosh1p_float(w)
         t += step
 
 
@@ -863,11 +1053,10 @@ def conicality_profile(schedule: GeneratorSchedule, p, target,
     :meth:`OrbitBall.build`, for every horizon; horizon <= 0 takes no
     samples.
     """
-    ball, samples = _sampled_ray(schedule, p, target, horizon, ball_radius,
-                                 step, alphabet)
+    _, samples = _sampled_ray(schedule, p, target, horizon, ball_radius,
+                              step, alphabet, _ray_distances)
     profile = RayProfile(horizon=horizon, ball_radius=ball_radius, step=step,
-                         samples=[(t, orbit_distance(z, ball))
-                                  for t, z in samples])
+                         samples=list(samples))
     if profile.empty:
         return profile
     last_half = [d for t, d in profile.samples if t >= 0.5 * horizon]
@@ -949,7 +1138,7 @@ def jorgensen_check(schedule: GeneratorSchedule, p, target, horizon: float,
     gives a vacuous result.
     """
     ball, samples = _sampled_ray(schedule, p, target, horizon, ball_radius,
-                                 step, alphabet)
+                                 step, alphabet, _ray_samples)
     for t, z in samples:
         inside, _ = dirichlet_membership(z, ball)
         if not inside:

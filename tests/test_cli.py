@@ -551,6 +551,44 @@ def test_unwritable_out_is_exit_2(tmp_path, capsys):
                          "--n", "2", "--out", str(out)], capsys)
 
 
+@pytest.mark.parametrize("out", ["no-such-dir/schedule.json", "."])
+def test_unwritable_schedule_out_is_exit_2(out, tmp_path, capsys):
+    # a missing directory, and a directory in place of the file
+    assert_clean_exit_2(["schedule", "--paper", "--count", "3",
+                         "--out", str(tmp_path / out)], capsys)
+
+
+def test_shorter_rewrite_leaves_exactly_the_new_bytes(tmp_path, capsys):
+    # the file is rewritten in place, then cut to the new length
+    out, fresh = tmp_path / "schedule.json", tmp_path / "fresh.json"
+    for count in (12, 3):
+        assert main(["schedule", "--paper", "--count", str(count),
+                     "--out", str(out)]) == 0
+    assert main(["schedule", "--paper", "--count", "3",
+                 "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_size == fresh.stat().st_size
+    # through a link, the target is rewritten and the link kept
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    assert main(["schedule", "--paper", "--count", "2",
+                 "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert main(["schedule", "--paper", "--count", "2",
+                 "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_dash_out_writes_to_stdout(tmp_path, capsys):
+    assert main(["schedule", "--paper", "--count", "3", "--out", "-"]) == 0
+    shown = capsys.readouterr().out
+    assert main(["schedule", "--paper", "--count", "3",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert shown == (tmp_path / "s.json").read_text(encoding="utf-8")
+    assert not (tmp_path / "-").exists()
+
+
 @pytest.mark.parametrize("flags", [["--step", "0"], ["--step", "-0.5"],
                                    ["--step", "nan"], ["--horizon", "nan"],
                                    ["--horizon", "inf"],

@@ -89,6 +89,18 @@ def test_exact_values_are_point_enclosures():
     assert Fraction(lo, 2 ** E) < Fraction(2, 3) < Fraction(hi, 2 ** E)
 
 
+@pytest.mark.parametrize("s,t", [(2, 7), (3, 7), (2, 5), (2, 9), (1, 7),
+                                 (5, 7)])
+@pytest.mark.parametrize("exponent", [Fraction(1, 2), Fraction(1, 3)])
+def test_one_bit_enclosures_shift_the_upper_end_up(exponent, s, t):
+    # at 1 bit the power's shift is negative for every exponent, so the
+    # upper end is shifted right: its floor in place of the ceiling leaves
+    # hi = 2 for (1/2, 2, 7), with hi^2 7 = 28 < 2 2^4 = 32
+    assert_facts(s, t, exponent, DyadicPower(exponent, 1)(s, t))
+    if (exponent, s, t) == (Fraction(1, 2), 2, 7):
+        assert DyadicPower(exponent, 1)(s, t) == (2, 3, 2)
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         DyadicPower(Fraction(-1, 2), 64)

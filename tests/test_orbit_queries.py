@@ -375,3 +375,132 @@ def test_dirichlet_verdicts_do_not_depend_on_the_screen():
     assert verdicts[0] == verdicts[1]
     assert {(True, False), (False, False), (True, True)} <= set(verdicts[0])
     assert evaluations[0] < evaluations[1]  # the screen settled some points
+
+
+# ---------------------------------------------------------------------------
+# the ray envelope of conicality_profile
+# ---------------------------------------------------------------------------
+
+def ray_points(basepoint, target, horizon, step):
+    """(t, ray point) at the profile's sample times."""
+    ray = explore._Ray(basepoint, target)
+    t, points = 0.0, []
+    while t <= horizon + 1e-12:
+        points.append((t, ray.point(t)))
+        t += step
+    return points
+
+
+@pytest.mark.parametrize("step", [0.1, 0.25])
+@pytest.mark.parametrize("horizon", [50.0, 200.0])
+@pytest.mark.parametrize("radius", [2, 4, 6])
+@pytest.mark.parametrize("letters,mode", REFERENCE_WORDS)
+def test_envelope_samples_equal_the_scan_and_the_oracle(letters, mode, radius,
+                                                        horizon, step):
+    # every sample against orbit_distance's scan at its ray point, which the
+    # tests above hold to the oracle; at ball 2 and horizon 50 against the
+    # oracle itself
+    sched, p, target, alphabet = reference_ray(letters, mode)
+    profile = conicality_profile(sched, p, target, horizon, radius, step,
+                                 alphabet=alphabet)
+    ball = OrbitBall.build(sched, p, radius, alphabet)
+    points = ray_points(ball.basepoint, target, horizon, step)
+    assert [t for t, _ in profile.samples] == [t for t, _ in points]
+    for (_, d), (_, z) in zip(profile.samples, points):
+        assert d == orbit_distance(z, ball)
+        if radius == 2 and horizon == 50.0:
+            assert d == oracle_orbit_distance(z, ball)
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.sampled_from(REFERENCE_WORDS),
+       x=st.fractions(-10, 3000, max_denominator=2 ** 20),
+       y=st.fractions(Fraction(1, 2 ** 40), 10, max_denominator=2 ** 40),
+       radius=st.integers(0, 3))
+def test_envelope_equals_the_oracle_from_any_basepoint(key, x, y, radius):
+    sched, _, target, alphabet = reference_ray(*key)
+    profile = conicality_profile(sched, (x, y), target, 20.0, radius, 0.5,
+                                 alphabet=alphabet)
+    ball = OrbitBall.build(sched, (x, y), radius, alphabet)
+    points = ray_points(ball.basepoint, target, 20.0, 0.5)
+    assert [d for _, d in profile.samples] == \
+        [oracle_orbit_distance(z, ball) for _, z in points]
+
+
+def test_envelope_near_tie_forms_both_exact_w_and_keeps_the_smaller(
+        monkeypatch):
+    # the ray from (0, 1) to the target 0 runs down x = 0; from its points
+    # (0, y), the ball points (a, b) and (-a (1 + 10^-13), b) lie within a
+    # factor 1 + 10^-10 of each other in cosh d, so both are candidates
+    # wherever they are the nearest
+    a = b = Fraction(1, 1000)
+    near, far = (a, b), (-a * (1 + Fraction(1, 10 ** 13)), b)
+    ball = hand_ball((0, 1), near, far)
+    formed, per_sample = [], []
+    cosh_arg, acosh1p = explore._cosh_arg, explore._acosh1p_float
+    # the sign of dx = 0 - qx tells the two points apart
+    monkeypatch.setattr(explore, "_cosh_arg", lambda dx, *rest:
+                        formed.append(dx[0] > 0) or cosh_arg(dx, *rest))
+    monkeypatch.setattr(explore, "_acosh1p_float", lambda w:
+                        per_sample.append(sorted(formed)) or formed.clear()
+                        or acosh1p(w))
+    samples = list(explore._ray_distances(ball, Fraction(0), 12.0, 0.25))
+    points = ray_points(ball.basepoint, Fraction(0), 12.0, 0.25)
+    assert [d for _, d in samples] == \
+        [oracle_orbit_distance(z, ball) for _, z in points]
+    tied = 0
+    for (_, d), (_, z), formed_here in zip(samples, points, per_sample):
+        d_near, d_far = (_oracle_hyp_dist(z, q) for _, q in ball.points[1:3])
+        if d == d_near:  # the pair is nearest: both formed, the near kept
+            assert formed_here == [False, True] and d_near < d_far
+            tied += 1
+        else:
+            assert len(formed_here) == 1
+    assert 20 < tied < len(samples)
+
+
+def test_envelope_keeps_points_beyond_its_float_range_as_candidates():
+    # a point 2^-700 high beside the target, far below the 2^-600 of its
+    # distance to the target that the lines allow, is formed at every
+    # sample, and the profile still equals the oracle
+    ball = hand_ball((Fraction(1, 3), 1), (Fraction(1, 2), Fraction(1, 8)),
+                     (Fraction(5), Fraction(1, 2 ** 700)))
+    target = Fraction(1, 7)
+    envelope = explore._Envelope(explore._Ray(ball.basepoint, target), ball)
+    assert len(envelope.lines) == 2 and len(envelope.loose) == 1
+    samples = list(explore._ray_distances(ball, target, 30.0, 0.5))
+    points = ray_points(ball.basepoint, target, 30.0, 0.5)
+    assert [d for _, d in samples] == \
+        [oracle_orbit_distance(z, ball) for _, z in points]
+
+
+def test_vertical_ray_takes_the_scan(monkeypatch):
+    scans = []
+    scan = explore.orbit_distance
+    monkeypatch.setattr(explore, "orbit_distance",
+                        lambda z, ball: scans.append(z) or scan(z, ball))
+    profile = conicality_profile(SCHED, BASE, None, 10.0, 2, 0.25,
+                                 alphabet=(1, 2, 3, 4))
+    ball = OrbitBall.build(SCHED, BASE, 2, (1, 2, 3, 4))
+    points = ray_points(ball.basepoint, None, 10.0, 0.25)
+    assert len(scans) == len(points) == len(profile.samples) == 41
+    assert [d for _, d in profile.samples] == \
+        [oracle_orbit_distance(z, ball) for _, z in points]
+
+
+@pytest.mark.parametrize("target", [Fraction(0), Fraction(1, 7)])
+def test_displaced_samples_take_the_scan(target, monkeypatch):
+    # from a basepoint 2^-300 high, 300-bit x is off by as much as y at
+    # first: the early samples take the scan, the later the envelope
+    scans = []
+    scan = explore.orbit_distance
+    monkeypatch.setattr(explore, "orbit_distance",
+                        lambda z, ball: scans.append(z) or scan(z, ball))
+    p = (Fraction(1), Fraction(1, 2 ** 300))
+    profile = conicality_profile(SCHED, p, target, 60.0, 1, 1.0,
+                                 alphabet=(1, 2, 3))
+    ball = OrbitBall.build(SCHED, p, 1, (1, 2, 3))
+    points = ray_points(ball.basepoint, target, 60.0, 1.0)
+    assert 10 < len(scans) < len(points) - 10
+    assert [d for _, d in profile.samples] == \
+        [oracle_orbit_distance(z, ball) for _, z in points]

@@ -652,6 +652,37 @@ def test_pinned_far_ray_bytes(horizon, step, tmp_path, capsys):
         PINNED_FAR[horizon, step]
 
 
+@pytest.mark.parametrize("horizon,step", sorted(PINNED_FAR))
+def test_far_rays_take_the_scan_beyond_the_float_range(horizon, step,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+    # e^t >= 2^500 from the second sample on: e^(2t) has no float, and
+    # those samples take orbit_distance's scan
+    scans = recording(monkeypatch, "orbit_distance")
+    prefix = tmp_path / "ray"
+    assert main(["explore", "--word", "2,3", "--periodic", "--horizon",
+                 horizon, "--step", step, "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    csv = (tmp_path / "ray_profile.csv").read_bytes()
+    rows = PINNED_FAR[horizon, step][0]
+    assert sha256(csv) == PINNED_FAR[horizon, step][1]
+    assert len(scans) == rows - 2
+
+
+@pytest.mark.parametrize("key", REFERENCE_WORDS)
+def test_reference_rays_take_the_envelope_in_a_few_segments(key,
+                                                            monkeypatch):
+    sched, p, target, alphabet = RAYS[key]
+    scans = recording(monkeypatch, "orbit_distance")
+    starts = []
+    start = explore._Envelope._start
+    monkeypatch.setattr(explore._Envelope, "_start",
+                        lambda self, v: starts.append(v) or start(self, v))
+    conicality_profile(sched, p, target, 50.0, 4, 0.25, alphabet=alphabet)
+    assert not scans
+    assert 1 <= len(starts) <= 6
+
+
 @pytest.mark.parametrize("key", REFERENCE_WORDS)
 def test_pinned_jorgensen_and_membership(key):
     sched, p, target, alphabet = RAYS[key]
