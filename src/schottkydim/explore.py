@@ -806,22 +806,23 @@ class _Envelope:
         B = (c^2 + qy^2) / (2 wy qy r2),  c = wx r2 + dq,
     a line in V with positive coefficients for every point.
 
-    Lines.  dq is exact (_sum), as are r2 and c where formed from
-    integers, but for a sticky bit under 2^-300 relative of a sum that does
-    not cancel.  With k the top bit of max(|dq|, qy), the floats of
-    dq 2^-k and qy 2^-k, each within 1.01 ulps (2^-53 relative, _scaled),
-    give r2 4^-k in [1/4, 2) within 4.1 ulps, and c 2^-k = wx 2^k r2 4^-k
-    + dq 2^-k; where that sum cancels by more than 2^-8, c comes from
-    the integers instead.  So c 2^-k is within 1565 ulps, A within 9 and B
-    within 3150, all other terms being positive.  The guards (qy 2^-k >=
-    2^-600, wy in [2^-300, 2^300), |wx| 2^k < 2^900, A and B in
-    (2^-1000, 2^1000)) keep every float normal, or so far below a normal
-    term beside it that it costs nothing.  The float V of the ray's growth,
-    within 2^-299 of e^t and converted likewise, is within 3.1 ulps of
-    e^(2t).  So L = A V + B, two more roundings, is within r = 2^-41 of
-    e^t cosh d(m(t), q), and so is the exact value l of A V + B for those
-    floats.  A point the guards refuse is a permanent candidate: its exact
-    w is formed at every sample.
+    Lines.  dq is exact (_sum), as are r2 and c where formed from integers,
+    but for a sticky bit under 2^-300 relative of a sum that does not
+    cancel.  With k the top bit of max(|dq|, qy), the floats of dq 2^-k and
+    qy 2^-k, each within 1.01 ulps (2^-53 relative, _scaled), give r2 4^-k
+    in [1/4, 2) within 4.1 ulps, and c 2^-k = wx 2^k r2 4^-k + dq 2^-k;
+    where that sum cancels by more than 2^-8, c comes from the integers
+    instead.  So c 2^-k is within 1565 ulps, A within 9 and B within 3150,
+    all other terms being positive.  The guards (wy and qy 2^-k normal,
+    |wx| 2^k < 2^900, A and B normal before the scaling by 2^+-k and in
+    (2^-1000, 2^1000) after it) keep every float normal, or so far below a
+    normal term beside it that it costs nothing, as a square of dq 2^-k or
+    qy 2^-k beside the other, or c beside qy, may be.  The float V of the
+    ray's growth, within 2^-299 of e^t and converted likewise, is within
+    3.1 ulps of e^(2t).  So L = A V + B, two more roundings, is within
+    r = 2^-41 of e^t cosh d(m(t), q), and so is the exact value l of A V +
+    B for those floats.  A point the guards refuse is a permanent candidate:
+    its exact w is formed at every sample.
 
     Sample.  At the point z of _Ray.pairs every operation rounds once at
     _PREC bits: y is within 9.1 2^-300 of m(t)'s y relative, and x is off
@@ -862,14 +863,14 @@ class _Envelope:
         wym, wye = ray.wy
         self.wx_top = wxm.bit_length() + wxe
         self.end, self.lines, self.loose = -1.0, [], []
-        framed = -300 < wym.bit_length() + wye <= 300 and self.wx_top <= 300
+        framed = -1000 < wym.bit_length() + wye < 1000 and self.wx_top < 1000
         wx, wy = (_scaled(wxm, wxe), _scaled(wym, wye)) if framed else (0, 0)
         for qxm, qxe, qym, qye, _, _ in ball._by_height:
             dm, de = _sum(qxm, qxe, -lm, le)
             top = qym.bit_length() + qye
             k = max(dm.bit_length() + de, top) if dm else top
             point = qxm, qxe, qym, qye
-            if framed and abs(k) <= 1000 and top - k > -600 and \
+            if framed and abs(k) <= 1000 and top - k > -1000 and \
                     self.wx_top + k <= 900:
                 dq, qy = _scaled(dm, de - k), _scaled(qym, qye - k)
                 r2, scale = dq * dq + qy * qy, 2.0 ** k
@@ -879,11 +880,13 @@ class _Envelope:
                     rm, re = _sum(dm * dm, 2 * de, qym * qym, 2 * qye)
                     cm, ce = _sum(wxm * rm, wxe + re, dm, de)
                     c = _scaled(cm, ce - k)
-                a = wy * r2 / (2.0 * qy) * scale
-                b = (c * (c / qy) + qy) / (2.0 * r2 * wy) / scale
-                if 2.0 ** -1000 < min(a, b) and max(a, b) < 2.0 ** 1000:
-                    self.lines.append((a, b) + point)
-                    continue
+                a = wy * r2 / (2.0 * qy)
+                b = (c * (c / qy) + qy) / (2.0 * r2 * wy)
+                if _MIN_NORMAL <= min(a, b):
+                    a, b = a * scale, b / scale
+                    if 2.0 ** -1000 < min(a, b) and max(a, b) < 2.0 ** 1000:
+                        self.lines.append((a, b) + point)
+                        continue
             self.loose.append(point)
 
     def _start(self, v) -> bool:

@@ -460,11 +460,11 @@ def test_envelope_near_tie_forms_both_exact_w_and_keeps_the_smaller(
 
 
 def test_envelope_keeps_points_beyond_its_float_range_as_candidates():
-    # a point 2^-700 high beside the target, far below the 2^-600 of its
-    # distance to the target that the lines allow, is formed at every
+    # a point 2^-1100 high, 5 from the target: its height over its
+    # distance to the target has no normal float, so it is formed at every
     # sample, and the profile still equals the oracle
     ball = hand_ball((Fraction(1, 3), 1), (Fraction(1, 2), Fraction(1, 8)),
-                     (Fraction(5), Fraction(1, 2 ** 700)))
+                     (Fraction(5), Fraction(1, 2 ** 1100)))
     target = Fraction(1, 7)
     envelope = explore._Envelope(explore._Ray(ball.basepoint, target), ball)
     assert len(envelope.lines) == 2 and len(envelope.loose) == 1
@@ -504,3 +504,46 @@ def test_displaced_samples_take_the_scan(target, monkeypatch):
     assert 10 < len(scans) < len(points) - 10
     assert [d for _, d in profile.samples] == \
         [oracle_orbit_distance(z, ball) for _, z in points]
+
+
+@pytest.mark.parametrize("letters,mode", REFERENCE_WORDS)
+@pytest.mark.parametrize("basepoint", ["default", (Fraction(3, 7), 2),
+                                       (Fraction(-5), Fraction(1, 2 ** 60)),
+                                       (Fraction(1), Fraction(1, 2 ** 300))])
+def test_envelope_lines_and_displacement_keep_their_bounds(letters, mode,
+                                                           basepoint):
+    # _Envelope's two bounds against 600-bit values on the model ray m(t)
+    # of the exact pairs: every line within 2^-41 of e^t cosh d(m(t), q),
+    # and every sample the envelope takes within 2^-40 of m(t)
+    mp = MP.clone()
+    mp.prec = 600
+    sched, p, target, alphabet = reference_ray(letters, mode)
+    ball = OrbitBall.build(sched, p if basepoint == "default" else basepoint,
+                           4, alphabet)
+    ray = explore._Ray(ball.basepoint, target)
+    envelope = explore._Envelope(ray, ball)
+    assert envelope.lines and not envelope.loose
+
+    def num(pair):
+        return mp.ldexp(mp.mpf(pair[0]), pair[1])
+
+    lam, wx, wy = num(ray.lam), num(ray.wx), num(ray.wy)
+    taken = 0
+    for t in (0.0, 0.25, 3.0, 17.5, 50.0, 120.25, 200.0):
+        growth = ray.growth(explore._ray_time(t))
+        g = explore._scaled(*growth)
+        v = g * g
+        e_t = mp.exp(t)
+        denom = wx * wx + (wy * e_t) ** 2
+        mx, my = lam - wx / denom, wy * e_t / denom
+        for a, b, qxm, qxe, qym, qye in envelope.lines:
+            qx, qy = num((qxm, qxe)), num((qym, qye))
+            cosh = 1 + ((mx - qx) ** 2 + (my - qy) ** 2) / (2 * my * qy)
+            assert abs((a * v + b) / (e_t * cosh) - 1) < mp.mpf(2) ** -41
+        x, y, wy_t = ray.pairs(growth)
+        if envelope.nearest_w(growth, x, y, wy_t) is not None:
+            zx, zy = num(x), num(y)
+            shift = ((zx - mx) ** 2 + (zy - my) ** 2) / (2 * zy * my)
+            assert mp.acosh(1 + shift) < mp.mpf(2) ** -40
+            taken += 1
+    assert taken >= 3
