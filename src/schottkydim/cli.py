@@ -284,17 +284,21 @@ def cmd_explore(args) -> int:
         raise ValueError(f"--depth must be >= 0 (0 means the default), "
                          f"got {args.depth}")
 
+    # the largest letter of the depth-n prefix, found without building it
+    max_index = max(word.indices)
     if args.periodic:
         path = explore.WordPath.periodic(word.indices)
         depth = args.depth or max(8, 2 * len(word))
     elif args.escalate:
         path = explore.WordPath.escalating(word.indices)
         depth = args.depth or len(word) + 2
+        max_index = max(max_index, word.indices[-1] + depth - len(word))
     else:
         path = explore.WordPath.finite(word.indices)
         depth = args.depth or len(word)
-
-    max_index = max(max(path.prefix(depth)), max(word.indices))
+        if depth > len(word):
+            raise ValueError(f"--depth {depth} is longer than the finite "
+                             f"word {word}; use --periodic or --escalate")
     sched = paper_schedule(max_index)
 
     target_point, err = explore.limit_point(sched, path, depth)

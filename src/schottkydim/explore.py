@@ -10,13 +10,16 @@ sample's e^t is the previous sample's times e^(step), and its distance the
 log of an 80-bit-accurate x + sqrt(x^2 - 1); each is kept only when a
 rounding test shows that it rounds as mpmath's 300-bit exp and acosh do,
 and those two run only where the test is undecided.  A profile finds each
-sample's nearest orbit point on the ray's envelope of lines, the closed
-form of the distance in its vertical frame (_Envelope), and forms the
-300-bit w only for the points within 1 + 1e-10 of the nearest;
-orbit_distance's scan of the ball answers single queries, Dirichlet
-membership and the samples beyond the envelope's bound.  The verdicts
-remain labelled heuristics: finite data cannot decide conicality, so every
-profile records the (horizon, ball, step) provenance it was computed with.
+sample's nearest orbit points on the ray's envelope of lines, the closed
+form of the distance in its vertical frame (_Envelope), and takes the
+distance from those points' closed forms, cosh d = A e^t + B e^-t at 160
+bits, under the same rounding test; the 300-bit ray point and the exact
+w of the points within 1 + 1e-10 of the nearest are formed only where
+that falls back.  orbit_distance's scan of the ball answers single
+queries, Dirichlet membership and the samples beyond the envelope's
+bound.  The verdicts remain labelled heuristics: finite data cannot decide
+conicality, so every profile records the (horizon, ball, step) provenance
+it was computed with.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from mpmath import ctx_mp
 from mpmath.libmp import fzero, mpf_acosh, mpf_exp, mpf_log
 
-from .hyperbolic import BoundaryPoint
+from .hyperbolic import BoundaryPoint, IntegerMirror, ends_circle
 from .scalars import round_nearest
 from .schedule import GeneratorSchedule
-from .words import (MAX_ORBIT_POINTS, ReducedWord, count_words,
-                    labelled_levels, word_disk)
+from .words import MAX_ORBIT_POINTS, count_words, labelled_levels
 
 # slimness constant for hyperbolic-plane triangles: 2 arccosh(sqrt(2))
 DELTA_0 = 2.0 * math.acosh(math.sqrt(2.0))
@@ -90,11 +92,21 @@ _GROWTH_ONE = (1 << (_GROWTH_PREC - 1), 1 - _GROWTH_PREC)
 _FLOAT_SLACK = 1e-12
 _MIN_NORMAL = sys.float_info.min
 
-# _Envelope: the candidates of a segment, and the exact w of a sample, lie
-# within _NEAR of the least line; a segment ends where a line may come
-# within _EVENT of its owner's.
+# _Envelope: the candidates of a segment, and the near points of a sample,
+# lie within _NEAR of the least line; a segment ends where a line may come
+# within _EVENT of its owner's.  Its closed form takes A, B and e^(+-t) at
+# _FORM_PREC bits, from pairs whose exponents lie within +-_WIDE.
 _NEAR = 1.0 + 1e-10
 _EVENT = 1.0 + 5e-11
+_FORM_PREC = 160
+_WIDE = 8 * _PREC
+
+
+def _exact(am: int, ae: int, bm: int, be: int) -> Tuple[int, int]:
+    """am 2^ae + bm 2^be exactly, at the lower exponent."""
+    if ae >= be:
+        return (am << (ae - be)) + bm, be
+    return am + (bm << (be - ae)), ae
 
 
 def _sum(am: int, ae: int, bm: int, be: int) -> Tuple[int, int]:
@@ -129,9 +141,7 @@ def _sum(am: int, ae: int, bm: int, be: int) -> Tuple[int, int]:
     floor = min(ae, ta - _PREC - 2)
     if tb <= floor:
         return ((am << (ae - floor)) << 1) + (1 if bm > 0 else -1), floor - 1
-    if ae >= be:
-        return (am << (ae - be)) + bm, be
-    return am + (bm << (be - ae)), ae
+    return _exact(am, ae, bm, be)
 
 
 def _add(a, b):
@@ -160,6 +170,15 @@ def _div(a, b):
         shift += 1
     q, e = round_nearest(q, ae - be - shift, _PREC)
     return (-q if negative else q), e
+
+
+def _quotient(nm: int, ne: int, dm: int, de: int) -> Tuple[int, int]:
+    """nm 2^ne / (dm 2^de) for positive mantissas, floored to _FORM_PREC or
+    one more bits: short by under 2^(2 - _FORM_PREC) relative, from the
+    floor and a floored numerator."""
+    shift = _FORM_PREC + dm.bit_length() - nm.bit_length()
+    nm = nm << shift if shift >= 0 else nm >> -shift
+    return nm // dm, ne - de - shift
 
 
 def _less(a, b) -> bool:
@@ -282,17 +301,38 @@ def _acosh1p_float(w) -> float:
 
     1 + w is rounded to nearest, which is monotone in w, so the smallest w
     of a scan gives the smallest x and the smallest distance.  The result,
-    0 or at least 2^-151, is a normal float.
+    0 or at least 2^-151, is a normal float.  For w >= 2^-30 it comes from
+    _log_acosh where that is decided, and from _acosh otherwise.
+    """
+    x = _add(w, _ONE)
+    wm, we = w
+    if wm and wm.bit_length() + we > _TINY_W:
+        d = _log_acosh(x)
+        if d is not None:
+            return d
+    return _acosh(x)
 
-    Fast path, for w >= 2^-30.  For x >= 2^64, u = 2x exceeds v = x +
-    sqrt(x^2 - 1) by 1/v, under 1/x^2 <= 2^-128 relative, and takes no
-    integer longer than x's mantissa at any exponent.  Below 2^64, with
-    x = xm 2^xe and xe <= 0 (shift xm left, by under 64 bits, otherwise),
-    n = xm^2 - 4^-xe is exactly (x^2 - 1) 4^-xe.  For the j that gives
-    n / 4^j 208 or 209 bits, s = isqrt(floor(n / 4^j)) is at least 2^103
-    and short of sqrt(n / 4^j) by under 1.01, so u = x + s 2^(xe + j) is
-    short of v by under 2^-103 relative.  y = mpf_log(u, 80) then differs
-    from arccosh x by under
+
+def _acosh(x) -> float:
+    """mpmath's 300-bit acosh of a pair x >= 1, rounded once to a float."""
+    _, man, exp, _ = mpf_acosh(_to_mpf(x), _PREC, _RND)
+    return math.ldexp(man, exp)
+
+
+def _log_acosh(x) -> Optional[float]:
+    """The float of mpmath's 300-bit acosh A of a pair x >= 1 + 2^-30 -
+    2^-300, from a root and an 80-bit log of x + sqrt(x^2 - 1), or None
+    where its rounding test is undecided (about once in 2^15).  Both
+    _acosh1p_float and _Envelope's closed form take their y here.
+
+    For x >= 2^64, u = 2x exceeds v = x + sqrt(x^2 - 1) by 1/v, under 1/x^2
+    <= 2^-128 relative, and takes no integer longer than x's mantissa at
+    any exponent.  Below 2^64, with x = xm 2^xe and xe <= 0 (shift xm left,
+    by under 64 bits, otherwise), n = xm^2 - 4^-xe is exactly (x^2 - 1)
+    4^-xe.  For the j that gives n / 4^j 208 or 209 bits, s =
+    isqrt(floor(n / 4^j)) is at least 2^103 and short of sqrt(n / 4^j) by
+    under 1.01, so u = x + s 2^(xe + j) is short of v by under 2^-103
+    relative.  y = mpf_log(u, 80) then differs from arccosh x by under
       - 2^-103 from u, which is under 2^-88.4 y, as y >= arccosh(1 + 2^-30
         - 2^-300) > 2^-14.6;
       - mpf_log's error before rounding: it sums at wp >= 100 bits (100,
@@ -304,41 +344,33 @@ def _acosh1p_float(w) -> float:
         |mag| >= 2).  From |mag| = 2^wp on, for u = man 2^exp, it
         returns about exp ln 2 alone, which leaves out ln man < 300 ln 2,
         under 2^-91 y;
-      - its rounding to 80 bits, under 2^-80 y.
-    mpmath's 300-bit acosh A rounds x^2 - 1, its root and x + root at 315
-    bits, so its u is within 2^-313 relative and its log within 2^-313
-    absolute (or, from |mag| = 2^320 on, 315 ln 2 short, under 2^-311 y),
-    under 2^-298 y, before the 300-bit rounding: |A - arccosh x| < 2^-297
-    y.  So |A - y| < 2^-79.99 y, and delta = 2^-68 y covers it with 11
-    bits to spare.  Rounding to a float (int to float, then an exact
-    ldexp into the normal range) is monotone, so when y - delta and y +
-    delta round to one float, so does A, which lies between them, and that
-    float is returned.  Otherwise (about once in 2^15), and for w = 0 or
-    w < 2^-30, where the 2^-103 of u is no longer small against y, mpmath's
-    acosh runs.
+      - its rounding to 80 bits, under 2^-80 y;
+    in all under 2^-79.9928 y.  mpmath's 300-bit acosh rounds x^2 - 1, its
+    root and x + root at 315 bits, so its u is within 2^-313 relative and
+    its log within 2^-313 absolute (or, from |mag| = 2^320 on, 315 ln 2
+    short, under 2^-311 y), under 2^-298 y, before the 300-bit rounding:
+    |A - arccosh x| < 2^-297 y.  So |A - y| < 2^-79.99 y, and delta =
+    2^-68 y covers it with 11 bits to spare.  Rounding to a float (int to
+    float, then an exact ldexp into the normal range) is monotone, so when
+    y - delta and y + delta round to one float, so does A, which lies
+    between them, and that float is returned.
     """
-    x = _add(w, _ONE)
-    wm, we = w
-    if wm and wm.bit_length() + we > _TINY_W:
-        xm, xe = x
-        if xm.bit_length() + xe > _HUGE_X:
-            u = xm, xe + 1
+    xm, xe = x
+    if xm.bit_length() + xe > _HUGE_X:
+        u = xm, xe + 1
+    else:
+        if xe > 0:
+            xm, xe = xm << xe, 0
+        n = xm * xm - (1 << (-2 * xe))
+        j = (n.bit_length() - 2 * _ROOT_BITS) >> 1
+        if j >= 0:
+            u = xm + (math.isqrt(n >> (2 * j)) << j), xe
         else:
-            if xe > 0:
-                xm, xe = xm << xe, 0
-            n = xm * xm - (1 << (-2 * xe))
-            j = (n.bit_length() - 2 * _ROOT_BITS) >> 1
-            if j >= 0:
-                u = xm + (math.isqrt(n >> (2 * j)) << j), xe
-            else:
-                u = (xm << -j) + math.isqrt(n << (-2 * j)), xe + j
-        _, ym, ye, _ = mpf_log(_to_mpf(u), _LOG_PREC, _RND)
-        scaled, ye = ym << _LOG_MARGIN, ye - _LOG_MARGIN
-        lo = math.ldexp(scaled - ym, ye)
-        if lo == math.ldexp(scaled + ym, ye):
-            return lo
-    _, man, exp, _ = mpf_acosh(_to_mpf(x), _PREC, _RND)
-    return math.ldexp(man, exp)
+            u = (xm << -j) + math.isqrt(n << (-2 * j)), xe + j
+    _, ym, ye, _ = mpf_log(_to_mpf(u), _LOG_PREC, _RND)
+    scaled, ye = ym << _LOG_MARGIN, ye - _LOG_MARGIN
+    lo = math.ldexp(scaled - ym, ye)
+    return lo if lo == math.ldexp(scaled + ym, ye) else None
 
 
 def _approx_acosh1p(w: float) -> float:
@@ -411,15 +443,57 @@ class WordPath:
         return WordPath(gen, description=f"finite({','.join(map(str, letters))})")
 
 
+# The most bits limit_point lets a disk's integer endpoints reach, by the
+# bound of _ends_growth taken before any inversion: at 2^20, (99,100)^oo to
+# depth 16 (a bound of 950,576 bits, endpoints of 473,466) takes about
+# 1.4 s on a 2-vCPU host, most of it the two gcds of the Fractions.
+MAX_DISK_BITS = 1 << 20
+
+
+def _ends_growth(mirror: IntegerMirror) -> int:
+    """Bits an inversion in ``mirror`` adds to the longest integer of the
+    endpoints, at most: with D = n b - a d, the image's numerator a f^2 D +
+    e^2 b^2 d and denominator b f^2 D are under 2^(s + M + m + 2) for
+    endpoints under 2^s, M the longest of a f^2, b f^2 and e^2 b^2 and m of
+    a and b, before any reduction.  It is at least the bits of the mirror's
+    own endpoints."""
+    top = max(mirror.af2.bit_length(), mirror.bf2.bit_length(),
+              mirror.e2b2.bit_length())
+    return top + max(mirror.a.bit_length(), mirror.b.bit_length()) + 2
+
+
 def limit_point(schedule: GeneratorSchedule, path: WordPath,
                 depth: int) -> Tuple[BoundaryPoint, Fraction]:
     """Depth-n limit point estimate: center of the depth-n nested disk,
-    with the disk radius as a certified error bound (nesting)."""
+    with the disk radius as a certified error bound (nesting).
+
+    The disk is word_disk's, composed on the integer endpoints of one
+    IntegerMirror per letter, with the center and radius made Fractions
+    once.  Before any inversion, a disk whose endpoints _ends_growth's bound
+    puts beyond MAX_DISK_BITS raises ValueError; the path's letters are
+    read only up to there."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    word = ReducedWord(path.prefix(depth))
-    disk = word_disk(schedule, word)
-    return BoundaryPoint.at(disk.center), Fraction(disk.radius)
+    mirrors, letters, bits = {}, [], 0
+    for j in range(depth):
+        letter = path.generator(j)
+        if letters and letter == letters[-1]:
+            raise ValueError(f"path is not reduced at letter {j}")
+        mirror = mirrors.get(letter)
+        if mirror is None:
+            mirror = mirrors[letter] = IntegerMirror(schedule.circle(letter))
+        letters.append(letter)
+        bits += _ends_growth(mirror)
+        if bits > MAX_DISK_BITS:
+            raise ValueError(f"the depth-{depth} limit disk of "
+                             f"{path.description} may need endpoints of "
+                             f"over {MAX_DISK_BITS} bits (from letter "
+                             f"{j + 1} on)")
+    ends = mirrors[letters[-1]].ends
+    for letter in reversed(letters[:-1]):
+        ends = mirrors[letter].invert(ends)
+    disk = ends_circle(ends)
+    return BoundaryPoint.at(disk.center), disk.radius
 
 
 def default_basepoint(schedule: GeneratorSchedule,
@@ -635,11 +709,13 @@ class OrbitBall:
     _by_height: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = []
-        for word, (x, y) in self.points:
-            qy = _pair(y)
-            order.append((_log_pair(qy), *_pair(x), *qy, _pair_float(qy),
-                          word))
+        self._index([(word, (_pair(x), _pair(y)))
+                     for word, (x, y) in self.points])
+
+    def _index(self, pairs):
+        """Sort the (word, (x, y)) points of pairs by ln y for the scans."""
+        order = [(_log_pair(qy), *qx, *qy, _pair_float(qy), word)
+                 for word, (qx, qy) in pairs]
         order.sort()  # equal coordinates before the float: no None < None
         self._log_heights = [entry[0] for entry in order]
         self._by_height = [entry[1:] for entry in order]
@@ -665,11 +741,20 @@ class OrbitBall:
         for letter in alphabet:
             mirror = _mirror(schedule, letter)
             maps.append((letter, mirror(start), mirror))
-        base = (_mpf(start[0]), _mpf(start[1]))
-        pts = [((), base)]
-        for level in labelled_levels(maps, radius):
-            pts.extend((word, (_mpf(x), _mpf(y))) for word, (x, y) in level)
-        return OrbitBall(basepoint=base, points=pts)
+        # each pair is normalized once, for its mpf and for the index, as
+        # __post_init__ would read it back from the mpf
+        ball = object.__new__(OrbitBall)
+        ball.points, pairs = [], []
+        for level in [[((), start)]] + list(labelled_levels(maps, radius)):
+            for word, (x, y) in level:
+                (xs, xm, xe, _), (_, ym, ye, _) = rx, ry = \
+                    _to_mpf(x), _to_mpf(y)
+                ball.points.append((word, (_MP.make_mpf(rx),
+                                           _MP.make_mpf(ry))))
+                pairs.append((word, ((-xm if xs else xm, xe), (ym, ye))))
+        ball.basepoint = ball.points[0][1]
+        ball._index(pairs)
+        return ball
 
     def __len__(self):
         return len(self.points)
@@ -843,27 +928,78 @@ class _Envelope:
     segment ends where it may turn negative, at (1 - 2^-50) i / -s for
     s < 0.  Up to there l > K l_o with K = 1 + 2^-37, as _EVENT - K =
     4.3e-11 covers the rounding of s and i.  At each sample of a segment
-    the candidates are evaluated, and the exact w (_exact_w) is formed for
-    those with L <= _NEAR times the least.
+    the candidates are evaluated, and those with L <= _NEAR times the least
+    are the sample's near points: their closed forms give its distance
+    (Closed form, below), or, where that falls back, their exact w
+    (_exact_w, in nearest_w).
 
     Why no point is lost.  Every other point has e^t cosh d(m(t), q) above
     K (1 - 3r) times that of the least candidate.  At z each cosh moves by
     a factor within e^(+-eps), so the ratio stays above K (1 - 3r)
     e^(-2 eps) > 1 + 2^-38, and that of 1 + w for the 300-bit w, each
     within 2^-295 (_nearest_w), above 1: the smallest w, and so the
-    distance, is the scan's, bit for bit.  delta = _NEAR - 1 = 1e-10 has
-    over ten times the room this needs.
+    distance, is the scan's, bit for bit, and it is among the near points
+    (those with L <= _NEAR times the least).  delta = _NEAR - 1 = 1e-10
+    has over ten times the room this needs.
+
+    Closed form.  Where no point is loose and e^t < 2^500, a sample's
+    distance is read off its near points' closed forms, cosh d(m(t), q) =
+    A e^t + B e^-t, without z or any w.
+      - Displacement, from top bits alone: per ray those of lam, wx and wy,
+        per sample g, with 2^(g-1) <= G < 2^g for the growth G (e^t at
+        _PREC bits).  As 2^(top(wy) + g - 2) <= wy_t <= 2^(top(wy) + g),
+        and denom_t and the two quotients round within 2^-298 in all,
+        |wx| / wy_t < 2^(a'+1) and |x| / y < 2^h for
+            a' = top(wx) - top(wy) - g + 1,
+            h = 2 + max(top(lam) + 2 top(wx) - top(wy) - g + 2,
+                        top(lam) + top(wy) + g, top(wx) - top(wy) - g + 2),
+        so a <= a' and b < h - 299.  The closed form is taken only where
+        min(h - 300, a' + 2) <= -113, and as h >= a' + 3, a' <= 184, so
+            eps < 2^-113 + 7.2 2^-115 + 9.1 2^-300 < 2^-111.5,
+        and nearest_w's bound holds at every such sample.
+      - x: A and B of each near point come once per ray (_form) from exact
+        integers (dq, r2, c, the numerators and the denominators) and one
+        quotient each, short by under 2^-158 relative.  G cut to
+        _FORM_PREC bits (short by under 2^-159; G is within 2^-299.9 of
+        e^t) and its floored reciprocal (under 2^-158) give A G + B / G
+        within 2^-157 of A e^t + B e^-t, a sum of positive terms (a sticky
+        bit of _sum costs 2^-300), and its cut to _FORM_PREC bits, x_q, is
+        within 2^-156.5 of cosh d(m(t), q).  x is the least x_q, and the
+        closed form is taken only where x - 1 >= 2^-30, so that arccosh x
+        >= 2^-14.5.
+      - Bytes: arccosh x_q and d(m(t), q) differ by under 2^-156.5 coth d <
+        2^-141.8, and, arccosh being monotone, the least distance from m(t)
+        to the near points and arccosh x by as much, under 2^-127 y for the
+        y of _log_acosh.  The scan's distance is mpmath's 300-bit acosh A
+        of its x, 1 + the least w rounded, the least over the near points
+        (Why no point is lost); for each point that x is within 2^-294.4 x
+        of cosh d(z, q), so its arccosh within 2^-264 y of d(z, q), and
+        d(z, q) within eps < 2^-96.9 y of d(m(t), q).  With _log_acosh's
+        own 2^-79.9928 y and mpmath's 2^-297 y, still |A - y| < 2^-79.99
+        y, within the rounding test's 2^-68 y: a decided test returns the
+        scan's float.
+    An undecided test, an x - 1 below 2^-30, a point beyond _form's
+    exponents, and every other sample take nearest_w's exact w instead
+    (or the scan, where its bound does not hold).
     """
 
-    __slots__ = ("wx_top", "lines", "loose", "cands", "end")
+    __slots__ = ("ray", "ball", "wx_top", "reach", "lines", "loose", "cands",
+                 "end", "forms")
 
     def __init__(self, ray, ball):
         lm, le = ray.lam
         wxm, wxe = ray.wx
         wym, wye = ray.wy
+        self.ray, self.ball, self.forms = ray, ball, {}
         self.wx_top = wxm.bit_length() + wxe
+        lam_top, wy_top = lm.bit_length() + le, wym.bit_length() + wye
+        # a' of Closed form and the terms of h falling and rising with g,
+        # at g = 0
+        a = self.wx_top - wy_top + 1
+        self.reach = a, max(lam_top + self.wx_top + a + 1, a + 1), \
+            lam_top + wy_top
         self.end, self.lines, self.loose = -1.0, [], []
-        framed = -1000 < wym.bit_length() + wye < 1000 and self.wx_top < 1000
+        framed = -1000 < wy_top < 1000 and self.wx_top < 1000
         wx, wy = (_scaled(wxm, wxe), _scaled(wym, wye)) if framed else (0, 0)
         for qxm, qxe, qym, qye, _, _ in ball._by_height:
             dm, de = _sum(qxm, qxe, -lm, le)
@@ -906,15 +1042,11 @@ class _Envelope:
         self.end = (1.0 - 2.0 ** -50) * end
         return True
 
-    def nearest_w(self, growth, x, y, wy_t):
-        """The smallest w from the ray point (x, y) of _Ray.pairs to the
-        ball, as a pair, or None where the envelope's bound does not hold."""
+    def _near(self, growth):
+        """The lines within _NEAR of the least at the growth's V, or None
+        where e^t >= 2^500 or every line overflows."""
         gm, ge = growth
-        xm, xe = x
-        ym, ye = y
-        a = self.wx_top - wy_t[0].bit_length() - wy_t[1]
-        b = xm.bit_length() + xe - ym.bit_length() - ye - _PREC
-        if gm.bit_length() + ge >= 500 or a > 255 or min(a, b) > -43:
+        if gm.bit_length() + ge >= 500:
             return None
         g = _scaled(gm, ge)
         v = g * g
@@ -924,15 +1056,94 @@ class _Envelope:
         cut = _NEAR * min(values)
         if cut == math.inf:
             return None
-        points = [line[2:] for line, value in zip(self.cands, values)
-                  if value <= cut] + self.loose
+        return [line for line, value in zip(self.cands, values)
+                if value <= cut]
+
+    def nearest_w(self, growth, x, y, wy_t):
+        """The smallest w from the ray point (x, y) of _Ray.pairs to the
+        ball, as a pair, or None where the envelope's bound does not hold."""
+        xm, xe = x
+        ym, ye = y
+        a = self.wx_top - wy_t[0].bit_length() - wy_t[1]
+        b = xm.bit_length() + xe - ym.bit_length() - ye - _PREC
+        near = None if a > 255 or min(a, b) > -43 else self._near(growth)
+        if near is None:
+            return None
         best, twice_y = None, (ym, ye + 1)
-        for qxm, qxe, qym, qye in points:
+        for qxm, qxe, qym, qye in [line[2:] for line in near] + self.loose:
             w = _exact_w(_sum(xm, xe, -qxm, qxe), _sum(ym, ye, -qym, qye),
                          twice_y, (qym, qye))
             if best is None or _less(w, best):
                 best = w
         return best
+
+    def _form(self, qxm, qxe, qym, qye):
+        """A and B of a point as (am, ae, bm, be), each of _FORM_PREC or
+        one more bits; () where a pair's exponent passes +-_WIDE.  With
+        mantissas of at most 301 bits, that keeps every integer built here
+        under about 50,000 bits, whatever the point."""
+        (lm, le), (wxm, wxe), (wym, wye) = \
+            self.ray.lam, self.ray.wx, self.ray.wy
+        if max(map(abs, (le, wxe, wye, qxe, qye))) > _WIDE:
+            return ()
+        dm, de = _exact(qxm, qxe, -lm, le)
+        rm, re = _exact(dm * dm, 2 * de, qym * qym, 2 * qye)
+        cm, ce = _exact(wxm * rm, wxe + re, dm, de)
+        nm, ne = _exact(cm * cm, 2 * ce, qym * qym, 2 * qye)
+        return (*_quotient(wym * rm, wye + re, qym, qye + 1),
+                *_quotient(nm, ne, wym * qym * rm, wye + qye + re + 1))
+
+    def _closed_x(self, growth):
+        """x = cosh d at the sample from the near points' closed forms,
+        where Closed form allows it; None otherwise."""
+        gm, ge = growth
+        bits = gm.bit_length()
+        g = bits + ge
+        a, down, up = self.reach
+        a -= g  # a'; h - 300 is max(down - g, up + g) - 298
+        if self.loose or min(max(down - g, up + g) - 298, a + 2) > -113:
+            return None
+        near = self._near(growth)
+        if near is None:
+            return None
+        if bits > _FORM_PREC:
+            gm, ge = gm >> (bits - _FORM_PREC), ge + bits - _FORM_PREC
+        inverse, ie = (1 << 2 * _FORM_PREC) // gm, -2 * _FORM_PREC - ge
+        x = None
+        for line in near:
+            form = self.forms.get(line)
+            if form is None:
+                form = self.forms[line] = self._form(*line[2:])
+            if not form:
+                return None
+            am, ae, bm, be = form
+            xq = _sum(am * gm, ae + ge, bm * inverse, be + ie)
+            if x is None or _less(xq, x):
+                x = xq
+        xm, xe = x
+        shift = xm.bit_length() - _FORM_PREC
+        xm, xe = xm >> shift, xe + shift
+        if xm.bit_length() + xe < 2:  # x < 2: x - 1 >= 2^-30?
+            wm = xm - (1 << -xe)
+            if wm <= 0 or wm.bit_length() + xe <= _TINY_W:
+                return None
+        return xm, xe
+
+    def distance(self, growth) -> float:
+        """The sample's distance: from the closed form where it is decided,
+        else from nearest_w's exact w (by mpmath's acosh where the closed
+        form's log was undecided, so no sample takes two logs), or from
+        orbit_distance's scan where the envelope's bound does not hold."""
+        x = self._closed_x(growth)
+        if x is not None:
+            d = _log_acosh(x)
+            if d is not None:
+                return d
+        z = self.ray.pairs(growth)
+        w = self.nearest_w(growth, *z)
+        if w is None:
+            return orbit_distance((_mpf(z[0]), _mpf(z[1])), self.ball)
+        return _acosh1p_float(w) if x is None else _acosh(_add(w, _ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -994,13 +1205,8 @@ def _ray_distances(ball, target, horizon: float, step: float):
     t = 0.0
     while t <= horizon + 1e-12:
         growth = ray.growth(_ray_time(t))
-        if envelope is None:
-            yield t, orbit_distance(ray.at(growth), ball)
-        else:
-            x, y, wy_t = ray.pairs(growth)
-            w = envelope.nearest_w(growth, x, y, wy_t)
-            yield t, orbit_distance((_mpf(x), _mpf(y)), ball) if w is None \
-                else _acosh1p_float(w)
+        yield t, orbit_distance(ray.at(growth), ball) if envelope is None \
+            else envelope.distance(growth)
         t += step
 
 

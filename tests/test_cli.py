@@ -849,6 +849,23 @@ def test_explore_limit_point_beyond_float_range(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--word", "2,3", "--periodic", "--depth", "10000000"],
+    ["--word", "2,3,4", "--escalate", "--depth", "10000000"],
+    ["--word", "99,100", "--periodic", "--depth", "18"],
+    ["--word", "1,2", "--depth", "3"],
+])
+def test_explore_refuses_deep_limit_disks_at_once(argv, tmp_path, capsys):
+    # the disk's size is bounded before any inversion, and the schedule's
+    # largest index found without building the prefix; a finite word has
+    # no letters past its end
+    start = time.perf_counter()
+    assert_clean_exit_2(["explore", *argv, "--horizon", "1",
+                         "--out", str(tmp_path / "ray")], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert not list(tmp_path.iterdir())
+
+
 # schedule --paper --count N as written before long numbers were supported
 SCHEDULE_SHA256 = {
     8: "24ca2a17b5c6398a6b2c93d8e69e72545ddc5bb6631bb6844d4c4cce5b15b435",

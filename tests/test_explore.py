@@ -2,13 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schottkydim.explore import (DELTA_0, ESCAPING, RECURRENT, OrbitBall,
-                                 WordPath, beta_depth, conicality_profile,
-                                 default_basepoint, dirichlet_membership,
-                                 geodesic_ray_point, jorgensen_check,
-                                 limit_point, orbit_distance)
+from schottkydim.explore import (DELTA_0, ESCAPING, MAX_DISK_BITS, RECURRENT,
+                                 OrbitBall, WordPath, beta_depth,
+                                 conicality_profile, default_basepoint,
+                                 dirichlet_membership, geodesic_ray_point,
+                                 jorgensen_check, limit_point, orbit_distance)
+from schottkydim.hyperbolic import IntegerMirror
 from schottkydim.schedule import paper_schedule
+from schottkydim.words import ReducedWord, word_disk
 
 SCHED = paper_schedule(10)
 
@@ -87,6 +91,50 @@ def test_limit_point_nesting_cauchy():
     e4, r4 = limit_point(SCHED, path, 4)
     e8, _ = limit_point(SCHED, path, 8)
     assert abs(e8.value - e4.value) <= r4
+
+
+@pytest.mark.parametrize("path,depth", [
+    (WordPath.periodic((1, 2)), 8), (WordPath.periodic((2, 3)), 8),
+    (WordPath.periodic((1, 3, 2)), 8), (WordPath.escalating((2, 3, 4)), 5),
+    (WordPath.escalating((3, 4, 5, 6)), 6), (WordPath.periodic((2, 3)), 40),
+    (WordPath.finite((7,)), 1)])
+def test_limit_point_is_the_word_disk(path, depth):
+    # the integer-endpoint composition against word_disk's Fractions
+    disk = word_disk(SCHED, ReducedWord(path.prefix(depth)))
+    est, err = limit_point(SCHED, path, depth)
+    assert (est.value, err) == (disk.center, disk.radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 10), min_size=1, max_size=12))
+def test_limit_point_is_the_word_disk_on_random_words(letters):
+    letters = [a for a, b in zip(letters, [None] + letters) if a != b]
+    disk = word_disk(SCHED, ReducedWord(tuple(letters)))
+    est, err = limit_point(SCHED, WordPath.finite(letters), len(letters))
+    assert (est.value, err) == (disk.center, disk.radius)
+
+
+def test_limit_point_refuses_a_disk_beyond_the_bit_cap_before_inverting(
+        monkeypatch):
+    # the bound passes MAX_DISK_BITS about 22,300 letters in: the path is
+    # read no further and no inversion runs
+    read = []
+    path = WordPath.periodic((2, 3))
+    monkeypatch.setattr(path, "generator",
+                        lambda j, f=path.generator: read.append(j) or f(j))
+    monkeypatch.setattr(IntegerMirror, "invert", never)
+    with pytest.raises(ValueError, match=str(MAX_DISK_BITS)):
+        limit_point(SCHED, path, 10 ** 7)
+    assert len(read) < 10 ** 5
+
+
+def never(*args):
+    raise AssertionError("an inversion ran")
+
+
+def test_limit_point_refuses_a_path_that_is_not_reduced():
+    with pytest.raises(ValueError, match="not reduced"):
+        limit_point(SCHED, WordPath.escalating((2, 2)), 3)
 
 
 # ---------------------------------------------------------------------------

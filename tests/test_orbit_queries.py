@@ -427,36 +427,72 @@ def test_envelope_equals_the_oracle_from_any_basepoint(key, x, y, radius):
         [oracle_orbit_distance(z, ball) for _, z in points]
 
 
-def test_envelope_near_tie_forms_both_exact_w_and_keeps_the_smaller(
+def test_envelope_near_tie_evaluates_both_closed_forms_and_keeps_the_smaller(
         monkeypatch):
     # the ray from (0, 1) to the target 0 runs down x = 0; from its points
     # (0, y), the ball points (a, b) and (-a (1 + 10^-13), b) lie within a
-    # factor 1 + 10^-10 of each other in cosh d, so both are candidates
+    # factor 1 + 10^-10 of each other in cosh d, so both are near points
     # wherever they are the nearest
     a = b = Fraction(1, 1000)
     near, far = (a, b), (-a * (1 + Fraction(1, 10 ** 13)), b)
     ball = hand_ball((0, 1), near, far)
-    formed, per_sample = [], []
-    cosh_arg, acosh1p = explore._cosh_arg, explore._acosh1p_float
-    # the sign of dx = 0 - qx tells the two points apart
-    monkeypatch.setattr(explore, "_cosh_arg", lambda dx, *rest:
-                        formed.append(dx[0] > 0) or cosh_arg(dx, *rest))
-    monkeypatch.setattr(explore, "_acosh1p_float", lambda w:
-                        per_sample.append(sorted(formed)) or formed.clear()
-                        or acosh1p(w))
+    forms, per_sample, exact = [], [], []
+    form, closed = explore._Envelope._form, explore._Envelope._closed_x
+    monkeypatch.setattr(explore._Envelope, "_form", lambda self, *q:
+                        forms.append(q) or form(self, *q))
+
+    def record(self, growth):
+        x = closed(self, growth)
+        near = self._near(growth) if x is not None else []
+        per_sample.append((x is not None, len(near or [])))
+        return x
+
+    monkeypatch.setattr(explore._Envelope, "_closed_x", record)
+    cosh_arg = explore._cosh_arg
+    monkeypatch.setattr(explore, "_cosh_arg", lambda *args: exact.append(1)
+                        or cosh_arg(*args))
     samples = list(explore._ray_distances(ball, Fraction(0), 12.0, 0.25))
     points = ray_points(ball.basepoint, Fraction(0), 12.0, 0.25)
     assert [d for _, d in samples] == \
         [oracle_orbit_distance(z, ball) for _, z in points]
+    # A and B are formed once a point: the basepoint's, nearest early on,
+    # and both points of the pair
+    assert len(forms) == len(set(forms)) == 3
     tied = 0
-    for (_, d), (_, z), formed_here in zip(samples, points, per_sample):
+    for (_, d), (_, z), (taken, count) in zip(samples, points, per_sample):
         d_near, d_far = (_oracle_hyp_dist(z, q) for _, q in ball.points[1:3])
-        if d == d_near:  # the pair is nearest: both formed, the near kept
-            assert formed_here == [False, True] and d_near < d_far
+        if taken and d == d_near:  # the pair is nearest: both evaluated
+            assert count == 2 and d_near < d_far
             tied += 1
-        else:
-            assert len(formed_here) == 1
+        elif taken:
+            assert count == 1
     assert 20 < tied < len(samples)
+    assert len(exact) <= len(samples) - tied
+
+
+def test_samples_nearer_than_the_closed_form_resolves_take_the_exact_w(
+        monkeypatch):
+    # ball points 2^-65 beside the ray down x = 0 at t = 1, ..., 6: there
+    # w is about 2^-130 e^(2t), not far above the closed form's error of
+    # 2^-156, so x - 1 < 2^-30 sends those samples to the exact w, and
+    # every sample still equals the oracle
+    mp = MP.clone()
+    mp.prec = 400
+    pts = [((), mp_point(0, 1))]
+    for k in range(1, 7):
+        y = Fraction(int(mp.exp(-k) * 2 ** 140), 2 ** 140)
+        pts.append(((k,), mp_point(Fraction(1, 2 ** 65), y)))
+    ball = OrbitBall(basepoint=pts[0][1], points=pts)
+    exact = []
+    cosh_arg = explore._cosh_arg
+    monkeypatch.setattr(explore, "_cosh_arg", lambda *args: exact.append(1)
+                        or cosh_arg(*args))
+    samples = list(explore._ray_distances(ball, Fraction(0), 6.0, 1.0))
+    points = ray_points(ball.basepoint, Fraction(0), 6.0, 1.0)
+    assert [d for _, d in samples] == \
+        [oracle_orbit_distance(z, ball) for _, z in points]
+    assert all(0 < d < 2 ** -55 for _, d in samples[1:])
+    assert len(exact) >= len(samples)
 
 
 def test_envelope_keeps_points_beyond_its_float_range_as_candidates():
@@ -547,3 +583,57 @@ def test_envelope_lines_and_displacement_keep_their_bounds(letters, mode,
             assert mp.acosh(1 + shift) < mp.mpf(2) ** -40
             taken += 1
     assert taken >= 3
+
+
+@pytest.mark.parametrize("letters,mode", REFERENCE_WORDS)
+@pytest.mark.parametrize("basepoint", ["default", (Fraction(3, 7), 2),
+                                       (Fraction(-5), Fraction(1, 2 ** 60)),
+                                       (Fraction(1), Fraction(1, 2 ** 300))])
+def test_closed_forms_keep_their_bounds(letters, mode, basepoint):
+    # _Envelope's closed form against 600-bit values on the model ray m(t)
+    # of the exact pairs: A and B of every line short by under 2^-158, and
+    # every x the closed form takes within 2^-156.5 of the least cosh
+    # d(m(t), q), from a ray point within 2^-111.5 of m(t)
+    mp = MP.clone()
+    mp.prec = 600
+    sched, p, target, alphabet = reference_ray(letters, mode)
+    ball = OrbitBall.build(sched, p if basepoint == "default" else basepoint,
+                           4, alphabet)
+    ray = explore._Ray(ball.basepoint, target)
+    envelope = explore._Envelope(ray, ball)
+
+    def num(pair):
+        return mp.ldexp(mp.mpf(pair[0]), pair[1])
+
+    lam, wx, wy = num(ray.lam), num(ray.wx), num(ray.wy)
+    for line in envelope.lines:
+        qx, qy = num(line[2:4]), num(line[4:6])
+        dq = qx - lam
+        r2 = dq * dq + qy * qy
+        c = wx * r2 + dq
+        am, ae, bm, be = envelope._form(*line[2:])
+        for got, exact in ((num((am, ae)), wy * r2 / (2 * qy)),
+                           (num((bm, be)), (c * c + qy * qy) /
+                            (2 * wy * qy * r2))):
+            assert 0 <= 1 - got / exact < mp.mpf(2) ** -158
+    taken = 0
+    for t in (0.0, 0.25, 3.0, 17.5, 50.0, 120.25, 200.0):
+        growth = ray.growth(explore._ray_time(t))
+        x = envelope._closed_x(growth)
+        if x is None:
+            continue
+        e_t = mp.exp(t)
+        denom = wx * wx + (wy * e_t) ** 2
+        mx, my = lam - wx / denom, wy * e_t / denom
+        least = min(1 + ((mx - qx) ** 2 + (my - qy) ** 2) / (2 * my * qy)
+                    for qx, qy in ((num(line[2:4]), num(line[4:6]))
+                                   for line in envelope.lines))
+        assert abs(num(x) / least - 1) < mp.mpf(2) ** -156.5
+        zx, zy = (num(v) for v in ray.pairs(growth)[:2])
+        shift = ((zx - mx) ** 2 + (zy - my) ** 2) / (2 * zy * my)
+        assert mp.acosh(1 + shift) < mp.mpf(2) ** -111.5
+        taken += 1
+    # from 2^-300 high, the ray point is off by more than 2^-111.5 up to
+    # about t = 80, so only 120.25 and 200 take the closed form there; t = 0
+    # never does, as w = 0
+    assert taken == (2 if basepoint == (1, Fraction(1, 2 ** 300)) else 6)

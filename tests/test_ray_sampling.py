@@ -4,10 +4,11 @@ The oracles below are the operator expressions the pair code replaces: the
 ray point of ``geodesic_ray_point`` with its conversions made on every
 sample, and the orbit-ball mirror.  The pair code must reproduce them bit
 for bit, the float estimates of ``orbit_distance`` must never change a
-sample, each sample must form one exact w and call mpmath only for a
-step's exp, its distance's log and the fallbacks of the two rounding tests,
-those tests must give the direct mpmath values bit for bit, and the
-reference rays' outputs are pinned by SHA-256.
+sample, each sample must take at most one log and form an exact w only
+where the closed form falls back, mpmath may run only for a step's exp, a
+distance's log and the fallbacks of the two rounding tests, those tests
+must give the direct mpmath values bit for bit, and the reference rays'
+outputs are pinned by SHA-256.
 """
 
 import hashlib
@@ -352,31 +353,52 @@ def tiny(w):
     return not w[0] or w[0].bit_length() + w[1] <= -30
 
 
-@pytest.mark.parametrize("key", REFERENCE_WORDS)
-def test_one_exact_w_and_at_most_one_log_per_sample(key, monkeypatch):
-    sched, p, target, alphabet = RAYS[key]
-    exact = recording(monkeypatch, "_cosh_arg")
-    # one letter a call: | for each distance, then l for mpf_log and a for
-    # mpf_acosh
+def sample_events(monkeypatch, ball, target, horizon=50.0, step=0.25):
+    """One string a sample of _ray_distances: w for each exact w formed, l
+    for mpf_log and a for mpf_acosh, in call order."""
     events = []
-    for name, letter in (("mpf_log", "l"), ("mpf_acosh", "a"),
-                         ("_acosh1p_float", "|")):
+    for name, letter in (("_cosh_arg", "w"), ("mpf_log", "l"),
+                         ("mpf_acosh", "a")):
         original = getattr(explore, name)
         monkeypatch.setattr(explore, name, lambda *a, f=original, c=letter:
                             events.append(c) or f(*a))
-    ws = recording(monkeypatch, "_acosh1p_float")
+    per_sample = []
+    for _ in explore._ray_distances(ball, target, horizon, step):
+        per_sample.append("".join(events))
+        events.clear()
+    return per_sample
+
+
+@pytest.mark.parametrize("key", REFERENCE_WORDS)
+def test_at_most_one_log_per_sample_and_an_exact_w_only_on_a_fallback(
+        key, monkeypatch):
+    sched, p, target, alphabet = RAYS[key]
+    ball = OrbitBall.build(sched, p, 4, alphabet)
+    per_sample = sample_events(monkeypatch, ball, target)
+    assert len(per_sample) == len(sample_times()) == 201
+    # t = 0: the ray starts at the basepoint, w = 0 takes the exact w and
+    # mpmath's acosh; every later sample is the closed form's one log
+    assert per_sample == ["wa"] + ["l"] * 200
+    # with every log undecided, the closed form's log is the only one: the
+    # exact w goes straight to mpmath's acosh
+    monkeypatch.setattr(explore, "_LOG_MARGIN", 0)
+    assert sample_events(monkeypatch, ball, target) == \
+        ["wa"] + ["lwa"] * 200
+
+
+@pytest.mark.parametrize("key", REFERENCE_WORDS)
+def test_reference_samples_take_the_closed_form(key, monkeypatch):
+    # at least 95% of the samples are read off the near points' closed
+    # forms, with no exact w and no ray point formed
+    sched, p, target, alphabet = RAYS[key]
+    exact = recording(monkeypatch, "_cosh_arg")
+    points = []
+    pairs = explore._Ray.pairs
+    monkeypatch.setattr(explore._Ray, "pairs", lambda self, g:
+                        points.append(g) or pairs(self, g))
     profile = conicality_profile(sched, p, target, 50.0, 4, 0.25,
                                  alphabet=alphabet)
-    assert len(profile.samples) == len(sample_times()) == 201
-    assert len(exact) == len(ws) == 201
-    per_distance = "".join(events).split("|")[1:]
-    for (w,), calls in zip(ws, per_distance):
-        # l: the fast path's one log; a: mpf_acosh, after an undecided
-        # rounding test or for a tiny w
-        assert calls == ("a" if tiny(w) else "l") or calls == "la"
-    # w = 0 at t = 0 only (the ray starts at the basepoint), and every
-    # other distance is settled by its log
-    assert per_distance == ["a"] + ["l"] * 200
+    assert len(exact) == len(points) <= 0.05 * len(profile.samples)
 
 
 @pytest.mark.parametrize("step", [0.25, 0.1])
